@@ -20,7 +20,6 @@ from .audio_io import (
     write_wav,
 )
 from .bss_eval import SeparationMetrics, evaluate_pair
-from .kernels import NUMBA_ENABLED
 from .masking import (
     BinaryMask,
     SoftMask,
@@ -63,6 +62,5 @@ __all__ = [
     "ExperimentConfig", "build_training_set", "train_dnn", "train_nmf",
     "separate_song", "ideal_mask_separate", "sweep_alpha",
     "SynthConfig", "generate_corpus", "disjoint_support_song",
-    "NUMBA_ENABLED",
     "__version__",
 ]

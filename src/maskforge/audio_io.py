@@ -89,8 +89,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
-            if size < 16:
-                raise WavFormatError(f"{path}: fmt chunk too short")
+            if len(body) < 16:
+                raise WavFormatError(f"{path}: fmt chunk too short or truncated")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
             if len(body) < size:
@@ -213,13 +213,18 @@ def load_manifest(path: str | Path) -> list[ManifestSong]:
     """Parse a corpus manifest; stem paths resolve relative to the manifest."""
     path = Path(path)
     doc = json.loads(path.read_text())
-    if not isinstance(doc, dict) or "songs" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("songs"), list):
         raise ValueError(f"{path}: manifest must be an object with a 'songs' list")
     base = path.parent
     songs = []
     for entry in doc["songs"]:
+        if (not isinstance(entry, dict) or "id" not in entry
+                or not isinstance(entry.get("stems"), list)):
+            raise ValueError(f"{path}: each song needs an 'id' and a 'stems' list")
         stems = []
         for s in entry["stems"]:
+            if not isinstance(s, dict) or "path" not in s or "label" not in s:
+                raise ValueError(f"{path}: each stem needs a 'path' and a 'label'")
             label = s["label"]
             if label not in LABELS:
                 raise ValueError(f"{path}: bad stem label {label!r}")

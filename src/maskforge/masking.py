@@ -10,19 +10,13 @@ alpha < 0.5 the masks overlap.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .audio_io import NON_VOCAL, VOCAL
 from .patching import MeanPrediction
 from .stft import ComplexSpectrogram, MagnitudeSpectrogram
-
-_MASK_MAGIC = b"MFGM"
-_KIND_BINARY = 1
-_KIND_SOFT = 2
 
 
 @dataclass
@@ -125,40 +119,3 @@ def apply_mask(mix: ComplexSpectrogram, mask: BinaryMask | SoftMask) -> ComplexS
         original_len=mix.original_len,
         sample_rate=mix.sample_rate,
     )
-
-
-# ---------------------------------------------------------------------------
-# mask dump: magic, u32 F, u32 N, u8 kind, then the grid in column order
-# (frame by frame); binary masks use one byte per element, soft masks
-# little-endian float32
-# ---------------------------------------------------------------------------
-
-def dump_mask(path: str | Path, mask: BinaryMask | SoftMask) -> None:
-    F, N = mask.values.shape
-    header = _MASK_MAGIC + struct.pack("<II", F, N)
-    if isinstance(mask, BinaryMask):
-        body = mask.values.astype(np.uint8).tobytes(order="F")
-        kind = _KIND_BINARY
-    else:
-        body = mask.values.astype("<f4").tobytes(order="F")
-        kind = _KIND_SOFT
-    Path(path).write_bytes(header + struct.pack("<B", kind) + body)
-
-
-def load_mask(path: str | Path) -> BinaryMask | SoftMask:
-    raw = Path(path).read_bytes()
-    if len(raw) < 13 or raw[:4] != _MASK_MAGIC:
-        raise ValueError(f"{path}: not a mask file")
-    F, N = struct.unpack_from("<II", raw, 4)
-    kind = raw[12]
-    if kind == _KIND_BINARY:
-        body = np.frombuffer(raw, dtype=np.uint8, offset=13)
-        if body.size != F * N:
-            raise ValueError(f"{path}: payload size mismatch")
-        return BinaryMask(body.reshape(F, N, order="F").astype(np.float64))
-    if kind == _KIND_SOFT:
-        body = np.frombuffer(raw, dtype="<f4", offset=13)
-        if body.size != F * N:
-            raise ValueError(f"{path}: payload size mismatch")
-        return SoftMask(body.reshape(F, N, order="F").astype(np.float64))
-    raise ValueError(f"{path}: unknown mask kind {kind}")

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .patching import (
     KIND_PREDICTION,
     PatchSet,
@@ -26,7 +25,22 @@ _MODEL_MAGIC = b"MFG1"
 
 LOSS_CROSS_ENTROPY = "cross_entropy"
 LOSS_MSE = "mse"
-_LOSS_CODES = {LOSS_CROSS_ENTROPY: kernels._LOSS_BCE, LOSS_MSE: kernels._LOSS_MSE}
+_LOSSES = (LOSS_CROSS_ENTROPY, LOSS_MSE)
+
+
+def sigmoid_stable(z: np.ndarray) -> np.ndarray:
+    """Logistic function, safe against overflow for any finite input."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def softplus_stable(z: np.ndarray) -> np.ndarray:
+    """log(1 + exp(z)) without overflow; used for cross-entropy from logits."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 @dataclass
@@ -88,8 +102,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not self.learning_rate >= 0.0:
             raise ValueError("learning rate must be non-negative")
-        if self.loss not in _LOSS_CODES:
-            raise ValueError(f"loss must be one of {sorted(_LOSS_CODES)}")
+        if self.loss not in _LOSSES:
+            raise ValueError(f"loss must be one of {sorted(_LOSSES)}")
 
 
 def init_model(layer_sizes: list[int], seed: int = 0) -> MlpModel:
@@ -109,19 +123,27 @@ def init_model(layer_sizes: list[int], seed: int = 0) -> MlpModel:
     return MlpModel(sizes, weights, biases, seed=seed)
 
 
+def _activations(weights: list[np.ndarray], biases: list[np.ndarray],
+                 x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every layer's activation (input first) and pre-activation, unchecked."""
+    acts = [x]
+    zs = []
+    for W, b in zip(weights, biases):
+        z = W @ acts[-1] + b
+        zs.append(z)
+        acts.append(sigmoid_stable(z))
+    return acts, zs
+
+
 def _forward_acts(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """All layer activations plus the output pre-activation (for the loss)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_size,):
         raise ValueError(f"input length {x.shape} != ({model.input_size},)")
-    acts = [x]
-    z = x
-    for W, b in zip(model.weights, model.biases):
-        z = W @ acts[-1] + b
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError("non-finite pre-activation")
-        acts.append(kernels.sigmoid_stable(z))
-    return acts, z
+    acts, zs = _activations(model.weights, model.biases, x)
+    if not all(np.all(np.isfinite(z)) for z in zs):
+        raise FloatingPointError("non-finite pre-activation")
+    return acts, zs[-1]
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -135,15 +157,30 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     if A.ndim != 2 or A.shape[1] != model.input_size:
         raise ValueError(f"expected (n, {model.input_size}) inputs, got {A.shape}")
     for W, b in zip(model.weights, model.biases):
-        A = kernels.sigmoid_stable(A @ W.T + b)
+        A = sigmoid_stable(A @ W.T + b)
     return A
 
 
-def loss_value(z_out: np.ndarray, p: np.ndarray, y: np.ndarray, loss: str) -> float:
-    """Per-example loss, summed over output units."""
+def _loss_and_delta(z_out: np.ndarray, p: np.ndarray, y: np.ndarray,
+                    loss: str) -> tuple[float, np.ndarray]:
+    """Per-example loss, summed over output units, and the output-layer delta."""
     if loss == LOSS_CROSS_ENTROPY:
-        return float(np.sum(kernels.softplus_stable(z_out) - y * z_out))
-    return float(0.5 * np.sum((p - y) ** 2))
+        return float(np.sum(softplus_stable(z_out) - y * z_out)), p - y
+    return float(0.5 * np.sum((p - y) ** 2)), (p - y) * p * (1.0 - p)
+
+
+def _backward(weights: list[np.ndarray], acts: list[np.ndarray], delta: np.ndarray):
+    """Backpropagate one example; yields (layer, delta, a_prev) from the top.
+
+    The layer below's delta is formed from weights[l] before layer l is
+    yielded, so the consumer may update weights[l] in place.
+    """
+    for l in range(len(weights) - 1, 0, -1):
+        a_prev = acts[l]
+        delta_prev = (weights[l].T @ delta) * a_prev * (1.0 - a_prev)
+        yield l, delta, a_prev
+        delta = delta_prev
+    yield 0, delta, acts[0]
 
 
 def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray,
@@ -158,24 +195,36 @@ def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray,
         raise ValueError(f"target length {y.shape} != ({model.output_size},)")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("targets must be binary")
-    if loss not in _LOSS_CODES:
-        raise ValueError(f"loss must be one of {sorted(_LOSS_CODES)}")
+    if loss not in _LOSSES:
+        raise ValueError(f"loss must be one of {sorted(_LOSSES)}")
     acts, z_out = _forward_acts(model, x)
-    p = acts[-1]
-    value = loss_value(z_out, p, y, loss)
-    if loss == LOSS_CROSS_ENTROPY:
-        delta = p - y
-    else:
-        delta = (p - y) * p * (1.0 - p)
+    value, delta = _loss_and_delta(z_out, acts[-1], y, loss)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * model.n_layers
-    for l in range(model.n_layers - 1, -1, -1):
-        a_prev = acts[l]
-        dW = np.outer(delta, a_prev)
+    for l, delta, a_prev in _backward(model.weights, acts, delta):
         db = delta.copy() if l < model.n_layers - 1 else np.zeros_like(delta)
-        grads[l] = (dW, db)
-        if l > 0:
-            delta = (model.weights[l].T @ delta) * a_prev * (1.0 - a_prev)
+        grads[l] = (np.outer(delta, a_prev), db)
     return value, grads
+
+
+def sgd_epoch(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray,
+              Y: np.ndarray, order: np.ndarray, lr: float, loss: str) -> float:
+    """One sweep of per-example SGD in visit order; updates weights/biases in place.
+
+    The output layer's bias is not updated. Returns the mean per-example loss
+    measured at visit time.
+    """
+    last = len(weights) - 1
+    total = 0.0
+    for i in order:
+        acts, zs = _activations(weights, biases, X[i])
+        value, delta = _loss_and_delta(zs[-1], acts[-1], Y[i], loss)
+        total += value
+        for l, delta, a_prev in _backward(weights, acts, delta):
+            g = lr * delta
+            weights[l] -= np.outer(g, a_prev)
+            if l < last:
+                biases[l] -= g
+    return total / order.shape[0]
 
 
 def train_sgd(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
@@ -194,14 +243,11 @@ def train_sgd(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
         )
     trained = model.copy()
     rng = np.random.default_rng(cfg.shuffle_seed)
-    loss_code = _LOSS_CODES[cfg.loss]
     trace = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
         order = rng.permutation(X.shape[0]).astype(np.int64)
-        mean_loss = kernels.sgd_epoch(
-            trained.weights, trained.biases, X, Y, order,
-            cfg.learning_rate, loss_code, True,
-        )
+        mean_loss = sgd_epoch(trained.weights, trained.biases, X, Y, order,
+                              cfg.learning_rate, cfg.loss)
         if not np.isfinite(mean_loss):
             raise FloatingPointError(
                 f"training diverged: non-finite loss at epoch {epoch}"

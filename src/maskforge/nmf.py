@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import KL_EPS, kl_divergence_sum
-from .masking import SoftMask
 from .patching import KIND_PREDICTION, MeanPrediction, PatchSet, repack_mean
 
 _NMF_MAGIC = b"MFGN"
+
+KL_EPS = 1e-12
 
 
 @dataclass
@@ -55,6 +55,16 @@ class Factorization:
     W: np.ndarray
     H: np.ndarray
     trace: np.ndarray          # KL divergence after each iteration
+
+
+def kl_divergence_sum(V, V_hat):
+    """sum(V*log(V/V_hat) - V + V_hat), 0*log(0/x) = 0, V_hat floored at eps."""
+    Vf = np.maximum(V_hat, KL_EPS)
+    pos = V > 0
+    terms = Vf - V
+    logs = np.zeros_like(V)
+    logs[pos] = V[pos] * np.log(V[pos] / Vf[pos])
+    return float(np.sum(terms + logs))
 
 
 def kl_divergence(V: np.ndarray, V_hat: np.ndarray) -> float:
@@ -164,19 +174,9 @@ def soft_mask_patches(V_v_hat: np.ndarray, V_nv_hat: np.ndarray,
     return np.where(total > 0.0, v / np.where(total > 0.0, total, 1.0), 0.5)
 
 
-def repack_soft_mask(V_v_hat: np.ndarray, V_nv_hat: np.ndarray, n_bins: int,
-                     width: int, offsets: np.ndarray, total_frames: int) -> SoftMask:
-    """Window-wise soft masks averaged back onto the full spectrogram grid."""
-    masks = soft_mask_patches(V_v_hat, V_nv_hat, n_bins, width)
-    patch_set = PatchSet(masks, np.asarray(offsets, dtype=np.int64),
-                         total_frames=total_frames, kind=KIND_PREDICTION)
-    mean = repack_mean(patch_set)
-    return SoftMask(mean.values)
-
-
 def mean_prediction_from_soft(V_v_hat, V_nv_hat, n_bins, width, offsets,
                               total_frames) -> MeanPrediction:
-    """Same averaging as repack_soft_mask but keeping the counts grid."""
+    """Window-wise soft masks averaged back onto the full spectrogram grid."""
     masks = soft_mask_patches(V_v_hat, V_nv_hat, n_bins, width)
     patch_set = PatchSet(masks, np.asarray(offsets, dtype=np.int64),
                          total_frames=total_frames, kind=KIND_PREDICTION)

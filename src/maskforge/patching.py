@@ -8,13 +8,10 @@ whose arithmetic mean becomes the element's confidence value.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .kernels import repack_accumulate
 from .stft import MagnitudeSpectrogram
 
 KIND_MIXTURE = "mixture_input"
@@ -131,6 +128,22 @@ def unflatten_rows(rows: np.ndarray, n_bins: int, width: int) -> np.ndarray:
     return rows.reshape(P, width, n_bins).transpose(0, 2, 1)
 
 
+def repack_accumulate(patches, offsets, n_frames_padded):
+    """Accumulate patch grids at their frame offsets.
+
+    patches: (P, F, T); returns (sum grid F x Np, per-frame counts Np).
+    Patches are added in offset order, so per-element summation order is fixed.
+    """
+    n_patches, F, T = patches.shape
+    acc = np.zeros((F, n_frames_padded), dtype=np.float64)
+    counts = np.zeros(n_frames_padded, dtype=np.int64)
+    for p in range(n_patches):
+        o = offsets[p]
+        acc[:, o:o + T] += patches[p]
+        counts[o:o + T] += 1
+    return acc, counts
+
+
 def repack_mean(predictions: PatchSet) -> MeanPrediction:
     """Average overlapping patch values per element; padded frames dropped.
 
@@ -150,35 +163,3 @@ def repack_mean(predictions: PatchSet) -> MeanPrediction:
     counts_grid = np.broadcast_to(counts[None, :N], (F, N)).copy()
     values = acc[:, :N] / counts_grid
     return MeanPrediction(values=values, counts=counts_grid)
-
-
-# ---------------------------------------------------------------------------
-# training-set dump: u32 F, u32 T, u32 count, then per pair the input vector
-# and target vector as little-endian float32
-# ---------------------------------------------------------------------------
-
-def dump_training_set(path: str | Path, inputs: np.ndarray, targets: np.ndarray,
-                      n_bins: int, width: int) -> None:
-    if inputs.shape != targets.shape or inputs.ndim != 2:
-        raise ValueError("inputs/targets must be matching (count, F*T) matrices")
-    if inputs.shape[1] != n_bins * width:
-        raise ValueError("vector length does not match F*T")
-    count = inputs.shape[0]
-    interleaved = np.empty((count, 2, inputs.shape[1]), dtype="<f4")
-    interleaved[:, 0, :] = inputs
-    interleaved[:, 1, :] = targets
-    header = struct.pack("<III", n_bins, width, count)
-    Path(path).write_bytes(header + interleaved.tobytes())
-
-
-def load_training_set(path: str | Path) -> tuple[np.ndarray, np.ndarray, int, int]:
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise ValueError(f"{path}: truncated training-set file")
-    n_bins, width, count = struct.unpack_from("<III", raw, 0)
-    body = np.frombuffer(raw, dtype="<f4", offset=12)
-    expected = count * 2 * n_bins * width
-    if body.size != expected:
-        raise ValueError(f"{path}: payload size mismatch")
-    body = body.reshape(count, 2, n_bins * width).astype(np.float64)
-    return body[:, 0, :], body[:, 1, :], n_bins, width

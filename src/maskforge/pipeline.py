@@ -10,8 +10,6 @@ same seeds byte-identical.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,12 +99,6 @@ class ExperimentConfig:
     def layer_sizes(self) -> list[int]:
         d = self.stft.n_bins * self.patch.width
         return [d, *self.hidden, d]
-
-
-def _thread_count(n_jobs: int) -> int:
-    env = os.environ.get("MASKFORGE_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +294,12 @@ def sweep_alpha(songs: list[ManifestSong], models: dict[str, MlpModel | NmfModel
                 cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every model on every test song across the alpha grid.
 
-    Songs run in parallel (MASKFORGE_THREADS caps the pool); results are
-    keyed by manifest order, so the output is independent of scheduling.
+    Songs run one after another; the large matrix products inside each song
+    are already spread over the cores by the BLAS library's own threads.
     """
     if not songs:
         raise ValueError("no test songs")
-    with ThreadPoolExecutor(max_workers=_thread_count(len(songs))) as pool:
-        results = list(pool.map(
-            lambda pair: _evaluate_song(pair[1], models, cfg, pair[0]),
-            enumerate(songs),
-        ))
+    results = [_evaluate_song(song, models, cfg, i) for i, song in enumerate(songs)]
     methods = (*models.keys(), METHOD_IDEAL, METHOD_MIXTURE)
     return SweepResult(songs=results, alphas=cfg.alphas, methods=methods)
 

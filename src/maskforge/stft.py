@@ -9,14 +9,11 @@ longer consistent STFTs.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .kernels import ola_accumulate
 
 _ENVELOPE_EPS = 1e-12
 
@@ -119,6 +116,19 @@ def stft(buffer: AudioBuffer, cfg: StftConfig | None = None) -> ComplexSpectrogr
     return ComplexSpectrogram(bins, cfg, original_len=n, sample_rate=buffer.sample_rate)
 
 
+def ola_accumulate(frames, window, hop, out_len):
+    """Sum windowed time-domain frames into (signal, squared-window envelope)."""
+    acc = np.zeros(out_len, dtype=np.float64)
+    env = np.zeros(out_len, dtype=np.float64)
+    w2 = window * window
+    n_frames, frame_len = frames.shape
+    for m in range(n_frames):
+        start = m * hop
+        acc[start:start + frame_len] += frames[m] * window
+        env[start:start + frame_len] += w2
+    return acc, env
+
+
 def istft(spec: ComplexSpectrogram) -> AudioBuffer:
     """Weighted overlap-add inversion, trimmed to the recorded original length.
 
@@ -152,33 +162,3 @@ def combine(mag: MagnitudeSpectrogram, phase: PhaseSpectrogram,
         raise ValueError("magnitude/phase shape mismatch")
     bins = mag.values * np.exp(1j * phase.values)
     return ComplexSpectrogram(bins, cfg, original_len, sample_rate)
-
-
-# ---------------------------------------------------------------------------
-# debug dump: u32 F, u32 N, u8 flag (0 real / 1 complex), little-endian f32
-# ---------------------------------------------------------------------------
-
-def dump_grid(path: str | Path, values: np.ndarray) -> None:
-    values = np.asarray(values)
-    is_complex = np.iscomplexobj(values)
-    f, n = values.shape
-    header = struct.pack("<IIB", f, n, 1 if is_complex else 0)
-    if is_complex:
-        data = np.empty((f, n, 2), dtype="<f4")
-        data[:, :, 0] = values.real
-        data[:, :, 1] = values.imag
-    else:
-        data = values.astype("<f4")
-    Path(path).write_bytes(header + data.tobytes())
-
-
-def load_grid(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 9:
-        raise ValueError(f"{path}: truncated grid file")
-    f, n, flag = struct.unpack_from("<IIB", raw, 0)
-    body = np.frombuffer(raw, dtype="<f4", offset=9)
-    if flag == 1:
-        body = body.reshape(f, n, 2)
-        return body[:, :, 0].astype(np.float64) + 1j * body[:, :, 1].astype(np.float64)
-    return body.reshape(f, n).astype(np.float64)

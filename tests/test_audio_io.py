@@ -136,6 +136,21 @@ def test_read_rejects_missing_data_chunk(tmp_path):
         read_wav(path)
 
 
+def _truncated_fmt_wav_bytes(held: int) -> bytes:
+    """A RIFF/WAVE file whose fmt chunk declares 16 bytes but holds fewer."""
+    body = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)[:held]
+    return struct.pack("<4sI4s4sI", b"RIFF", 12 + held, b"WAVE", b"fmt ", 16) + body
+
+
+@pytest.mark.parametrize("held", [4, 8])
+def test_read_rejects_truncated_fmt_chunk(tmp_path, held):
+    path = tmp_path / "short_fmt.wav"
+    path.write_bytes(_truncated_fmt_wav_bytes(held))
+    assert path.stat().st_size == 20 + held
+    with pytest.raises(WavFormatError, match="fmt chunk too short"):
+        read_wav(path)
+
+
 def test_read_rejects_extensible_format(tmp_path):
     raw = bytearray(_pcm16_wav_bytes(np.zeros(4, dtype=np.int16), 8000))
     struct.pack_into("<H", raw, 20, 0xFFFE)
@@ -314,3 +329,19 @@ def test_manifest_rejects_wrong_shape(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError, match="songs"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"songs": [{"id": "x"}]}, "'stems' list"),
+    ({"songs": [{"stems": []}]}, "'id'"),
+    ({"songs": [{"id": "x", "stems": "v.wav"}]}, "'stems' list"),
+    ({"songs": ["x"]}, "'stems' list"),
+    ({"songs": [{"id": "x", "stems": [{"path": "v.wav"}]}]}, "'label'"),
+    ({"songs": 3}, "'songs' list"),
+])
+def test_manifest_rejects_bad_entry(tmp_path, doc, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message) as info:
+        load_manifest(path)
+    assert str(path) in str(info.value)

@@ -219,6 +219,41 @@ def test_missing_input_wav_exits_one(tmp_path, capsys):
     assert "missing.wav" in err
 
 
+def test_truncated_fmt_chunk_exits_one(tmp_path, capsys):
+    from maskforge.mlp import init_model, save_model
+    model_path = tmp_path / "m.mlp"
+    save_model(init_model([645, 4, 645], seed=0), model_path)  # 129 bins x 5
+    wav = tmp_path / "short_fmt.wav"
+    # RIFF/WAVE header, then a fmt chunk declaring 16 bytes that holds 8
+    wav.write_bytes(b"RIFF\x14\x00\x00\x00WAVEfmt \x10\x00\x00\x00"
+                    + b"\x01\x00\x01\x00\x40\x1f\x00\x00")
+    assert wav.stat().st_size == 28
+    code, out, err = _run(capsys, [
+        "separate", "--model", str(model_path), "--alpha", "0.5",
+        "--input", str(wav),
+        "--out-vocal", str(tmp_path / "v.wav"),
+        "--out-accomp", str(tmp_path / "a.wav"), *SMALL,
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "fmt chunk too short" in err
+
+
+def test_manifest_entry_without_stems_exits_one(tmp_path, capsys):
+    from maskforge.mlp import init_model, save_model
+    model_path = tmp_path / "m.mlp"
+    save_model(init_model([645, 4, 645], seed=0), model_path)
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"songs": [{"id": "x"}]}')
+    code, out, err = _run(capsys, [
+        "sweep-alpha", "--manifest", str(manifest), "--model", str(model_path),
+        "--csv", str(tmp_path / "o.csv"), *SMALL,
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert str(manifest) in err and "'stems' list" in err
+
+
 def test_unrecognized_model_file_exits_one(tmp_path, capsys):
     bogus = tmp_path / "junk.bin"
     bogus.write_bytes(b"WHAT" + b"\x00" * 64)

@@ -8,9 +8,7 @@ from maskforge.masking import (
     BinaryMask,
     SoftMask,
     apply_mask,
-    dump_mask,
     ideal_binary_mask,
-    load_mask,
     nonvocal_mask_from_confidence,
     soft_mask,
     threshold_soft_mask,
@@ -188,40 +186,3 @@ def test_soft_mask_validation():
         SoftMask(np.array([[1.2]]))
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         SoftMask(np.array([[-0.1]]))
-
-
-# ---------------------------------------------------------------------------
-# mask files
-# ---------------------------------------------------------------------------
-
-def test_binary_mask_file_round_trip(tmp_path, rng):
-    vals = (rng.uniform(0, 1, size=(5, 9)) > 0.4).astype(np.float64)
-    path = tmp_path / "m.bin"
-    dump_mask(path, BinaryMask(vals))
-    back = load_mask(path)
-    assert isinstance(back, BinaryMask)
-    assert np.array_equal(back.values, vals)
-
-
-def test_soft_mask_file_round_trip(tmp_path, rng):
-    vals = rng.uniform(0, 1, size=(3, 7)).astype(np.float32).astype(np.float64)
-    path = tmp_path / "s.bin"
-    dump_mask(path, SoftMask(vals))
-    back = load_mask(path)
-    assert isinstance(back, SoftMask)
-    assert np.array_equal(back.values, vals)
-
-
-def test_mask_file_errors(tmp_path, rng):
-    path = tmp_path / "m.bin"
-    dump_mask(path, BinaryMask(np.ones((2, 2))))
-    raw = path.read_bytes()
-    path.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError, match="not a mask file"):
-        load_mask(path)
-    path.write_bytes(raw[:-1])
-    with pytest.raises(ValueError, match="size mismatch"):
-        load_mask(path)
-    path.write_bytes(raw[:12] + b"\x07" + raw[13:])
-    with pytest.raises(ValueError, match="unknown mask kind"):
-        load_mask(path)

@@ -1,4 +1,4 @@
-"""Network init, forward pass, backprop gradients, SGD training, model files."""
+"""Stable helpers, init, forward pass, backprop, SGD training, model files."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,9 @@ from maskforge.mlp import (
     loss_and_gradient,
     predict_masks,
     save_model,
+    sgd_epoch,
+    sigmoid_stable,
+    softplus_stable,
     train_sgd,
 )
 from maskforge.patching import KIND_PREDICTION, PatchConfig, PatchSet, extract_patches, flatten_set
@@ -27,6 +30,38 @@ def _zero_model(sizes):
         [np.zeros((o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
         [np.zeros(o) for o in sizes[1:]],
     )
+
+
+# ---------------------------------------------------------------------------
+# stable helpers
+# ---------------------------------------------------------------------------
+
+def test_sigmoid_matches_naive_in_safe_range(rng):
+    z = rng.uniform(-30, 30, size=200)
+    naive = 1.0 / (1.0 + np.exp(-z))
+    assert np.allclose(sigmoid_stable(z), naive, rtol=1e-15, atol=0)
+
+
+def test_sigmoid_extremes_do_not_overflow():
+    z = np.array([-1e308, -1e4, 0.0, 1e4, 1e308])
+    out = sigmoid_stable(z)
+    assert np.all(np.isfinite(out))
+    assert out[0] == 0.0 and out[-1] == 1.0
+    assert out[2] == 0.5
+
+
+def test_softplus_matches_naive_in_safe_range(rng):
+    z = rng.uniform(-30, 30, size=200)
+    naive = np.log1p(np.exp(z))
+    assert np.allclose(softplus_stable(z), naive, rtol=1e-12, atol=1e-15)
+
+
+def test_softplus_extremes():
+    z = np.array([-1e308, 0.0, 1e308])
+    out = softplus_stable(z)
+    assert out[0] == 0.0
+    assert abs(out[1] - np.log(2.0)) < 1e-15
+    assert out[2] == 1e308
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +230,38 @@ def test_unknown_loss_rejected():
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
+
+def _run_sgd(seed, lr=0.1, loss=LOSS_CROSS_ENTROPY, epochs=3):
+    rng = np.random.default_rng(seed)
+    sizes = [5, 4, 5]
+    Ws = [rng.uniform(-0.5, 0.5, size=(o, i))
+          for i, o in zip(sizes[:-1], sizes[1:])]
+    bs = [np.zeros(o) for o in sizes[1:]]
+    X = rng.uniform(size=(12, 5))
+    Y = (rng.uniform(size=(12, 5)) > 0.5).astype(np.float64)
+    losses = []
+    order_rng = np.random.default_rng(99)
+    for _ in range(epochs):
+        order = order_rng.permutation(12).astype(np.int64)
+        losses.append(sgd_epoch(Ws, bs, X, Y, order, lr, loss))
+    return Ws, bs, losses
+
+
+def test_sgd_epoch_learns():
+    _, _, losses = _run_sgd(seed=1, epochs=30, lr=0.5)
+    assert losses[-1] < losses[0]
+
+
+def test_sgd_epoch_keeps_output_bias_zero():
+    _, bs, _ = _run_sgd(seed=2)
+    assert not np.any(bs[-1])
+    assert np.any(bs[0])  # hidden bias does move
+
+
+def test_sgd_epoch_mse_loss():
+    _, _, losses = _run_sgd(seed=3, loss=LOSS_MSE, epochs=30, lr=1.0)
+    assert losses[-1] < losses[0]
+
 
 def test_single_example_sgd_step_oracle(rng):
     model = init_model([3, 4, 3], seed=2)

@@ -9,13 +9,12 @@ from maskforge.patching import (
     MeanPrediction,
     PatchConfig,
     PatchSet,
-    dump_training_set,
     extract_patches,
     flatten,
     flatten_set,
-    load_training_set,
     normalize_unit_scale,
     patch_offsets,
+    repack_accumulate,
     repack_mean,
     unflatten,
     unflatten_rows,
@@ -234,27 +233,9 @@ def test_normalize_unit_scale(rng):
         normalize_unit_scale(_mag(np.zeros((2, 2))))
 
 
-def test_training_set_round_trip(tmp_path, rng):
-    X = rng.uniform(0, 1, size=(9, 12)).astype(np.float32).astype(np.float64)
-    Y = (rng.uniform(0, 1, size=(9, 12)) > 0.5).astype(np.float64)
-    path = tmp_path / "train.bin"
-    dump_training_set(path, X, Y, n_bins=4, width=3)
-    X2, Y2, F, T = load_training_set(path)
-    assert (F, T) == (4, 3)
-    assert np.array_equal(X2, X)
-    assert np.array_equal(Y2, Y)
-
-
-def test_training_set_errors(tmp_path, rng):
-    X = rng.uniform(0, 1, size=(3, 8))
-    with pytest.raises(ValueError, match="F\\*T"):
-        dump_training_set(tmp_path / "x.bin", X, X, n_bins=3, width=3)
-    path = tmp_path / "t.bin"
-    dump_training_set(path, X, X, n_bins=4, width=2)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:8])
-    with pytest.raises(ValueError, match="truncated"):
-        load_training_set(path)
-    path.write_bytes(raw[:-4])
-    with pytest.raises(ValueError, match="size mismatch"):
-        load_training_set(path)
+def test_repack_accumulate_counts():
+    patches = np.ones((3, 2, 2))
+    offsets = np.array([0, 1, 2], dtype=np.int64)
+    acc, counts = repack_accumulate(patches, offsets, 4)
+    assert counts.tolist() == [1, 2, 2, 1]
+    assert acc[0].tolist() == [1.0, 2.0, 2.0, 1.0]

@@ -18,7 +18,6 @@ from maskforge.pipeline import (
     ExperimentConfig,
     _mean_and_ci,
     _metrics_or_floor,
-    _thread_count,
     build_class_matrices,
     build_training_set,
     confidence_grid,
@@ -82,16 +81,6 @@ def test_config_alpha_validation():
         _small_cfg(alphas=())
     with pytest.raises(ValueError, match="strictly inside"):
         _small_cfg(alphas=(0.0, 0.5))
-
-
-def test_thread_count_env_cap(monkeypatch):
-    monkeypatch.setenv("MASKFORGE_THREADS", "1")
-    assert _thread_count(8) == 1
-    monkeypatch.setenv("MASKFORGE_THREADS", "4")
-    assert _thread_count(8) == 4
-    assert _thread_count(2) == 2
-    monkeypatch.delenv("MASKFORGE_THREADS")
-    assert 1 <= _thread_count(3) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +363,3 @@ def test_sweep_with_models_covers_all_alphas(tiny_corpus):
     assert len(lines) == 1 + 2 * 4 * 3
     ps = per_song_rows(sweep)
     assert len(ps) == 1 + 1 * 4 * 2 * 3
-
-
-def test_sweep_deterministic_across_thread_counts(tiny_corpus, monkeypatch):
-    cfg = _small_cfg()
-    songs = tiny_corpus["test_songs"] * 3
-    monkeypatch.setenv("MASKFORGE_THREADS", "3")
-    rows_parallel = fig2_rows(sweep_alpha(songs, {}, cfg))
-    monkeypatch.setenv("MASKFORGE_THREADS", "1")
-    rows_serial = fig2_rows(sweep_alpha(songs, {}, cfg))
-    assert rows_parallel == rows_serial

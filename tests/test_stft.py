@@ -9,11 +9,10 @@ from maskforge.stft import (
     MagnitudeSpectrogram,
     StftConfig,
     combine,
-    dump_grid,
     hann_window,
     istft,
-    load_grid,
     n_frames_for,
+    ola_accumulate,
     split,
     stft,
 )
@@ -229,35 +228,26 @@ def test_spectrogram_validation():
 
 
 # ---------------------------------------------------------------------------
-# grid files
+# overlap-add accumulation
 # ---------------------------------------------------------------------------
 
-def test_grid_file_round_trip(tmp_path, rng):
-    cfg = StftConfig(frame_len=32, hop=8)
-    spec = stft(_buf(rng.standard_normal(200), 22050), cfg)
-    path = tmp_path / "g.bin"
-    dump_grid(path, spec.bins)
-    back = load_grid(path)
-    assert back.shape == spec.bins.shape
-    assert np.allclose(back, spec.bins, rtol=0, atol=1e-5)  # f4 storage
+def test_ola_single_frame():
+    frames = np.array([[1.0, 2.0, 3.0, 4.0]])
+    window = np.array([0.0, 0.5, 1.0, 0.5])
+    acc, env = ola_accumulate(frames, window, hop=1, out_len=4)
+    assert np.array_equal(acc, frames[0] * window)
+    assert np.array_equal(env, window ** 2)
 
 
-def test_grid_file_real_payload(tmp_path, rng):
-    mat = rng.standard_normal((5, 7))
-    path = tmp_path / "r.bin"
-    dump_grid(path, mat)
-    back = load_grid(path)
-    assert back.dtype == np.float64
-    assert np.allclose(back, mat, rtol=0, atol=1e-6)
-
-
-def test_grid_file_truncation_detected(tmp_path, rng):
-    path = tmp_path / "t.bin"
-    dump_grid(path, rng.standard_normal((4, 4)))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:5])  # shorter than the fixed header
-    with pytest.raises(ValueError, match="truncated grid file"):
-        load_grid(path)
-    path.write_bytes(raw[:-3])  # header intact, payload cut mid-element
-    with pytest.raises(ValueError):
-        load_grid(path)
+def test_ola_two_overlapping_frames():
+    frames = np.ones((2, 4))
+    window = np.array([0.0, 0.5, 1.0, 0.5])
+    acc, env = ola_accumulate(frames, window, hop=2, out_len=6)
+    expect_acc = np.zeros(6)
+    expect_acc[:4] += window
+    expect_acc[2:] += window
+    assert np.array_equal(acc, expect_acc)
+    expect_env = np.zeros(6)
+    expect_env[:4] += window ** 2
+    expect_env[2:] += window ** 2
+    assert np.array_equal(env, expect_env)
