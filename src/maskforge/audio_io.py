@@ -68,6 +68,8 @@ class StemSet:
 _FMT_PCM = 1
 _FMT_FLOAT = 3
 _FMT_EXTENSIBLE = 0xFFFE
+# bytes per sample of each decoded (format, bits) pair
+_SAMPLE_BYTES = {(_FMT_PCM, 16): 2, (_FMT_PCM, 24): 3, (_FMT_FLOAT, 32): 4}
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
@@ -109,24 +111,28 @@ def read_wav(path: str | Path) -> AudioBuffer:
     if n_channels < 1 or sample_rate < 1:
         raise WavFormatError(f"{path}: invalid channel count or sample rate")
 
-    if audio_format == _FMT_PCM and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == _FMT_PCM and bits == 24:
-        b = np.frombuffer(payload, dtype=np.uint8)
-        b = b[: (len(b) // 3) * 3].reshape(-1, 3).astype(np.uint32)
-        vals = (b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)).astype(np.int32)
-        vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
-        samples = vals.astype(np.float64) / float(1 << 23)
-    elif audio_format == _FMT_FLOAT and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    else:
+    width = _SAMPLE_BYTES.get((audio_format, bits))
+    if width is None:
         raise UnsupportedWavError(
             f"{path}: unsupported codec (format={audio_format}, bits={bits})"
         )
+    if len(payload) % (width * n_channels):
+        raise WavFormatError(
+            f"{path}: data chunk of {len(payload)} bytes is not a whole number "
+            f"of {n_channels}-channel {bits}-bit frames"
+        )
+    if bits == 16:
+        raw = np.frombuffer(payload, dtype="<i2")
+        samples = raw.astype(np.float64) / 32768.0
+    elif bits == 24:
+        b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.uint32)
+        vals = (b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)).astype(np.int32)
+        vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
+        samples = vals.astype(np.float64) / float(1 << 23)
+    else:
+        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
 
     if n_channels > 1:
-        samples = samples[: (len(samples) // n_channels) * n_channels]
         samples = samples.reshape(-1, n_channels).mean(axis=1)
     if not np.all(np.isfinite(samples)):
         raise WavFormatError(f"{path}: non-finite sample values")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import xlogy
 
 from .patching import KIND_PREDICTION, MeanPrediction, PatchSet, repack_mean
 
@@ -54,17 +55,7 @@ class NmfModel:
 class Factorization:
     W: np.ndarray
     H: np.ndarray
-    trace: np.ndarray          # KL divergence after each iteration
-
-
-def kl_divergence_sum(V, V_hat):
-    """sum(V*log(V/V_hat) - V + V_hat), 0*log(0/x) = 0, V_hat floored at eps."""
-    Vf = np.maximum(V_hat, KL_EPS)
-    pos = V > 0
-    terms = Vf - V
-    logs = np.zeros_like(V)
-    logs[pos] = V[pos] * np.log(V[pos] / Vf[pos])
-    return float(np.sum(terms + logs))
+    trace: np.ndarray          # KL(V || max(W @ H, KL_EPS)) after each iteration
 
 
 def kl_divergence(V: np.ndarray, V_hat: np.ndarray) -> float:
@@ -75,12 +66,17 @@ def kl_divergence(V: np.ndarray, V_hat: np.ndarray) -> float:
         raise ValueError("shapes differ")
     if V.min(initial=0.0) < 0.0 or V_hat.min(initial=0.0) < 0.0:
         raise ValueError("divergence needs non-negative matrices")
-    return kl_divergence_sum(np.ascontiguousarray(V), np.ascontiguousarray(V_hat))
+    return _kl_floored(V, np.maximum(V_hat, KL_EPS), _kl_constant(V))
 
 
-def _update_h(V, W, H):
-    ratio = V / np.maximum(W @ H, KL_EPS)
-    H *= (W.T @ ratio) / np.maximum(W.sum(axis=0)[:, None], KL_EPS)
+def _kl_constant(V):
+    """The V-only part of the divergence, sum(V*log V - V)."""
+    return float(np.sum(xlogy(V, V)) - np.sum(V))
+
+
+def _kl_floored(V, V_hat, c_V):
+    """Divergence as c_V - <V, log V_hat> + sum(V_hat), V_hat floored at eps."""
+    return c_V - float(np.vdot(V, np.log(V_hat))) + float(np.sum(V_hat))
 
 
 def _update_w(V, W, H):
@@ -88,51 +84,65 @@ def _update_w(V, W, H):
     W *= (ratio @ H.T) / np.maximum(H.sum(axis=1)[None, :], KL_EPS)
 
 
-def nmf_factorize(V: np.ndarray, r: int, iterations: int = 200,
-                  seed: int = 0) -> Factorization:
-    """Alternating multiplicative updates from a seeded uniform(0,1] start."""
+def _multiplicative_updates(V, W, H, iterations, update_w):
+    """Update H (then W, if update_w) in place; returns the divergence trace.
+
+    The divergence after update k is scored from the floored product that
+    update k+1 forms for its ratio; one more product scores the last update.
+    """
+    c_V = _kl_constant(V)
+    trace = np.empty(iterations)
+    for done in range(iterations + 1):
+        V_hat = np.maximum(W @ H, KL_EPS)
+        if done:
+            trace[done - 1] = _kl_floored(V, V_hat, c_V)
+            if not np.isfinite(trace[done - 1]):
+                raise FloatingPointError(
+                    f"divergence became non-finite at iteration {done - 1}")
+        if done == iterations:
+            return trace
+        ratio = np.divide(V, V_hat, out=V_hat)
+        H *= (W.T @ ratio) / np.maximum(W.sum(axis=0)[:, None], KL_EPS)
+        if update_w:
+            _update_w(V, W, H)
+
+
+def _checked_v(V, iterations):
     V = np.ascontiguousarray(V, dtype=np.float64)
     if V.ndim != 2:
         raise ValueError("V must be a matrix")
     if V.min(initial=0.0) < 0.0:
         raise ValueError("V must be non-negative")
-    if r < 1:
-        raise ValueError("rank must be >= 1")
     if iterations < 1:
         raise ValueError("need at least one iteration")
+    return V
+
+
+def nmf_factorize(V: np.ndarray, r: int, iterations: int = 200,
+                  seed: int = 0) -> Factorization:
+    """Alternating multiplicative updates from a seeded uniform(0,1] start."""
+    V = _checked_v(V, iterations)
+    if r < 1:
+        raise ValueError("rank must be >= 1")
     if r > min(V.shape):
         warnings.warn(f"rank {r} exceeds min dimension {min(V.shape)}", stacklevel=2)
     rng = np.random.default_rng(seed)
     W = 1.0 - rng.random((V.shape[0], r))
     H = 1.0 - rng.random((r, V.shape[1]))
-    trace = np.empty(iterations)
-    for it in range(iterations):
-        _update_h(V, W, H)
-        _update_w(V, W, H)
-        trace[it] = kl_divergence_sum(V, W @ H)
-        if not np.isfinite(trace[it]):
-            raise FloatingPointError(f"divergence became non-finite at iteration {it}")
+    trace = _multiplicative_updates(V, W, H, iterations, update_w=True)
     return Factorization(W, H, trace)
 
 
 def infer_activations(V: np.ndarray, W: np.ndarray, iterations: int = 200,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Fit H for fixed W; returns (H, divergence trace)."""
-    V = np.ascontiguousarray(V, dtype=np.float64)
+    V = _checked_v(V, iterations)
     W = np.asarray(W, dtype=np.float64)
     if V.shape[0] != W.shape[0]:
         raise ValueError(f"V rows {V.shape[0]} != dictionary rows {W.shape[0]}")
     rng = np.random.default_rng(seed)
     H = 1.0 - rng.random((W.shape[1], V.shape[1]))
-    trace = np.empty(iterations)
-    col_sums = np.maximum(W.sum(axis=0)[:, None], KL_EPS)
-    for it in range(iterations):
-        ratio = V / np.maximum(W @ H, KL_EPS)
-        H *= (W.T @ ratio) / col_sums
-        trace[it] = kl_divergence_sum(V, W @ H)
-        if not np.isfinite(trace[it]):
-            raise FloatingPointError(f"divergence became non-finite at iteration {it}")
-    return H, trace
+    return H, _multiplicative_updates(V, W, H, iterations, update_w=False)
 
 
 def nmf_train_class(V_class: np.ndarray, r: int, iterations: int = 200,

@@ -145,7 +145,8 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
     acc, env = ola_accumulate(frames_td, win, cfg.hop, out_len)
     if cfg.hop <= cfg.frame_len // 2 and spec.n_frames > 1:
         interior = env[cfg.frame_len:-cfg.frame_len]
-        assert interior.size == 0 or np.min(interior) > _ENVELOPE_EPS
+        if interior.size and np.min(interior) <= _ENVELOPE_EPS:
+            raise ValueError("overlap-add envelope vanishes inside the signal")
     samples = np.where(env > _ENVELOPE_EPS, acc / np.maximum(env, _ENVELOPE_EPS), 0.0)
     return AudioBuffer(samples[: spec.original_len], sample_rate=spec.sample_rate)
 

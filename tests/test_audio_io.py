@@ -24,16 +24,21 @@ from maskforge.audio_io import (
 )
 
 
-def _pcm16_wav_bytes(samples_i16: np.ndarray, sample_rate: int,
-                     n_channels: int = 1) -> bytes:
-    payload = samples_i16.astype("<i2").tobytes()
+def _wav_bytes(audio_format: int, bits: int, channels: int, payload: bytes,
+               sample_rate: int = 8000) -> bytes:
+    """A RIFF/WAVE file holding payload as its data chunk."""
+    block = bits // 8 * channels
     return struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, 1, n_channels, sample_rate,
-        sample_rate * 2 * n_channels, 2 * n_channels, 16,
+        b"RIFF", 36 + len(payload) + (len(payload) & 1), b"WAVE",
+        b"fmt ", 16, audio_format, channels, sample_rate, sample_rate * block, block, bits,
         b"data", len(payload),
-    ) + payload
+    ) + payload + b"\x00" * (len(payload) & 1)
+
+
+def _pcm16_wav_bytes(samples_i16: np.ndarray, sample_rate: int,
+                     n_channels: int = 1) -> bytes:
+    return _wav_bytes(1, 16, n_channels, samples_i16.astype("<i2").tobytes(), sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +172,18 @@ def test_read_rejects_unsupported_bit_depth(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(UnsupportedWavError, match="unsupported codec"):
         read_wav(path)
+
+
+@pytest.mark.parametrize("audio_format, bits, channels, length", [
+    (1, 16, 1, 3), (1, 16, 1, 7), (1, 24, 1, 4), (1, 24, 1, 8), (3, 32, 1, 3),
+    (3, 32, 1, 6), (1, 16, 2, 6), (1, 24, 2, 9), (3, 32, 3, 8),
+])
+def test_read_rejects_partial_frame(tmp_path, audio_format, bits, channels, length):
+    path = tmp_path / "partial.wav"
+    path.write_bytes(_wav_bytes(audio_format, bits, channels, bytes(length)))
+    with pytest.raises(WavFormatError, match="not a whole number") as exc:
+        read_wav(path)
+    assert str(path) in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,26 @@ def test_truncated_fmt_chunk_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and "fmt chunk too short" in err
 
 
+def test_partial_sample_data_chunk_exits_one(tmp_path, capsys):
+    from maskforge.mlp import init_model, save_model
+    model_path = tmp_path / "m.mlp"
+    save_model(init_model([645, 4, 645], seed=0), model_path)  # 129 bins x 5
+    wav = tmp_path / "partial.wav"
+    # mono PCM16 whose data chunk holds 3 bytes, one and a half samples
+    wav.write_bytes(b"RIFF\x28\x00\x00\x00WAVEfmt \x10\x00\x00\x00"
+                    + b"\x01\x00\x01\x00\x40\x1f\x00\x00\x80\x3e\x00\x00\x02\x00\x10\x00"
+                    + b"data\x03\x00\x00\x00\x01\x02\x03\x00")
+    code, out, err = _run(capsys, [
+        "separate", "--model", str(model_path), "--alpha", "0.5",
+        "--input", str(wav),
+        "--out-vocal", str(tmp_path / "v.wav"),
+        "--out-accomp", str(tmp_path / "a.wav"), *SMALL,
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "not a whole number" in err
+
+
 def test_manifest_entry_without_stems_exits_one(tmp_path, capsys):
     from maskforge.mlp import init_model, save_model
     model_path = tmp_path / "m.mlp"

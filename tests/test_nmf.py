@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from maskforge.nmf import (
     KL_EPS,
@@ -158,6 +159,92 @@ def test_infer_exact_fit_when_v_in_dictionary_span(rng):
 def test_infer_row_mismatch(rng):
     with pytest.raises(ValueError, match="dictionary rows"):
         infer_activations(np.ones((4, 2)), np.ones((5, 2)))
+
+
+def test_infer_validation(rng):
+    W = rng.uniform(0.1, 1.0, size=(4, 2))
+    with pytest.raises(ValueError, match="matrix"):
+        infer_activations(np.ones(4), W)
+    with pytest.raises(ValueError, match="non-negative"):
+        infer_activations(-np.ones((4, 3)), W)
+    with pytest.raises(ValueError, match="iteration"):
+        infer_activations(np.ones((4, 3)), W, iterations=0)
+
+
+# ---------------------------------------------------------------------------
+# updates and trace against a loop written out from the update formulas
+# ---------------------------------------------------------------------------
+
+def _reference_iterates(V, W, H, iterations, update_w):
+    """(W, H) after each multiplicative update, each step formed afresh."""
+    iterates = []
+    for _ in range(iterations):
+        ratio = V / np.maximum(W @ H, KL_EPS)
+        H = H * ((W.T @ ratio) / np.maximum(W.sum(axis=0)[:, None], KL_EPS))
+        if update_w:
+            ratio = V / np.maximum(W @ H, KL_EPS)
+            W = W * ((ratio @ H.T) / np.maximum(H.sum(axis=1)[None, :], KL_EPS))
+        iterates.append((W, H))
+    return iterates
+
+
+def _masked_kl(V, V_hat):
+    """sum(V*log(V/V_hat) - V + V_hat) over V > 0 only, V_hat floored."""
+    V_hat = np.maximum(V_hat, KL_EPS)
+    pos = V > 0
+    return float(np.sum(V[pos] * np.log(V[pos] / V_hat[pos])) - V.sum() + V_hat.sum())
+
+
+def _sparse_v(rng, rows, cols):
+    V = rng.uniform(0.0, 3.0, size=(rows, cols))
+    V[rng.random((rows, cols)) < 0.2] = 0.0
+    return V
+
+
+def _assert_trace_matches(V, iterates, trace):
+    assert len(trace) == len(iterates)
+    for k in (1, 2, 5, len(iterates)):
+        W, H = iterates[k - 1]
+        V_hat = np.maximum(W @ H, KL_EPS)
+        scale = np.sum(np.abs(xlogy(V, V))) + V.sum() + V_hat.sum()
+        assert abs(trace[k - 1] - _masked_kl(V, V_hat)) <= 1e-12 * scale, k
+
+
+def test_infer_matches_reference_loop(rng):
+    V = _sparse_v(rng, 60, 40)
+    W = rng.uniform(0.05, 1.0, size=(60, 7))
+    H, trace = infer_activations(V, W, iterations=12, seed=5)
+    H0 = 1.0 - np.random.default_rng(5).random((7, 40))
+    iterates = _reference_iterates(V, W, H0, 12, update_w=False)
+    assert np.array_equal(H, iterates[-1][1])
+    _assert_trace_matches(V, iterates, trace)
+
+
+def test_factorize_matches_reference_loop(rng):
+    V = _sparse_v(rng, 50, 45)
+    fac = nmf_factorize(V, r=6, iterations=12, seed=9)
+    init = np.random.default_rng(9)
+    W0 = 1.0 - init.random((50, 6))
+    H0 = 1.0 - init.random((6, 45))
+    iterates = _reference_iterates(V, W0, H0, 12, update_w=True)
+    assert np.array_equal(fac.W, iterates[-1][0])
+    assert np.array_equal(fac.H, iterates[-1][1])
+    _assert_trace_matches(V, iterates, fac.trace)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_v_names_iteration_zero(rng, bad):
+    V = rng.uniform(0.1, 1.0, size=(6, 5))
+    V[2, 3] = bad
+    W = rng.uniform(0.1, 1.0, size=(6, 2))
+    with pytest.raises(FloatingPointError, match="at iteration 0$"):
+        nmf_factorize(V, r=2, iterations=5, seed=0)
+    with pytest.raises(FloatingPointError, match="at iteration 0$"):
+        infer_activations(V, W, iterations=5, seed=0)
+    model = NmfModel(W[:, :1], W[:, 1:], n_bins=3, width=2)
+    with pytest.raises(FloatingPointError, match="at iteration 0$"):
+        nmf_separate(V, model, iterations=5, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Analysis/synthesis transform: window, COLA, round trips, grid files."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,20 @@ def test_istft_single_frame_signal():
     assert spec.bins.shape == (17, 1)
     y = istft(spec)
     assert len(y) == 10
+
+
+def test_istft_rejects_vanishing_envelope(monkeypatch):
+    cfg = StftConfig(frame_len=32, hop=8)
+    spec = stft(_buf(np.linspace(-1, 1, 200)), cfg)
+
+    def zero_envelope(frames, window, hop, out_len):
+        return np.zeros(out_len), np.zeros(out_len)
+
+    # the package re-exports the function stft, which hides the module's name
+    monkeypatch.setattr(importlib.import_module("maskforge.stft"), "ola_accumulate",
+                        zero_envelope)
+    with pytest.raises(ValueError, match="envelope vanishes"):
+        istft(spec)
 
 
 # ---------------------------------------------------------------------------
