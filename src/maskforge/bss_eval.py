@@ -113,8 +113,9 @@ def evaluate_pair(est_vocal: np.ndarray, est_nonvocal: np.ndarray,
                   ref_vocal: np.ndarray, ref_nonvocal: np.ndarray) -> PairMetrics:
     """Both sources scored against both references, plus the across-source mean.
 
-    The mean averages decibel values, so a single +inf metric makes that mean
-    +inf as well.
+    A silent estimate (possible at high alpha: no element claimed) has no
+    defined decomposition and scores -inf on every axis. The mean averages
+    decibel values, so a single infinite metric makes that mean infinite too.
     """
     ref_v = np.asarray(ref_vocal, dtype=np.float64)
     ref_nv = np.asarray(ref_nonvocal, dtype=np.float64)
@@ -122,13 +123,12 @@ def evaluate_pair(est_vocal: np.ndarray, est_nonvocal: np.ndarray,
         raise ValueError("reference lengths differ")
     n = ref_v.shape[0]
     refs = [ref_v, ref_nv]
-    m_v = evaluate_source(_fit_length(np.asarray(est_vocal, dtype=np.float64), n),
-                          refs, 0)
-    m_nv = evaluate_source(_fit_length(np.asarray(est_nonvocal, dtype=np.float64), n),
-                           refs, 1)
-    mean = SeparationMetrics(
-        (m_v.sdr_db + m_nv.sdr_db) / 2.0,
-        (m_v.sir_db + m_nv.sir_db) / 2.0,
-        (m_v.sar_db + m_nv.sar_db) / 2.0,
-    )
+    scored = []
+    for i, est in enumerate((est_vocal, est_nonvocal)):
+        est = _fit_length(np.asarray(est, dtype=np.float64), n)
+        scored.append(evaluate_source(est, refs, i) if np.any(est)
+                      else SeparationMetrics(-np.inf, -np.inf, -np.inf))
+    m_v, m_nv = scored
+    mean = SeparationMetrics(*((a + b) / 2.0 for a, b in zip(m_v.as_tuple(),
+                                                              m_nv.as_tuple())))
     return PairMetrics(vocal=m_v, nonvocal=m_nv, mean=mean)

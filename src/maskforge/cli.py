@@ -11,12 +11,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import audio_io, mlp, nmf, pipeline, synth
-from .audio_io import load_manifest, load_song, pool_and_mix, read_wav, write_wav
+from . import mlp, nmf, pipeline, synth
+from .audio_io import ManifestSong, load_manifest, load_song, pool_and_mix, read_wav, write_wav
 from .bss_eval import evaluate_pair
 from .patching import PatchConfig
 from .pipeline import ExperimentConfig
 from .stft import StftConfig
+
+# Flags that set an ExperimentConfig field take their defaults from here.
+_DEFAULTS = ExperimentConfig()
 
 
 def parse_alphas(text: str) -> tuple[float, ...]:
@@ -47,43 +50,26 @@ def parse_alphas(text: str) -> tuple[float, ...]:
     return alphas
 
 
-def _load_any_model(path: str) -> mlp.MlpModel | nmf.NmfModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"MFG1":
-        return mlp.load_model(path)
-    if magic == b"MFGN":
-        return nmf.load_nmf(path)
-    raise ValueError(f"{path}: unrecognized model file")
-
-
-def _experiment_config(args, alphas: tuple[float, ...] = (0.5,)) -> ExperimentConfig:
-    width = getattr(args, "width", 10)
+def _experiment_config(args, **fields) -> ExperimentConfig:
+    """The STFT, patch and seed flags every model subcommand has, plus `fields`."""
     return ExperimentConfig(
         stft=StftConfig(frame_len=args.frame, hop=args.hop),
-        patch=PatchConfig(width=width,
-                          train_stride=getattr(args, "train_stride", None) or width,
-                          test_stride=1),
-        alphas=alphas,
-        nmf_infer_iters=getattr(args, "nmf_iterations", 200),
-        seed=getattr(args, "seed", 0),
+        patch=PatchConfig(width=args.width,
+                          train_stride=getattr(args, "train_stride", None) or args.width),
+        seed=args.seed,
+        **fields,
     )
 
 
-def _check_model_dims(model, cfg: ExperimentConfig) -> None:
-    d = cfg.stft.n_bins * cfg.patch.width
-    if isinstance(model, mlp.MlpModel):
-        if model.input_size != d:
-            raise ValueError(
-                f"model expects {model.input_size} inputs but frame/width give {d}; "
-                "pass matching --frame/--width"
-            )
-    else:
-        if model.n_bins != cfg.stft.n_bins or model.width != cfg.patch.width:
-            raise ValueError(
-                f"dictionary was trained for {model.n_bins} bins x {model.width} "
-                f"frames, flags give {cfg.stft.n_bins} x {cfg.patch.width}"
-            )
+def _songs(args) -> list[ManifestSong]:
+    """The manifest's songs, or only the one named by --song."""
+    songs = load_manifest(args.manifest)
+    if args.song is None:
+        return songs
+    songs = [s for s in songs if s.song_id == args.song]
+    if not songs:
+        raise ValueError(f"song {args.song!r} not in manifest")
+    return songs
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +86,7 @@ def cmd_make_corpus(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    songs = load_manifest(args.manifest)
-    if args.song is not None:
-        songs = [s for s in songs if s.song_id == args.song]
-        if not songs:
-            raise ValueError(f"song {args.song!r} not in manifest")
+    songs = _songs(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for song in songs:
@@ -119,14 +101,8 @@ def cmd_mix(args) -> int:
 def cmd_train_dnn(args) -> int:
     songs = load_manifest(args.manifest)
     hidden = tuple(int(h) for h in args.hidden.split(",") if h.strip())
-    cfg = ExperimentConfig(
-        stft=StftConfig(frame_len=args.frame, hop=args.hop),
-        patch=PatchConfig(width=args.width,
-                          train_stride=args.train_stride or args.width,
-                          test_stride=1),
-        hidden=hidden, epochs=args.epochs, learning_rate=args.lr,
-        loss=args.loss, seed=args.seed,
-    )
+    cfg = _experiment_config(args, hidden=hidden, epochs=args.epochs,
+                             learning_rate=args.lr, loss=args.loss)
     model, trace = pipeline.train_dnn(songs, cfg)
     mlp.save_model(model, args.out)
     print(f"trained {cfg.layer_sizes} on {len(songs)} songs; "
@@ -136,13 +112,7 @@ def cmd_train_dnn(args) -> int:
 
 def cmd_train_nmf(args) -> int:
     songs = load_manifest(args.manifest)
-    cfg = ExperimentConfig(
-        stft=StftConfig(frame_len=args.frame, hop=args.hop),
-        patch=PatchConfig(width=args.width,
-                          train_stride=args.train_stride or args.width,
-                          test_stride=1),
-        nmf_rank=args.rank, nmf_train_iters=args.iterations, seed=args.seed,
-    )
+    cfg = _experiment_config(args, nmf_rank=args.rank, nmf_train_iters=args.iterations)
     model = pipeline.train_nmf(songs, cfg)
     nmf.save_nmf(model, args.out)
     print(f"trained rank-{args.rank} dictionaries on {len(songs)} songs; "
@@ -151,9 +121,9 @@ def cmd_train_nmf(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    model = _load_any_model(args.model)
-    cfg = _experiment_config(args, alphas=(args.alpha,))
-    _check_model_dims(model, cfg)
+    cfg = _experiment_config(args, alphas=(args.alpha,),
+                             nmf_infer_iters=args.nmf_iterations)
+    _, model = pipeline.load_any_model(args.model, cfg)
     mix = read_wav(args.input)
     vocal, accomp = pipeline.separate_song(mix, model, args.alpha, cfg,
                                            infer_seed=args.seed)
@@ -164,12 +134,8 @@ def cmd_separate(args) -> int:
 
 
 def cmd_ideal_mask(args) -> int:
-    songs = load_manifest(args.manifest)
-    if args.song is not None:
-        songs = [s for s in songs if s.song_id == args.song]
-        if not songs:
-            raise ValueError(f"song {args.song!r} not in manifest")
-    elif len(songs) != 1:
+    songs = _songs(args)
+    if args.song is None and len(songs) != 1:
         raise ValueError("manifest has multiple songs; pass --song")
     stems = load_song(songs[0])
     stft_cfg = StftConfig(frame_len=args.frame, hop=args.hop)
@@ -181,25 +147,15 @@ def cmd_ideal_mask(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    est_v = read_wav(args.est_vocal)
-    est_nv = read_wav(args.est_accomp)
-    ref_v = read_wav(args.ref_vocal)
-    ref_nv = read_wav(args.ref_accomp)
-    pair = evaluate_pair(est_v.samples, est_nv.samples,
-                         ref_v.samples, ref_nv.samples)
-    for name, m in (("vocal", pair.vocal), ("non_vocal", pair.nonvocal),
-                    ("mean", pair.mean)):
+    paths = (args.est_vocal, args.est_accomp, args.ref_vocal, args.ref_accomp)
+    sources = pipeline.by_source(evaluate_pair(*(read_wav(p).samples for p in paths)))
+    for name, m in sources.items():
         print(f"{name}: sdr={m.sdr_db:.6f} dB  sir={m.sir_db:.6f} dB  "
               f"sar={m.sar_db:.6f} dB")
     if args.csv:
-        lines = [pipeline.PER_SONG_HEADER]
-        for name, m in ((audio_io.VOCAL, pair.vocal),
-                        (audio_io.NON_VOCAL, pair.nonvocal), ("mean", pair.mean)):
-            lines.append(",".join([
-                args.song_id, args.method, "%g" % args.alpha, name,
-                "%.6f" % m.sdr_db, "%.6f" % m.sir_db, "%.6f" % m.sar_db,
-            ]))
-        pipeline.write_csv(args.csv, lines)
+        pipeline.write_csv(args.csv, [pipeline.PER_SONG_HEADER] + [
+            pipeline.per_song_row(args.song_id, args.method, args.alpha, name, m)
+            for name, m in sources.items()])
         print(f"wrote {args.csv}")
     return 0
 
@@ -207,15 +163,13 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     songs = load_manifest(args.manifest)
     alphas = parse_alphas(args.alphas)
-    cfg = _experiment_config(args, alphas=alphas)
-    models: dict[str, mlp.MlpModel | nmf.NmfModel] = {}
+    cfg = _experiment_config(args, alphas=alphas, nmf_infer_iters=args.nmf_iterations)
+    models: dict[str, pipeline.Model] = {}
     for path in args.model:
-        model = _load_any_model(path)
-        _check_model_dims(model, cfg)
-        kind = pipeline.METHOD_DNN if isinstance(model, mlp.MlpModel) else pipeline.METHOD_NMF
-        if kind in models:
-            raise ValueError(f"two {kind} models given; pass one per kind")
-        models[kind] = model
+        method, model = pipeline.load_any_model(path, cfg)
+        if method in models:
+            raise ValueError(f"two {method} models given; pass one per kind")
+        models[method] = model
     pipeline.run_sweep_to_csv(songs, models, cfg, args.csv,
                               fig3_path=args.fig3_csv,
                               per_song_path=args.per_song_csv)
@@ -229,10 +183,12 @@ def cmd_sweep_alpha(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_stft_flags(p: argparse.ArgumentParser, with_width: bool = True) -> None:
-    p.add_argument("--frame", type=int, default=512, help="frame length in samples")
-    p.add_argument("--hop", type=int, default=128, help="hop in samples")
+    p.add_argument("--frame", type=int, default=_DEFAULTS.stft.frame_len,
+                   help="frame length in samples")
+    p.add_argument("--hop", type=int, default=_DEFAULTS.stft.hop, help="hop in samples")
     if with_width:
-        p.add_argument("--width", type=int, default=10, help="patch width in frames")
+        p.add_argument("--width", type=int, default=_DEFAULTS.patch.width,
+                       help="patch width in frames")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,12 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stft_flags(p)
     p.add_argument("--train-stride", type=int, default=None,
                    help="training window stride (default: --width)")
-    p.add_argument("--hidden", default="1024", help="comma list of hidden sizes")
-    p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--lr", type=float, default=0.002)
+    p.add_argument("--hidden", default=",".join(map(str, _DEFAULTS.hidden)),
+                   help="comma list of hidden sizes")
+    p.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
+    p.add_argument("--lr", type=float, default=_DEFAULTS.learning_rate)
     p.add_argument("--loss", choices=[mlp.LOSS_CROSS_ENTROPY, mlp.LOSS_MSE],
-                   default=mlp.LOSS_CROSS_ENTROPY)
-    p.add_argument("--seed", type=int, default=0)
+                   default=_DEFAULTS.loss)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.set_defaults(func=cmd_train_dnn)
 
     p = sub.add_parser("train-nmf", help="train per-class dictionaries")
@@ -276,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_stft_flags(p)
     p.add_argument("--train-stride", type=int, default=None)
-    p.add_argument("--rank", type=int, default=40)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rank", type=int, default=_DEFAULTS.nmf_rank)
+    p.add_argument("--iterations", type=int, default=_DEFAULTS.nmf_train_iters)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.set_defaults(func=cmd_train_nmf)
 
     p = sub.add_parser("separate", help="separate one mixture file")
@@ -288,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-vocal", required=True)
     p.add_argument("--out-accomp", required=True)
     _add_stft_flags(p)
-    p.add_argument("--nmf-iterations", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nmf-iterations", type=int, default=_DEFAULTS.nmf_infer_iters)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("ideal-mask", help="oracle-mask separation from true stems")
@@ -321,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fig3-csv", default=None, help="SAR-vs-SIR CSV")
     p.add_argument("--per-song-csv", default=None)
     _add_stft_flags(p)
-    p.add_argument("--nmf-iterations", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nmf-iterations", type=int, default=_DEFAULTS.nmf_infer_iters)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.set_defaults(func=cmd_sweep_alpha)
 
     return parser

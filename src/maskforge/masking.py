@@ -83,6 +83,13 @@ def nonvocal_mask_from_confidence(mean_pred: MeanPrediction, alpha: float) -> Bi
     return BinaryMask(values, source_tag=NON_VOCAL)
 
 
+def vocal_share(v: np.ndarray, nv: np.ndarray) -> np.ndarray:
+    """Elementwise v / (v + nv) for non-negative arrays; 0/0 becomes 0.5."""
+    total = v + nv
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(total > 0.0, v / np.where(total > 0.0, total, 1.0), 0.5)
+
+
 def soft_mask(v_vocal: MagnitudeSpectrogram, v_nonvocal: MagnitudeSpectrogram) -> SoftMask:
     """Elementwise V_v / (V_v + V_nv); a 0/0 element becomes 0.5."""
     a = v_vocal.values
@@ -91,10 +98,7 @@ def soft_mask(v_vocal: MagnitudeSpectrogram, v_nonvocal: MagnitudeSpectrogram) -
         raise ValueError("magnitude shapes differ")
     if a.min(initial=0.0) < 0.0 or b.min(initial=0.0) < 0.0:
         raise ValueError("magnitudes must be non-negative")
-    total = a + b
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(total > 0.0, a / np.where(total > 0.0, total, 1.0), 0.5)
-    return SoftMask(ratio)
+    return SoftMask(vocal_share(a, b))
 
 
 def threshold_soft_mask(mask: SoftMask, alpha: float) -> tuple[BinaryMask, BinaryMask]:

@@ -16,12 +16,14 @@ import numpy as np
 
 from .patching import (
     KIND_PREDICTION,
+    MeanPrediction,
     PatchSet,
     flatten_set,
+    repack_mean,
     unflatten_rows,
 )
 
-_MODEL_MAGIC = b"MFG1"
+MAGIC = b"MFG1"
 
 LOSS_CROSS_ENTROPY = "cross_entropy"
 LOSS_MSE = "mse"
@@ -80,6 +82,18 @@ class MlpModel:
     @property
     def output_size(self) -> int:
         return self.layer_sizes[-1]
+
+    def check_patch_shape(self, n_bins: int, width: int) -> None:
+        if self.input_size != n_bins * width:
+            raise ValueError(
+                f"model expects {self.input_size} inputs but frame/width give "
+                f"{n_bins * width}; pass matching --frame/--width"
+            )
+
+    def confidence(self, patches: PatchSet, iterations: int, seed: int) -> MeanPrediction:
+        """Mean predicted vocal probability over the mixture windows. The
+        forward pass is deterministic, so `iterations` and `seed` are unused."""
+        return repack_mean(predict_masks(self, patches))
 
     def copy(self) -> "MlpModel":
         return MlpModel(
@@ -270,13 +284,13 @@ def predict_masks(model: MlpModel, patches: PatchSet) -> PatchSet:
 
 
 # ---------------------------------------------------------------------------
-# model file: magic "MFG1", u32 layer count, u32 sizes, i64 seed, then per
+# model file: MAGIC, u32 layer count, u32 sizes, i64 seed, then per
 # layer the row-major float64 weights followed by the bias vector, all
 # little-endian
 # ---------------------------------------------------------------------------
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    parts = [_MODEL_MAGIC, struct.pack("<I", len(model.layer_sizes))]
+    parts = [MAGIC, struct.pack("<I", len(model.layer_sizes))]
     parts.append(struct.pack(f"<{len(model.layer_sizes)}I", *model.layer_sizes))
     parts.append(struct.pack("<q", model.seed))
     for W, b in zip(model.weights, model.biases):
@@ -287,7 +301,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> MlpModel:
     raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != _MODEL_MAGIC:
+    if len(raw) < 8 or raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a model file (bad magic)")
     (n_sizes,) = struct.unpack_from("<I", raw, 4)
     off = 8

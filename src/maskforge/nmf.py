@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 from scipy.special import xlogy
 
-from .patching import KIND_PREDICTION, MeanPrediction, PatchSet, repack_mean
+from .masking import vocal_share
+from .patching import KIND_PREDICTION, MeanPrediction, PatchSet, flatten_set, repack_mean
 
-_NMF_MAGIC = b"MFGN"
+MAGIC = b"MFGN"
 
 KL_EPS = 1e-12
 
@@ -37,6 +38,10 @@ class NmfModel:
         for name, W in (("vocal", self.w_vocal), ("non-vocal", self.w_nonvocal)):
             if W.ndim != 2 or W.shape[0] != d:
                 raise ValueError(f"{name} dictionary must be ({d}, r), got {W.shape}")
+            if W.shape[1] == 0:
+                raise ValueError(f"{name} dictionary has no columns")
+            if not np.all(np.isfinite(W)):
+                raise ValueError(f"{name} dictionary has non-finite entries")
             if W.min(initial=0.0) < 0.0:
                 raise ValueError(f"{name} dictionary has negative entries")
             if np.any(W.sum(axis=0) == 0.0):
@@ -49,6 +54,19 @@ class NmfModel:
     @property
     def rank_nonvocal(self) -> int:
         return self.w_nonvocal.shape[1]
+
+    def check_patch_shape(self, n_bins: int, width: int) -> None:
+        if self.n_bins != n_bins or self.width != width:
+            raise ValueError(
+                f"dictionary was trained for {self.n_bins} bins x {self.width} "
+                f"frames, flags give {n_bins} x {width}"
+            )
+
+    def confidence(self, patches: PatchSet, iterations: int, seed: int) -> MeanPrediction:
+        """Mean soft vocal share over the windows, activations fitted from `seed`."""
+        v_hat, nv_hat = nmf_separate(flatten_set(patches).T, self, iterations, seed=seed)
+        return mean_prediction_from_soft(v_hat, nv_hat, self.n_bins, self.width,
+                                         patches.offsets, patches.total_frames)
 
 
 @dataclass
@@ -180,8 +198,7 @@ def soft_mask_patches(V_v_hat: np.ndarray, V_nv_hat: np.ndarray,
     # columns are frame-major flattened windows; undo to (P, F, T)
     v = V_v_hat.T.reshape(P, width, n_bins).transpose(0, 2, 1)
     nv = V_nv_hat.T.reshape(P, width, n_bins).transpose(0, 2, 1)
-    total = v + nv
-    return np.where(total > 0.0, v / np.where(total > 0.0, total, 1.0), 0.5)
+    return vocal_share(v, nv)
 
 
 def mean_prediction_from_soft(V_v_hat, V_nv_hat, n_bins, width, offsets,
@@ -194,12 +211,12 @@ def mean_prediction_from_soft(V_v_hat, V_nv_hat, n_bins, width, offsets,
 
 
 # ---------------------------------------------------------------------------
-# dictionary file: magic "MFGN", u32 F, T, r_v, r_nv, then W_v and W_nv as
+# dictionary file: MAGIC, u32 F, T, r_v, r_nv, then W_v and W_nv as
 # little-endian float64 in column order
 # ---------------------------------------------------------------------------
 
 def save_nmf(model: NmfModel, path: str | Path) -> None:
-    header = _NMF_MAGIC + struct.pack(
+    header = MAGIC + struct.pack(
         "<IIII", model.n_bins, model.width, model.rank_vocal, model.rank_nonvocal
     )
     body = (
@@ -211,7 +228,7 @@ def save_nmf(model: NmfModel, path: str | Path) -> None:
 
 def load_nmf(path: str | Path) -> NmfModel:
     raw = Path(path).read_bytes()
-    if len(raw) < 20 or raw[:4] != _NMF_MAGIC:
+    if len(raw) < 20 or raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a dictionary file (bad magic)")
     F, T, r_v, r_nv = struct.unpack_from("<IIII", raw, 4)
     d = F * T

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
+from . import mlp, nmf
 from .audio_io import (
     NON_VOCAL,
     VOCAL,
@@ -26,7 +27,7 @@ from .audio_io import (
     load_song,
     pool_and_mix,
 )
-from .bss_eval import PairMetrics, SeparationMetrics, evaluate_source
+from .bss_eval import PairMetrics, SeparationMetrics, evaluate_pair
 from .masking import (
     BinaryMask,
     apply_mask,
@@ -34,8 +35,8 @@ from .masking import (
     nonvocal_mask_from_confidence,
     vocal_mask_from_confidence,
 )
-from .mlp import MlpModel, TrainConfig, init_model, predict_masks, train_sgd
-from .nmf import NmfModel, mean_prediction_from_soft, nmf_separate, nmf_train_class
+from .mlp import MlpModel, TrainConfig, init_model, train_sgd
+from .nmf import NmfModel, nmf_train_class
 from .patching import (
     KIND_MIXTURE,
     KIND_TARGET,
@@ -44,7 +45,6 @@ from .patching import (
     extract_patches,
     flatten_set,
     normalize_unit_scale,
-    repack_mean,
 )
 from .stft import (
     ComplexSpectrogram,
@@ -59,6 +59,11 @@ METHOD_DNN = "dnn"
 METHOD_NMF = "nmf"
 METHOD_IDEAL = "ideal"
 METHOD_MIXTURE = "mixture"
+
+# Each model kind owns its file format, patch-shape check and confidence grid.
+Model = MlpModel | NmfModel
+_MODEL_FILES = {mlp.MAGIC: (METHOD_DNN, mlp.load_model),
+                nmf.MAGIC: (METHOD_NMF, nmf.load_nmf)}
 
 _SOURCE_ORDER = (VOCAL, NON_VOCAL, "mean")
 
@@ -166,12 +171,24 @@ def train_nmf(songs: list[ManifestSong], cfg: ExperimentConfig) -> NmfModel:
     return NmfModel(w_v, w_nv, n_bins=cfg.stft.n_bins, width=cfg.patch.width)
 
 
+def load_any_model(path: str | Path, cfg: ExperimentConfig) -> tuple[str, Model]:
+    """(method, model) from a model file, its decoder picked by magic bytes;
+    raises ValueError unless the model fits cfg's patch shape."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+    if magic not in _MODEL_FILES:
+        raise ValueError(f"{path}: unrecognized model file")
+    method, load = _MODEL_FILES[magic]
+    model = load(path)
+    model.check_patch_shape(cfg.stft.n_bins, cfg.patch.width)
+    return method, model
+
+
 # ---------------------------------------------------------------------------
 # separation
 # ---------------------------------------------------------------------------
 
-def confidence_grid(mix: AudioBuffer, model: MlpModel | NmfModel,
-                    cfg: ExperimentConfig,
+def confidence_grid(mix: AudioBuffer, model: Model, cfg: ExperimentConfig,
                     infer_seed: int = 0) -> tuple[MeanPrediction, ComplexSpectrogram]:
     """Mean per-element vocal confidence for a mixture, plus its spectrogram.
 
@@ -182,18 +199,7 @@ def confidence_grid(mix: AudioBuffer, model: MlpModel | NmfModel,
     norm, _ = normalize_unit_scale(mag)
     patches = extract_patches(norm, cfg.patch, cfg.patch.test_stride,
                               kind=KIND_MIXTURE)
-    if isinstance(model, MlpModel):
-        mean = repack_mean(predict_masks(model, patches))
-    elif isinstance(model, NmfModel):
-        V_u = flatten_set(patches).T
-        v_hat, nv_hat = nmf_separate(V_u, model, cfg.nmf_infer_iters, seed=infer_seed)
-        mean = mean_prediction_from_soft(
-            v_hat, nv_hat, model.n_bins, model.width,
-            patches.offsets, patches.total_frames,
-        )
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return mean, spec
+    return model.confidence(patches, cfg.nmf_infer_iters, infer_seed), spec
 
 
 def threshold_and_invert(mean: MeanPrediction, spec: ComplexSpectrogram,
@@ -204,7 +210,7 @@ def threshold_and_invert(mean: MeanPrediction, spec: ComplexSpectrogram,
     return istft(apply_mask(spec, m_v)), istft(apply_mask(spec, m_nv))
 
 
-def separate_song(mix: AudioBuffer, model: MlpModel | NmfModel, alpha: float,
+def separate_song(mix: AudioBuffer, model: Model, alpha: float,
                   cfg: ExperimentConfig,
                   infer_seed: int = 0) -> tuple[AudioBuffer, AudioBuffer]:
     """One mixture, one model, one alpha -> (vocal estimate, accompaniment)."""
@@ -228,34 +234,15 @@ def ideal_mask_separate(stems: StemSet,
 # alpha sweep and CSV emission
 # ---------------------------------------------------------------------------
 
-def _metrics_or_floor(est: np.ndarray, refs: list[np.ndarray],
-                      target_index: int) -> SeparationMetrics:
-    """A silent estimate (possible at high alpha: no element claimed) has no
-    defined decomposition; score it as -inf on every axis."""
-    if not np.any(est):
-        neg = float("-inf")
-        return SeparationMetrics(neg, neg, neg)
-    return evaluate_source(est, refs, target_index)
-
-
-def _score_pair(est_v: np.ndarray, est_nv: np.ndarray, ref_v: np.ndarray,
-                ref_nv: np.ndarray) -> PairMetrics:
-    refs = [ref_v, ref_nv]
-    m_v = _metrics_or_floor(est_v, refs, 0)
-    m_nv = _metrics_or_floor(est_nv, refs, 1)
-    mean = SeparationMetrics(
-        (m_v.sdr_db + m_nv.sdr_db) / 2.0,
-        (m_v.sir_db + m_nv.sir_db) / 2.0,
-        (m_v.sar_db + m_nv.sar_db) / 2.0,
-    )
-    return PairMetrics(vocal=m_v, nonvocal=m_nv, mean=mean)
-
-
 @dataclass
 class SongResult:
     song_id: str
     # per method: alpha -> PairMetrics; alpha-independent methods use key None
     metrics: dict[str, dict[float | None, PairMetrics]]
+
+    def at(self, method: str, alpha: float) -> PairMetrics:
+        per_alpha = self.metrics[method]
+        return per_alpha.get(alpha, per_alpha.get(None))
 
 
 @dataclass
@@ -265,7 +252,7 @@ class SweepResult:
     methods: tuple[str, ...]
 
 
-def _evaluate_song(song: ManifestSong, models: dict[str, MlpModel | NmfModel],
+def _evaluate_song(song: ManifestSong, models: dict[str, Model],
                    cfg: ExperimentConfig, song_index: int) -> SongResult:
     stems = load_song(song)
     vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
@@ -278,19 +265,19 @@ def _evaluate_song(song: ManifestSong, models: dict[str, MlpModel | NmfModel],
         per_alpha: dict[float | None, PairMetrics] = {}
         for alpha in cfg.alphas:
             est_v, est_nv = threshold_and_invert(mean, spec, alpha)
-            per_alpha[alpha] = _score_pair(est_v.samples, est_nv.samples,
-                                           ref_v, ref_nv)
+            per_alpha[alpha] = evaluate_pair(est_v.samples, est_nv.samples,
+                                             ref_v, ref_nv)
         out[method] = per_alpha
 
     est_v, est_nv = ideal_mask_separate(stems, cfg.stft)
-    out[METHOD_IDEAL] = {None: _score_pair(est_v.samples, est_nv.samples,
-                                           ref_v, ref_nv)}
-    out[METHOD_MIXTURE] = {None: _score_pair(full_mix.samples, full_mix.samples,
+    out[METHOD_IDEAL] = {None: evaluate_pair(est_v.samples, est_nv.samples,
                                              ref_v, ref_nv)}
+    out[METHOD_MIXTURE] = {None: evaluate_pair(full_mix.samples, full_mix.samples,
+                                               ref_v, ref_nv)}
     return SongResult(song.song_id, out)
 
 
-def sweep_alpha(songs: list[ManifestSong], models: dict[str, MlpModel | NmfModel],
+def sweep_alpha(songs: list[ManifestSong], models: dict[str, Model],
                 cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every model on every test song across the alpha grid.
 
@@ -318,47 +305,45 @@ def _mean_and_ci(values: list[float]) -> tuple[float, str]:
     return mean, _fmt(half)
 
 
-def _collect(sweep: SweepResult, method: str, alpha: float,
-             source: str) -> list[float]:
-    """Per-song (sdr, sir, sar) triples for one (method, alpha, source) cell."""
-    rows = []
-    for song in sweep.songs:
-        per_alpha = song.metrics[method]
-        pm = per_alpha.get(alpha, per_alpha.get(None))
-        m = {VOCAL: pm.vocal, NON_VOCAL: pm.nonvocal, "mean": pm.mean}[source]
-        rows.append(m.as_tuple())
-    return rows
+def by_source(pm: PairMetrics) -> dict[str, SeparationMetrics]:
+    """The pair's metrics keyed by CSV source name, in CSV order."""
+    return dict(zip(_SOURCE_ORDER, (pm.vocal, pm.nonvocal, pm.mean)))
+
+
+def per_song_row(song_id: str, method: str, alpha: float, source: str,
+                 m: SeparationMetrics) -> str:
+    """One PER_SONG_HEADER row."""
+    return ",".join([song_id, method, "%g" % alpha, source,
+                     _fmt(m.sdr_db), _fmt(m.sir_db), _fmt(m.sar_db)])
+
+
+def _cells(sweep: SweepResult):
+    """(alpha, method, source, per-song sdr, sir and sar columns) for each
+    aggregate row, in CSV order."""
+    for alpha in sweep.alphas:
+        for method in sorted(sweep.methods):
+            for source in _SOURCE_ORDER:
+                yield alpha, method, source, zip(*(
+                    by_source(song.at(method, alpha))[source].as_tuple()
+                    for song in sweep.songs))
 
 
 def fig2_rows(sweep: SweepResult) -> list[str]:
     """alpha,method,source,sdr_db,sir_db,sar_db,ci95 (ci95 is the SDR CI)."""
     lines = [FIG2_HEADER]
-    for alpha in sweep.alphas:
-        for method in sorted(sweep.methods):
-            for source in _SOURCE_ORDER:
-                triples = _collect(sweep, method, alpha, source)
-                sdr_mean, ci = _mean_and_ci([t[0] for t in triples])
-                sir_mean = float(np.mean([t[1] for t in triples]))
-                sar_mean = float(np.mean([t[2] for t in triples]))
-                lines.append(",".join([
-                    "%g" % alpha, method, source,
-                    _fmt(sdr_mean), _fmt(sir_mean), _fmt(sar_mean), ci,
-                ]))
+    for alpha, method, source, (sdr, sir, sar) in _cells(sweep):
+        sdr_mean, ci = _mean_and_ci(sdr)
+        lines.append(",".join(["%g" % alpha, method, source, _fmt(sdr_mean),
+                               _fmt(np.mean(sir)), _fmt(np.mean(sar)), ci]))
     return lines
 
 
 def fig3_rows(sweep: SweepResult) -> list[str]:
     """alpha,method,scope,sir_db,sar_db for the SAR-vs-SIR trajectory."""
     lines = [FIG3_HEADER]
-    for alpha in sweep.alphas:
-        for method in sorted(sweep.methods):
-            for scope in _SOURCE_ORDER:
-                triples = _collect(sweep, method, alpha, scope)
-                sir_mean = float(np.mean([t[1] for t in triples]))
-                sar_mean = float(np.mean([t[2] for t in triples]))
-                lines.append(",".join([
-                    "%g" % alpha, method, scope, _fmt(sir_mean), _fmt(sar_mean),
-                ]))
+    for alpha, method, scope, (_, sir, sar) in _cells(sweep):
+        lines.append(",".join(["%g" % alpha, method, scope,
+                               _fmt(np.mean(sir)), _fmt(np.mean(sar))]))
     return lines
 
 
@@ -367,16 +352,9 @@ def per_song_rows(sweep: SweepResult) -> list[str]:
     lines = [PER_SONG_HEADER]
     for song in sorted(sweep.songs, key=lambda s: s.song_id):
         for method in sorted(sweep.methods):
-            per_alpha = song.metrics[method]
             for alpha in sweep.alphas:
-                pm = per_alpha.get(alpha, per_alpha.get(None))
-                for source in _SOURCE_ORDER:
-                    m = {VOCAL: pm.vocal, NON_VOCAL: pm.nonvocal,
-                         "mean": pm.mean}[source]
-                    lines.append(",".join([
-                        song.song_id, method, "%g" % alpha, source,
-                        _fmt(m.sdr_db), _fmt(m.sir_db), _fmt(m.sar_db),
-                    ]))
+                for source, m in by_source(song.at(method, alpha)).items():
+                    lines.append(per_song_row(song.song_id, method, alpha, source, m))
     return lines
 
 
@@ -385,7 +363,7 @@ def write_csv(path: str | Path, lines: list[str]) -> None:
 
 
 def run_sweep_to_csv(songs: list[ManifestSong],
-                     models: dict[str, MlpModel | NmfModel],
+                     models: dict[str, Model],
                      cfg: ExperimentConfig, fig2_path: str | Path,
                      fig3_path: str | Path | None = None,
                      per_song_path: str | Path | None = None) -> SweepResult:

@@ -201,6 +201,17 @@ def test_evaluate_pair_trims_and_pads_estimates():
     assert np.isfinite(pm.nonvocal.sir_db)
 
 
+def test_metrics_floor_for_silent_estimate(rng):
+    refs = [rng.standard_normal(32), rng.standard_normal(32)]
+    pm = evaluate_pair(np.zeros(32), refs[1] + 0.1 * refs[0], *refs)
+    assert pm.vocal.as_tuple() == (-np.inf, -np.inf, -np.inf)
+    assert np.isfinite(pm.nonvocal.sdr_db)
+    pm = evaluate_pair(refs[0] + 0.1 * refs[1], np.zeros(32), *refs)
+    assert pm.nonvocal.as_tuple() == (-np.inf, -np.inf, -np.inf)
+    assert np.isfinite(pm.vocal.sdr_db)
+    assert pm.mean.as_tuple() == (-np.inf, -np.inf, -np.inf)
+
+
 def test_evaluate_pair_reference_length_mismatch(rng):
     with pytest.raises(ValueError, match="reference lengths differ"):
         evaluate_pair(np.ones(8), np.ones(8), np.ones(8), np.ones(9))

@@ -1,11 +1,31 @@
 """Command-line interface: full flow, flag parsing, exit codes."""
 
+import contextlib
+import functools
+import io
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskforge import cli
-from maskforge.audio_io import read_wav
-from maskforge.pipeline import FIG2_HEADER, FIG3_HEADER, PER_SONG_HEADER
+from maskforge.audio_io import AudioBuffer, read_wav, write_wav
+from maskforge.mlp import init_model, save_model
+from maskforge.nmf import MAGIC as NMF_MAGIC
+from maskforge.nmf import NmfModel, save_nmf
+from maskforge.patching import PatchConfig
+from maskforge.pipeline import (
+    FIG2_HEADER,
+    FIG3_HEADER,
+    PER_SONG_HEADER,
+    ExperimentConfig,
+    load_any_model,
+)
+from maskforge.stft import StftConfig
 
 
 def _run(capsys, argv):
@@ -316,6 +336,113 @@ def test_nmf_dimension_mismatch_exits_one(tmp_path, capsys, rng):
     ])
     assert code == 1
     assert "dictionary was trained for 129 bins x 5" in err
+
+
+@pytest.mark.parametrize("flaw, message", [
+    ("nan", "vocal dictionary has non-finite entries"),
+    ("rank0", "vocal dictionary has no columns"),
+])
+def test_unusable_nmf_dictionary_exits_one(tmp_path, capsys, rng, flaw, message):
+    w_v = rng.uniform(0.1, 1, (645, 2))  # 129 bins x 5
+    w_nv = rng.uniform(0.1, 1, (645, 2))
+    if flaw == "nan":
+        w_v[100, 0] = np.nan
+    else:
+        w_v = w_v[:, :0]
+    dict_path = tmp_path / "d.nmf"
+    dict_path.write_bytes(NMF_MAGIC + struct.pack("<IIII", 129, 5, w_v.shape[1], 2)
+                          + w_v.astype("<f8").tobytes(order="F")
+                          + w_nv.astype("<f8").tobytes(order="F"))
+    code, out, err = _run(capsys, [
+        "separate", "--model", str(dict_path), "--alpha", "0.5",
+        "--input", str(tmp_path / "x.wav"),
+        "--out-vocal", str(tmp_path / "v.wav"),
+        "--out-accomp", str(tmp_path / "a.wav"), *SMALL,
+    ])
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "v.wav").exists()
+
+
+def test_evaluate_scores_silent_estimate_as_minus_inf(tmp_path, capsys, rng):
+    ref_v = rng.uniform(-0.5, 0.5, 2048)
+    ref_a = rng.uniform(-0.5, 0.5, 2048)
+    signals = {"est_v": np.zeros(2048), "est_a": ref_a + 0.1 * ref_v,
+               "ref_v": ref_v, "ref_a": ref_a}
+    for name, x in signals.items():
+        write_wav(tmp_path / f"{name}.wav", AudioBuffer(x, 22050))
+    eval_csv = tmp_path / "eval.csv"
+    code, out, err = _run(capsys, [
+        "evaluate", "--est-vocal", str(tmp_path / "est_v.wav"),
+        "--est-accomp", str(tmp_path / "est_a.wav"),
+        "--ref-vocal", str(tmp_path / "ref_v.wav"),
+        "--ref-accomp", str(tmp_path / "ref_a.wav"),
+        "--csv", str(eval_csv), "--song-id", "s1", "--method", "m",
+    ])
+    assert code == 0, err
+    assert out.splitlines()[0] == "vocal: sdr=-inf dB  sir=-inf dB  sar=-inf dB"
+    lines = eval_csv.read_text().splitlines()
+    assert lines[1] == "s1,m,0.5,vocal,-inf,-inf,-inf"
+    assert lines[2].startswith("s1,m,0.5,non_vocal,")
+    assert all(np.isfinite(float(v)) for v in lines[2].split(",")[4:])
+
+
+# ---------------------------------------------------------------------------
+# model files: mutated MFG1/MFGN files fail with a typed error, never a crash
+# ---------------------------------------------------------------------------
+
+# frame 4 gives 3 bins; at width 1 a model sees 3-element windows
+FUZZ_FLAGS = ["--frame", "4", "--hop", "2", "--width", "1"]
+FUZZ_CONFIG = ExperimentConfig(stft=StftConfig(frame_len=4, hop=2),
+                               patch=PatchConfig(width=1, train_stride=1))
+
+
+@functools.cache
+def _valid_model_files() -> tuple[bytes, bytes]:
+    with tempfile.TemporaryDirectory() as root:
+        mlp_path, nmf_path = Path(root, "m.mfg"), Path(root, "n.mfg")
+        save_model(init_model([3, 2, 3], seed=0), mlp_path)
+        save_nmf(NmfModel(np.full((3, 2), 0.5), np.full((3, 1), 0.25),
+                          n_bins=3, width=1), nmf_path)
+        return mlp_path.read_bytes(), nmf_path.read_bytes()
+
+
+@st.composite
+def _mutated_model_file(draw):
+    raw = bytearray(draw(st.sampled_from(_valid_model_files())))
+    for _ in range(draw(st.integers(1, 4))):
+        # favour the header, where the sizes live
+        at = draw(st.integers(0, 23) | st.integers(0, len(raw)))
+        op = draw(st.sampled_from(["set", "truncate", "insert", "delete"]))
+        if op == "set" and at < len(raw):
+            raw[at] = draw(st.integers(0, 255))
+        elif op == "truncate":
+            del raw[at:]
+        elif op == "insert":
+            raw[at:at] = draw(st.binary(min_size=1, max_size=8))
+        elif op == "delete":
+            del raw[at:at + draw(st.integers(1, 8))]
+    return bytes(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_mutated_model_file())
+def test_mutated_model_file_fails_cleanly(tmp_path_factory, raw):
+    root = tmp_path_factory.getbasetemp()
+    path = root / "fuzz.mfg"
+    path.write_bytes(raw)
+    try:
+        load_any_model(path, FUZZ_CONFIG)
+    except (ValueError, OSError):
+        pass
+    # the input WAV does not exist, so separate fails even on a valid model
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["separate", "--model", str(path), "--alpha", "0.5",
+                         "--input", str(root / "missing.wav"),
+                         "--out-vocal", str(root / "v.wav"),
+                         "--out-accomp", str(root / "a.wav"), *FUZZ_FLAGS])
+    assert code == 1
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_duplicate_model_kind_exits_one(tmp_path, capsys):

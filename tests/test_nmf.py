@@ -1,11 +1,14 @@
 """KL divergence, multiplicative updates, dictionaries, and soft-mask repack."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
 
 from maskforge.nmf import (
     KL_EPS,
+    MAGIC,
     Factorization,
     NmfModel,
     infer_activations,
@@ -407,4 +410,30 @@ def test_nmf_file_errors(tmp_path, rng):
         load_nmf(path)
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="size mismatch"):
+        load_nmf(path)
+
+
+@pytest.mark.parametrize("flaw, message", [
+    ("nan", "vocal dictionary has non-finite entries"),
+    ("inf", "non-vocal dictionary has non-finite entries"),
+    ("rank0", "vocal dictionary has no columns"),
+    ("rank0-nonvocal", "non-vocal dictionary has no columns"),
+])
+def test_load_nmf_rejects_unusable_dictionary(tmp_path, rng, flaw, message):
+    # save_nmf cannot write these (the model refuses them), so build the file
+    w_v = rng.uniform(0.1, 1, (6, 2))
+    w_nv = rng.uniform(0.1, 1, (6, 2))
+    if flaw == "nan":
+        w_v[4, 1] = np.nan
+    elif flaw == "inf":
+        w_nv[0, 0] = np.inf
+    elif flaw == "rank0":
+        w_v = w_v[:, :0]
+    else:
+        w_nv = w_nv[:, :0]
+    path = tmp_path / "d.nmf"
+    path.write_bytes(MAGIC + struct.pack("<IIII", 3, 2, w_v.shape[1], w_nv.shape[1])
+                     + w_v.astype("<f8").tobytes(order="F")
+                     + w_nv.astype("<f8").tobytes(order="F"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
         load_nmf(path)
