@@ -224,19 +224,20 @@ def load_manifest(path: str | Path) -> list[ManifestSong]:
     base = path.parent
     songs = []
     for entry in doc["songs"]:
-        if (not isinstance(entry, dict) or "id" not in entry
+        if (not isinstance(entry, dict) or not isinstance(entry.get("id"), str)
                 or not isinstance(entry.get("stems"), list)):
-            raise ValueError(f"{path}: each song needs an 'id' and a 'stems' list")
+            raise ValueError(f"{path}: each song needs a string 'id' and a 'stems' list")
         stems = []
         for s in entry["stems"]:
-            if not isinstance(s, dict) or "path" not in s or "label" not in s:
-                raise ValueError(f"{path}: each stem needs a 'path' and a 'label'")
+            if (not isinstance(s, dict) or not isinstance(s.get("path"), str)
+                    or "label" not in s):
+                raise ValueError(f"{path}: each stem needs a string 'path' and a 'label'")
             label = s["label"]
             if label not in LABELS:
                 raise ValueError(f"{path}: bad stem label {label!r}")
             p = Path(s["path"])
             stems.append((p if p.is_absolute() else base / p, label))
-        songs.append(ManifestSong(str(entry["id"]), stems))
+        songs.append(ManifestSong(entry["id"], stems))
     return songs
 
 

@@ -135,7 +135,9 @@ def cmd_separate(args) -> int:
 
 def cmd_ideal_mask(args) -> int:
     songs = _songs(args)
-    if args.song is None and len(songs) != 1:
+    if not songs:
+        raise ValueError("manifest has no songs")
+    if args.song is None and len(songs) > 1:
         raise ValueError("manifest has multiple songs; pass --song")
     stems = load_song(songs[0])
     stft_cfg = StftConfig(frame_len=args.frame, hop=args.hop)

@@ -3,7 +3,8 @@
 Every layer computes sigmoid(Wx + b); the output layer's bias is pinned at
 zero. The network maps a flattened mixture-magnitude window to a same-sized
 vector of per-element vocal probabilities. Training is plain SGD, one update
-per example, one seeded shuffle per epoch.
+per example, one seeded shuffle per epoch; the weight updates are applied in
+blocks of examples, which changes only the rounding.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ _LOSSES = (LOSS_CROSS_ENTROPY, LOSS_MSE)
 
 def sigmoid_stable(z: np.ndarray) -> np.ndarray:
     """Logistic function, safe against overflow for any finite input."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))              # exp(-z) where z >= 0, exp(z) elsewhere
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -137,32 +137,11 @@ def init_model(layer_sizes: list[int], seed: int = 0) -> MlpModel:
     return MlpModel(sizes, weights, biases, seed=seed)
 
 
-def _activations(weights: list[np.ndarray], biases: list[np.ndarray],
-                 x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Every layer's activation (input first) and pre-activation, unchecked."""
-    acts = [x]
-    zs = []
-    for W, b in zip(weights, biases):
-        z = W @ acts[-1] + b
-        zs.append(z)
-        acts.append(sigmoid_stable(z))
-    return acts, zs
-
-
-def _forward_acts(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """All layer activations plus the output pre-activation (for the loss)."""
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_size,):
         raise ValueError(f"input length {x.shape} != ({model.input_size},)")
-    acts, zs = _activations(model.weights, model.biases, x)
-    if not all(np.all(np.isfinite(z)) for z in zs):
-        raise FloatingPointError("non-finite pre-activation")
-    return acts, zs[-1]
-
-
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    acts, _ = _forward_acts(model, x)
-    return acts[-1]
+    return forward_batch(model, x[None, :])[0]
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -183,18 +162,50 @@ def _loss_and_delta(z_out: np.ndarray, p: np.ndarray, y: np.ndarray,
     return float(0.5 * np.sum((p - y) ** 2)), (p - y) * p * (1.0 - p)
 
 
-def _backward(weights: list[np.ndarray], acts: list[np.ndarray], delta: np.ndarray):
-    """Backpropagate one example; yields (layer, delta, a_prev) from the top.
+# Examples per SGD block; a block's weight updates are applied as one product
+# per layer.
+_BLOCK = 32
 
-    The layer below's delta is formed from weights[l] before layer l is
-    yielded, so the consumer may update weights[l] in place.
+
+class _Pending:
+    """The SGD steps of one block whose weight updates are not yet applied.
+
+    After steps 0..i-1, layer l's weights are W_l - G[l][:i].T @ A[l][:i].
     """
+
+    def __init__(self, weights: list[np.ndarray], X_blk: np.ndarray):
+        m = X_blk.shape[0]
+        # G[l][j]: learning rate times layer l's delta at step j
+        self.G = [np.empty((m, W.shape[0])) for W in weights]
+        # A[l][j]: layer l's input at step j; A[0] is the block's inputs
+        self.A = [X_blk] + [np.empty((m, W.shape[1])) for W in weights[1:]]
+        self.Z0 = X_blk @ weights[0].T      # layer 0 under the block's starting weights
+        self.gram = X_blk @ X_blk.T
+
+
+def _step(weights: list[np.ndarray], biases: list[np.ndarray], p: _Pending, i: int,
+          y: np.ndarray, lr: float, loss: str) -> tuple[float, list[np.ndarray]]:
+    """Backpropagate the block's example i through the weights as updated by
+    the block's steps 0..i-1, and record it as step i of `p`.
+
+    Returns the example's loss and every layer's pre-activation. Layer 0 takes
+    its earlier steps' correction through the block's input Gram matrix.
+    """
+    G, A = p.G, p.A
+    z = p.Z0[i] - G[0][:i].T @ p.gram[:i, i] + biases[0]
+    zs = [z]
+    for l in range(1, len(weights)):
+        a = A[l][i] = sigmoid_stable(z)
+        z = weights[l] @ a - G[l][:i].T @ (A[l][:i] @ a) + biases[l]
+        zs.append(z)
+    value, delta = _loss_and_delta(z, sigmoid_stable(z), y, loss)
     for l in range(len(weights) - 1, 0, -1):
-        a_prev = acts[l]
-        delta_prev = (weights[l].T @ delta) * a_prev * (1.0 - a_prev)
-        yield l, delta, a_prev
-        delta = delta_prev
-    yield 0, delta, acts[0]
+        a = A[l][i]
+        back = weights[l].T @ delta - A[l][:i].T @ (G[l][:i] @ delta)
+        G[l][i] = lr * delta
+        delta = back * a * (1.0 - a)
+    G[0][i] = lr * delta
+    return value, zs
 
 
 def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray,
@@ -204,6 +215,9 @@ def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray,
     The output layer's bias gradient is reported as zero to match the frozen
     parameter.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.input_size,):
+        raise ValueError(f"input length {x.shape} != ({model.input_size},)")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (model.output_size,):
         raise ValueError(f"target length {y.shape} != ({model.output_size},)")
@@ -211,12 +225,15 @@ def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray,
         raise ValueError("targets must be binary")
     if loss not in _LOSSES:
         raise ValueError(f"loss must be one of {sorted(_LOSSES)}")
-    acts, z_out = _forward_acts(model, x)
-    value, delta = _loss_and_delta(z_out, acts[-1], y, loss)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * model.n_layers
-    for l, delta, a_prev in _backward(model.weights, acts, delta):
+    p = _Pending(model.weights, x[None, :])
+    value, zs = _step(model.weights, model.biases, p, 0, y, 1.0, loss)
+    if not all(np.all(np.isfinite(z)) for z in zs):
+        raise FloatingPointError("non-finite pre-activation")
+    grads: list[tuple[np.ndarray, np.ndarray]] = []
+    for l, (G, A) in enumerate(zip(p.G, p.A)):
+        delta = G[0]  # recorded at a learning rate of 1
         db = delta.copy() if l < model.n_layers - 1 else np.zeros_like(delta)
-        grads[l] = (np.outer(delta, a_prev), db)
+        grads.append((np.outer(delta, A[0]), db))
     return value, grads
 
 
@@ -224,20 +241,23 @@ def sgd_epoch(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray
               Y: np.ndarray, order: np.ndarray, lr: float, loss: str) -> float:
     """One sweep of per-example SGD in visit order; updates weights/biases in place.
 
-    The output layer's bias is not updated. Returns the mean per-example loss
-    measured at visit time.
+    Weight updates are applied once per block of _BLOCK examples, as one
+    product; within a block each step sees the earlier steps' updates through
+    a low-rank correction. This is per-example SGD up to rounding. Biases are
+    updated after every example; the output layer's is not updated. Returns
+    the mean per-example loss measured at visit time.
     """
-    last = len(weights) - 1
     total = 0.0
-    for i in order:
-        acts, zs = _activations(weights, biases, X[i])
-        value, delta = _loss_and_delta(zs[-1], acts[-1], Y[i], loss)
-        total += value
-        for l, delta, a_prev in _backward(weights, acts, delta):
-            g = lr * delta
-            weights[l] -= np.outer(g, a_prev)
-            if l < last:
-                biases[l] -= g
+    for start in range(0, order.shape[0], _BLOCK):
+        rows = order[start:start + _BLOCK]
+        p = _Pending(weights, X[rows])
+        for i, r in enumerate(rows):
+            value, _ = _step(weights, biases, p, i, Y[r], lr, loss)
+            total += value
+            for b, G in zip(biases[:-1], p.G):
+                b -= G[i]
+        for W, G, A in zip(weights, p.G, p.A):
+            W -= G.T @ A
     return total / order.shape[0]
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import xlogy
 
 from .masking import vocal_share
 from .patching import KIND_PREDICTION, MeanPrediction, PatchSet, flatten_set, repack_mean
@@ -88,8 +87,10 @@ def kl_divergence(V: np.ndarray, V_hat: np.ndarray) -> float:
 
 
 def _kl_constant(V):
-    """The V-only part of the divergence, sum(V*log V - V)."""
-    return float(np.sum(xlogy(V, V)) - np.sum(V))
+    """The V-only part of the divergence, sum(V*log V - V). The floor is the
+    smallest positive double, so it moves no positive entry and a zero entry
+    adds 0 * log(floor) = 0."""
+    return float(np.vdot(V, np.log(np.maximum(V, np.nextafter(0.0, 1.0)))) - np.sum(V))
 
 
 def _kl_floored(V, V_hat, c_V):

@@ -355,6 +355,10 @@ def test_manifest_rejects_wrong_shape(tmp_path):
     ({"songs": ["x"]}, "'stems' list"),
     ({"songs": [{"id": "x", "stems": [{"path": "v.wav"}]}]}, "'label'"),
     ({"songs": 3}, "'songs' list"),
+    ({"songs": [{"id": "x", "stems": [{"path": 5, "label": "vocal"}]}]}, "string 'path'"),
+    ({"songs": [{"id": "x", "stems": [{"path": None, "label": "vocal"}]}]}, "string 'path'"),
+    ({"songs": [{"id": 7, "stems": []}]}, "string 'id'"),
+    ({"songs": [{"id": ["x"], "stems": []}]}, "string 'id'"),
 ])
 def test_manifest_rejects_bad_entry(tmp_path, doc, message):
     path = tmp_path / "m.json"

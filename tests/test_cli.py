@@ -294,6 +294,30 @@ def test_manifest_entry_without_stems_exits_one(tmp_path, capsys):
     assert str(manifest) in err and "'stems' list" in err
 
 
+def test_manifest_stem_path_not_a_string_exits_one(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"songs":[{"id":"x","stems":[{"path":5,"label":"vocal"}]}]}')
+    code, out, err = _run(capsys, [
+        "mix", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert str(manifest) in err and "string 'path'" in err
+
+
+def test_ideal_mask_on_empty_manifest_exits_one(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"songs":[]}')
+    code, out, err = _run(capsys, [
+        "ideal-mask", "--manifest", str(manifest),
+        "--out-vocal", str(tmp_path / "v.wav"), "--out-accomp", str(tmp_path / "a.wav"),
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "manifest has no songs" in err
+    assert not (tmp_path / "v.wav").exists()
+
+
 def test_unrecognized_model_file_exits_one(tmp_path, capsys):
     bogus = tmp_path / "junk.bin"
     bogus.write_bytes(b"WHAT" + b"\x00" * 64)

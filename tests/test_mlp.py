@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maskforge.mlp import (
+    _BLOCK,
     LOSS_CROSS_ENTROPY,
     LOSS_MSE,
     MlpModel,
@@ -261,6 +262,60 @@ def test_sgd_epoch_keeps_output_bias_zero():
 def test_sgd_epoch_mse_loss():
     _, _, losses = _run_sgd(seed=3, loss=LOSS_MSE, epochs=30, lr=1.0)
     assert losses[-1] < losses[0]
+
+
+def _reference_epoch(weights, biases, X, Y, order, lr, loss):
+    """Per-example SGD that writes each update to the weights at once: the
+    epoch that sgd_epoch reproduces up to rounding."""
+    last = len(weights) - 1
+    total = 0.0
+    for i in order:
+        acts = [X[i]]
+        for W, b in zip(weights, biases):
+            z = W @ acts[-1] + b
+            acts.append(sigmoid_stable(z))
+        p, y = acts[-1], Y[i]
+        if loss == LOSS_CROSS_ENTROPY:
+            total += np.sum(softplus_stable(z) - y * z)
+            delta = p - y
+        else:
+            total += 0.5 * np.sum((p - y) ** 2)
+            delta = (p - y) * p * (1.0 - p)
+        for l in range(last, -1, -1):
+            g = lr * delta
+            a_prev = acts[l]
+            delta = (weights[l].T @ delta) * a_prev * (1.0 - a_prev)
+            weights[l] -= np.outer(g, a_prev)
+            if l < last:
+                biases[l] -= g
+    return total / order.shape[0]
+
+
+@pytest.mark.parametrize("loss", [LOSS_CROSS_ENTROPY, LOSS_MSE])
+@pytest.mark.parametrize("sizes", [[6, 5], [6, 7, 5], [6, 7, 4, 5]])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
+def test_sgd_epoch_matches_per_example_updates(sizes, loss, n):
+    # same SGD as writing every update at once; only the rounding may differ,
+    # so the tolerance is a few dozen ulps of the total weight change
+    rng = np.random.default_rng(n)
+    Ws = [rng.uniform(-0.5, 0.5, size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])]
+    bs = [rng.uniform(-0.1, 0.1, size=o) for o in sizes[1:]]
+    bs[-1][:] = 0.0
+    X = rng.uniform(size=(n, sizes[0]))
+    Y = (rng.uniform(size=(n, sizes[-1])) > 0.5).astype(np.float64)
+    ref_W, ref_b = [W.copy() for W in Ws], [b.copy() for b in bs]
+    got_W, got_b = [W.copy() for W in Ws], [b.copy() for b in bs]
+    for _ in range(2):
+        order = rng.permutation(n).astype(np.int64)
+        expect = _reference_epoch(ref_W, ref_b, X, Y, order, 0.5, loss)
+        got = sgd_epoch(got_W, got_b, X, Y, order, 0.5, loss)
+        assert abs(got - expect) <= 64 * np.finfo(float).eps * abs(expect)
+    eps = np.finfo(float).eps
+    step = max(np.max(np.abs(R - W)) for R, W in zip(ref_W, Ws))
+    assert step > 0.0
+    for R, G in zip(ref_W + ref_b, got_W + got_b):
+        assert np.max(np.abs(G - R)) <= 64 * eps * step
+    assert not np.any(got_b[-1])
 
 
 def test_single_example_sgd_step_oracle(rng):
