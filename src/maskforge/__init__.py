@@ -22,12 +22,9 @@ from .audio_io import (
 from .bss_eval import SeparationMetrics, evaluate_pair
 from .masking import (
     BinaryMask,
-    SoftMask,
     apply_mask,
     ideal_binary_mask,
     nonvocal_mask_from_confidence,
-    soft_mask,
-    threshold_soft_mask,
     vocal_mask_from_confidence,
 )
 from .mlp import MlpModel, TrainConfig, init_model, load_model, save_model, train_sgd
@@ -52,9 +49,8 @@ __all__ = [
     "read_wav", "write_wav", "peak_normalize", "pool_and_mix", "load_manifest",
     "StftConfig", "stft", "istft",
     "PatchConfig", "PatchSet", "extract_patches", "repack_mean",
-    "BinaryMask", "SoftMask", "ideal_binary_mask", "apply_mask",
+    "BinaryMask", "ideal_binary_mask", "apply_mask",
     "vocal_mask_from_confidence", "nonvocal_mask_from_confidence",
-    "soft_mask", "threshold_soft_mask",
     "MlpModel", "TrainConfig", "init_model", "train_sgd",
     "save_model", "load_model",
     "NmfModel", "nmf_factorize", "nmf_separate", "save_nmf", "load_nmf",

@@ -139,28 +139,18 @@ def read_wav(path: str | Path) -> AudioBuffer:
     return AudioBuffer(samples.copy(), sample_rate)
 
 
-def write_wav(path: str | Path, buffer: AudioBuffer, fmt: str = "float32") -> None:
-    """Write a mono WAV file, either "float32" (lossless) or "pcm16"."""
+def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
+    """Write a mono 32-bit float WAV file."""
     if not np.all(np.isfinite(buffer.samples)):
         raise ValueError("cannot write non-finite samples")
-    if fmt == "float32":
-        payload = buffer.samples.astype("<f4").tobytes()
-        audio_format, bits = _FMT_FLOAT, 32
-    elif fmt == "pcm16":
-        scaled = np.round(buffer.samples * 32768.0)
-        scaled = np.clip(scaled, -32768, 32767)
-        payload = scaled.astype("<i2").tobytes()
-        audio_format, bits = _FMT_PCM, 16
-    else:
-        raise ValueError(f"unknown wav format {fmt!r}")
-
-    block_align = bits // 8
-    byte_rate = buffer.sample_rate * block_align
+    if buffer.sample_rate * 4 > 0xFFFFFFFF:
+        raise ValueError(f"sample rate {buffer.sample_rate} does not fit a WAV header")
+    payload = buffer.samples.astype("<f4").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, audio_format, 1, buffer.sample_rate,
-        byte_rate, block_align, bits,
+        b"fmt ", 16, _FMT_FLOAT, 1, buffer.sample_rate,
+        buffer.sample_rate * 4, 4, 32,
         b"data", len(payload),
     )
     Path(path).write_bytes(header + payload)
@@ -218,7 +208,10 @@ class ManifestSong:
 def load_manifest(path: str | Path) -> list[ManifestSong]:
     """Parse a corpus manifest; stem paths resolve relative to the manifest."""
     path = Path(path)
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or deep nesting
+        raise ValueError(f"{path}: not a JSON manifest ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("songs"), list):
         raise ValueError(f"{path}: manifest must be an object with a 'songs' list")
     base = path.parent

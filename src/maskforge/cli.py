@@ -51,11 +51,13 @@ def parse_alphas(text: str) -> tuple[float, ...]:
 
 
 def _experiment_config(args, **fields) -> ExperimentConfig:
-    """The STFT, patch and seed flags every model subcommand has, plus `fields`."""
+    """The STFT, patch and seed flags every model subcommand has, plus `fields`.
+    The training stride defaults to the patch width."""
+    stride = getattr(args, "train_stride", None)
     return ExperimentConfig(
         stft=StftConfig(frame_len=args.frame, hop=args.hop),
         patch=PatchConfig(width=args.width,
-                          train_stride=getattr(args, "train_stride", None) or args.width),
+                          train_stride=args.width if stride is None else stride),
         seed=args.seed,
         **fields,
     )
@@ -292,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, FloatingPointError, TypeError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,12 @@
-"""Binary and soft time-frequency masks.
+"""Binary time-frequency masks.
 
 The training target is the ideal binary mask (vocal wins an element when its
 magnitude exceeds the accompaniment's). At separation time, mean network
 predictions are thresholded into two independent masks: the vocal mask keeps
 elements with mean confidence above alpha, the non-vocal mask keeps elements
 below 1 - alpha. For alpha > 0.5 some elements belong to neither mask; for
-alpha < 0.5 the masks overlap.
+alpha < 0.5 the masks overlap. The NMF baseline's per-element prediction is
+the vocal share of its two reconstructions.
 """
 
 from __future__ import annotations
@@ -32,26 +33,6 @@ class BinaryMask:
             raise ValueError("binary mask values must be exactly 0 or 1")
         if self.source_tag not in (VOCAL, NON_VOCAL):
             raise ValueError(f"unknown source tag {self.source_tag!r}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
-@dataclass
-class SoftMask:
-    values: np.ndarray           # (F, N) in [0, 1]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("mask must be a 2-D grid")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
-            raise ValueError("soft mask values must lie in [0, 1]")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 def _check_alpha(alpha: float) -> float:
@@ -90,29 +71,8 @@ def vocal_share(v: np.ndarray, nv: np.ndarray) -> np.ndarray:
         return np.where(total > 0.0, v / np.where(total > 0.0, total, 1.0), 0.5)
 
 
-def soft_mask(v_vocal: MagnitudeSpectrogram, v_nonvocal: MagnitudeSpectrogram) -> SoftMask:
-    """Elementwise V_v / (V_v + V_nv); a 0/0 element becomes 0.5."""
-    a = v_vocal.values
-    b = v_nonvocal.values
-    if a.shape != b.shape:
-        raise ValueError("magnitude shapes differ")
-    if a.min(initial=0.0) < 0.0 or b.min(initial=0.0) < 0.0:
-        raise ValueError("magnitudes must be non-negative")
-    return SoftMask(vocal_share(a, b))
-
-
-def threshold_soft_mask(mask: SoftMask, alpha: float) -> tuple[BinaryMask, BinaryMask]:
-    """Binarize a soft mask and its complement at the same threshold."""
-    alpha = _check_alpha(alpha)
-    s_v = mask.values
-    s_nv = 1.0 - s_v
-    b_v = BinaryMask((s_v > alpha).astype(np.float64), source_tag=VOCAL)
-    b_nv = BinaryMask((s_nv > alpha).astype(np.float64), source_tag=NON_VOCAL)
-    return b_v, b_nv
-
-
-def apply_mask(mix: ComplexSpectrogram, mask: BinaryMask | SoftMask) -> ComplexSpectrogram:
-    """Elementwise product; the mixture's phase survives wherever mask > 0."""
+def apply_mask(mix: ComplexSpectrogram, mask: BinaryMask) -> ComplexSpectrogram:
+    """Elementwise product; the mixture's bins survive wherever the mask is 1."""
     if mix.bins.shape != mask.values.shape:
         raise ValueError(
             f"mask shape {mask.values.shape} != spectrogram shape {mix.bins.shape}"

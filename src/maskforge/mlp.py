@@ -10,7 +10,7 @@ blocks of examples, which changes only the rounding.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -137,15 +137,8 @@ def init_model(layer_sizes: list[int], seed: int = 0) -> MlpModel:
     return MlpModel(sizes, weights, biases, seed=seed)
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_size,):
-        raise ValueError(f"input length {x.shape} != ({model.input_size},)")
-    return forward_batch(model, x[None, :])[0]
-
-
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Row-per-example forward pass; same arithmetic, one matmul per layer."""
+    """Row-per-example forward pass, one matmul per layer."""
     A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2 or A.shape[1] != model.input_size:
         raise ValueError(f"expected (n, {model.input_size}) inputs, got {A.shape}")

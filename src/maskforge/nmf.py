@@ -2,8 +2,9 @@
 
 Training factorizes a matrix whose columns are flattened class-spectrogram
 windows, once per class, keeping only the dictionaries. Separation freezes
-the stacked dictionaries and fits activations to the mixture windows; the
-per-class reconstructions then feed the soft mask.
+the stacked dictionaries and fits activations to the mixture windows; each
+element's vocal share of the per-class reconstructions, averaged over the
+windows covering it, is its confidence.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .masking import vocal_share
-from .patching import KIND_PREDICTION, MeanPrediction, PatchSet, flatten_set, repack_mean
+from .patching import (
+    KIND_PREDICTION,
+    MeanPrediction,
+    PatchSet,
+    flatten_set,
+    repack_mean,
+    unflatten_rows,
+)
 
 MAGIC = b"MFGN"
 
@@ -62,10 +70,11 @@ class NmfModel:
             )
 
     def confidence(self, patches: PatchSet, iterations: int, seed: int) -> MeanPrediction:
-        """Mean soft vocal share over the windows, activations fitted from `seed`."""
+        """Mean vocal share over the windows, activations fitted from `seed`."""
         v_hat, nv_hat = nmf_separate(flatten_set(patches).T, self, iterations, seed=seed)
-        return mean_prediction_from_soft(v_hat, nv_hat, self.n_bins, self.width,
-                                         patches.offsets, patches.total_frames)
+        shares = unflatten_rows(vocal_share(v_hat, nv_hat).T, self.n_bins, self.width)
+        return repack_mean(PatchSet(shares, patches.offsets, patches.total_frames,
+                                    kind=KIND_PREDICTION))
 
 
 @dataclass
@@ -186,29 +195,6 @@ def nmf_separate(V_u: np.ndarray, model: NmfModel, iterations: int = 200,
     V_v_hat = model.w_vocal @ H_u[:r_v]
     V_nv_hat = model.w_nonvocal @ H_u[r_v:]
     return V_v_hat, V_nv_hat
-
-
-def soft_mask_patches(V_v_hat: np.ndarray, V_nv_hat: np.ndarray,
-                      n_bins: int, width: int) -> np.ndarray:
-    """Per-window soft masks as a (P, F, T) stack from column-stacked windows."""
-    if V_v_hat.shape != V_nv_hat.shape:
-        raise ValueError("reconstruction shapes differ")
-    d, P = V_v_hat.shape
-    if d != n_bins * width:
-        raise ValueError(f"window length {d} != {n_bins}*{width}")
-    # columns are frame-major flattened windows; undo to (P, F, T)
-    v = V_v_hat.T.reshape(P, width, n_bins).transpose(0, 2, 1)
-    nv = V_nv_hat.T.reshape(P, width, n_bins).transpose(0, 2, 1)
-    return vocal_share(v, nv)
-
-
-def mean_prediction_from_soft(V_v_hat, V_nv_hat, n_bins, width, offsets,
-                              total_frames) -> MeanPrediction:
-    """Window-wise soft masks averaged back onto the full spectrogram grid."""
-    masks = soft_mask_patches(V_v_hat, V_nv_hat, n_bins, width)
-    patch_set = PatchSet(masks, np.asarray(offsets, dtype=np.int64),
-                         total_frames=total_frames, kind=KIND_PREDICTION)
-    return repack_mean(patch_set)
 
 
 # ---------------------------------------------------------------------------

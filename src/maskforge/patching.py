@@ -1,9 +1,10 @@
-"""Sliding-window patch extraction, flattening, and mean-prediction repacking.
+"""Sliding-window patch extraction, the models' row layout, and repacking.
 
 A spectrogram is cut into F x T windows along the time axis. Training uses
 non-overlapping windows (stride = T); at separation time the window slides one
 frame at a time, so every interior element receives T overlapping predictions
-whose arithmetic mean becomes the element's confidence value.
+whose arithmetic mean becomes the element's confidence value. Models read a
+window as one row, frame by frame; this module owns that layout.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ KIND_PREDICTION = "prediction"
 class PatchConfig:
     width: int = 20
     train_stride: int = 20
-    test_stride: int = 1
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("patch width must be >= 1")
-        if self.train_stride < 1 or self.test_stride < 1:
-            raise ValueError("strides must be >= 1")
+        if self.train_stride < 1:
+            raise ValueError("train_stride must be >= 1")
 
 
 @dataclass
@@ -104,20 +104,8 @@ def extract_patches(mag: MagnitudeSpectrogram, cfg: PatchConfig,
     return PatchSet(patches, offsets, total_frames=N, kind=kind)
 
 
-def flatten(patch: np.ndarray) -> np.ndarray:
-    """Unpack an F x T grid to a length F*T vector, frame by frame."""
-    return np.asarray(patch).reshape(-1, order="F")
-
-
-def unflatten(vector: np.ndarray, n_bins: int, width: int) -> np.ndarray:
-    vector = np.asarray(vector)
-    if vector.size != n_bins * width:
-        raise ValueError(f"vector length {vector.size} != {n_bins}*{width}")
-    return vector.reshape(n_bins, width, order="F")
-
-
 def flatten_set(patches: PatchSet) -> np.ndarray:
-    """All patches flattened into an (P, F*T) matrix, row per patch."""
+    """All patches as a (P, F*T) matrix, one row per patch, frame by frame."""
     P, F, T = patches.patches.shape
     return patches.patches.transpose(0, 2, 1).reshape(P, F * T)
 

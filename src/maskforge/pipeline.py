@@ -23,7 +23,6 @@ from .audio_io import (
     AudioBuffer,
     ManifestSong,
     StemSet,
-    load_manifest,
     load_song,
     pool_and_mix,
 )
@@ -51,7 +50,7 @@ from .stft import (
     MagnitudeSpectrogram,
     StftConfig,
     istft,
-    split,
+    magnitude,
     stft,
 )
 
@@ -82,8 +81,7 @@ class ExperimentConfig:
     """
 
     stft: StftConfig = field(default_factory=lambda: StftConfig(frame_len=512, hop=128))
-    patch: PatchConfig = field(default_factory=lambda: PatchConfig(
-        width=10, train_stride=10, test_stride=1))
+    patch: PatchConfig = field(default_factory=lambda: PatchConfig(width=10, train_stride=10))
     alphas: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
     hidden: tuple[int, ...] = (1024,)
     epochs: int = 4
@@ -114,9 +112,9 @@ def song_training_pairs(stems: StemSet, stft_cfg: StftConfig,
                         patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
     """(mixture window, oracle mask window) vector pairs for one song."""
     vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
-    mag_v, _ = split(stft(vocal_mix, stft_cfg))
-    mag_nv, _ = split(stft(nonvocal_mix, stft_cfg))
-    mag_mix, _ = split(stft(full_mix, stft_cfg))
+    mag_v = magnitude(stft(vocal_mix, stft_cfg))
+    mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
+    mag_mix = magnitude(stft(full_mix, stft_cfg))
     ibm = ideal_binary_mask(mag_v, mag_nv)
     norm_mix, _ = normalize_unit_scale(mag_mix)
     mix_patches = extract_patches(norm_mix, patch_cfg, patch_cfg.train_stride,
@@ -149,8 +147,7 @@ def build_class_matrices(songs: list[ManifestSong], stft_cfg: StftConfig,
         stems = load_song(song)
         vocal_mix, nonvocal_mix, _ = pool_and_mix(stems)
         for target, mix in ((v_cols, vocal_mix), (nv_cols, nonvocal_mix)):
-            mag, _ = split(stft(mix, stft_cfg))
-            norm, _ = normalize_unit_scale(mag)
+            norm, _ = normalize_unit_scale(magnitude(stft(mix, stft_cfg)))
             patches = extract_patches(norm, patch_cfg, patch_cfg.train_stride)
             target.append(flatten_set(patches).T)
     return np.concatenate(v_cols, axis=1), np.concatenate(nv_cols, axis=1)
@@ -195,10 +192,8 @@ def confidence_grid(mix: AudioBuffer, model: Model, cfg: ExperimentConfig,
     All alpha thresholds derive from this one grid, so a sweep reuses it.
     """
     spec = stft(mix, cfg.stft)
-    mag, _ = split(spec)
-    norm, _ = normalize_unit_scale(mag)
-    patches = extract_patches(norm, cfg.patch, cfg.patch.test_stride,
-                              kind=KIND_MIXTURE)
+    norm, _ = normalize_unit_scale(magnitude(spec))
+    patches = extract_patches(norm, cfg.patch, 1, kind=KIND_MIXTURE)
     return model.confidence(patches, cfg.nmf_infer_iters, infer_seed), spec
 
 
@@ -222,8 +217,8 @@ def ideal_mask_separate(stems: StemSet,
                         stft_cfg: StftConfig) -> tuple[AudioBuffer, AudioBuffer]:
     """Oracle separation: the true-source mask applied to the true mixture."""
     vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
-    mag_v, _ = split(stft(vocal_mix, stft_cfg))
-    mag_nv, _ = split(stft(nonvocal_mix, stft_cfg))
+    mag_v = magnitude(stft(vocal_mix, stft_cfg))
+    mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
     spec = stft(full_mix, stft_cfg)
     ibm = ideal_binary_mask(mag_v, mag_nv)
     complement = BinaryMask(1.0 - ibm.values, source_tag=NON_VOCAL)

@@ -9,7 +9,7 @@ longer consistent STFTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,12 @@ _ENVELOPE_EPS = 1e-12
 class StftConfig:
     frame_len: int = 2048
     hop: int = 512
-    window: str = "hann"
 
     def __post_init__(self):
         if self.frame_len < 2 or self.frame_len % 2 != 0:
             raise ValueError("frame_len must be an even integer >= 2")
         if not (0 < self.hop <= self.frame_len):
             raise ValueError("hop must satisfy 0 < hop <= frame_len")
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}")
 
     @property
     def n_bins(self) -> int:
@@ -70,20 +67,6 @@ class MagnitudeSpectrogram:
             raise ValueError("magnitude grid must be 2-D")
         if np.any(self.values < 0):
             raise ValueError("magnitudes must be non-negative")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-@dataclass
-class PhaseSpectrogram:
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("phase grid must be 2-D")
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -151,15 +134,6 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
     return AudioBuffer(samples[: spec.original_len], sample_rate=spec.sample_rate)
 
 
-def split(spec: ComplexSpectrogram) -> tuple[MagnitudeSpectrogram, PhaseSpectrogram]:
-    """Magnitude/phase split; zero bins get phase 0 by convention."""
-    return MagnitudeSpectrogram(np.abs(spec.bins)), PhaseSpectrogram(np.angle(spec.bins))
-
-
-def combine(mag: MagnitudeSpectrogram, phase: PhaseSpectrogram,
-            cfg: StftConfig, original_len: int,
-            sample_rate: int = 44100) -> ComplexSpectrogram:
-    if mag.shape != phase.values.shape:
-        raise ValueError("magnitude/phase shape mismatch")
-    bins = mag.values * np.exp(1j * phase.values)
-    return ComplexSpectrogram(bins, cfg, original_len, sample_rate)
+def magnitude(spec: ComplexSpectrogram) -> MagnitudeSpectrogram:
+    """Elementwise |bins|."""
+    return MagnitudeSpectrogram(np.abs(spec.bins))

@@ -142,7 +142,7 @@ def generate_corpus(out_dir: str | Path, n_train: int, n_test: int,
             entries = []
             for buf, label in stems.stems:
                 name = "vocal.wav" if label == VOCAL else "accomp.wav"
-                write_wav(song_dir / name, buf, fmt="float32")
+                write_wav(song_dir / name, buf)
                 entries.append((Path(stems.song_id) / name, label))
             songs.append(ManifestSong(stems.song_id, entries))
         manifest_path = out_dir / f"{split_name}.json"

@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskforge import cli
-from maskforge.audio_io import AudioBuffer, read_wav, write_wav
+from maskforge.audio_io import AudioBuffer, load_manifest, read_wav, write_wav
 from maskforge.mlp import init_model, save_model
 from maskforge.nmf import MAGIC as NMF_MAGIC
 from maskforge.nmf import NmfModel, save_nmf
@@ -144,7 +145,7 @@ def test_full_cli_flow(tmp_path, capsys):
     v = read_wav(ref_vocal).samples
     a = read_wav(ref_accomp).samples
     m = read_wav(mixture).samples
-    assert np.allclose(m, v + a, rtol=0, atol=2.0 ** -14)  # pcm16 output
+    assert np.allclose(m, v + a, rtol=0, atol=2.0 ** -14)  # float32 rounding
 
     est_v = tmp_path / "est_v.wav"
     est_a = tmp_path / "est_a.wav"
@@ -279,6 +280,25 @@ def test_partial_sample_data_chunk_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and "not a whole number" in err
 
 
+def test_sample_rate_beyond_wav_header_exits_one(tmp_path, capsys):
+    # a 2**30 Hz input decodes, but its byte rate does not fit the output header
+    model_path = tmp_path / "m.mfg"
+    save_model(init_model([3, 2, 3], seed=0), model_path)
+    wav = tmp_path / "fast.wav"
+    payload = np.linspace(-1, 1, 24).astype("<f4").tobytes()
+    wav.write_bytes(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
+                                b"fmt ", 16, 3, 1, 1 << 30, 4, 4, 32, b"data", len(payload))
+                    + payload)
+    code, out, err = _run(capsys, [
+        "separate", "--model", str(model_path), "--alpha", "0.5", "--input", str(wav),
+        "--out-vocal", str(tmp_path / "v.wav"),
+        "--out-accomp", str(tmp_path / "a.wav"), *FUZZ_FLAGS,
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "does not fit a WAV header" in err
+
+
 def test_manifest_entry_without_stems_exits_one(tmp_path, capsys):
     from maskforge.mlp import init_model, save_model
     model_path = tmp_path / "m.mlp"
@@ -305,6 +325,21 @@ def test_manifest_stem_path_not_a_string_exits_one(tmp_path, capsys):
     assert str(manifest) in err and "string 'path'" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"songs": ' + "[" * 100_000 + "]" * 100_000 + "}",  # deeper than the parser recurses
+    '{"songs": [',
+])
+def test_undecodable_manifest_exits_one(tmp_path, capsys, text):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(text)
+    code, out, err = _run(capsys, [
+        "mix", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {manifest}: not a JSON manifest (")
+
+
 def test_ideal_mask_on_empty_manifest_exits_one(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text('{"songs":[]}')
@@ -316,6 +351,19 @@ def test_ideal_mask_on_empty_manifest_exits_one(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "manifest has no songs" in err
     assert not (tmp_path / "v.wav").exists()
+
+
+@pytest.mark.parametrize("command", ["train-dnn", "train-nmf"])
+def test_train_stride_zero_exits_one(tiny_corpus, tmp_path, capsys, command):
+    model_path = tmp_path / "m.mfg"
+    code, out, err = _run(capsys, [
+        command, "--manifest", str(tiny_corpus["train_manifest"]),
+        "--out", str(model_path), "--train-stride", "0", *SMALL,
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "train_stride must be >= 1" in err
+    assert not model_path.exists()
 
 
 def test_unrecognized_model_file_exits_one(tmp_path, capsys):
@@ -412,7 +460,7 @@ def test_evaluate_scores_silent_estimate_as_minus_inf(tmp_path, capsys, rng):
 
 
 # ---------------------------------------------------------------------------
-# model files: mutated MFG1/MFGN files fail with a typed error, never a crash
+# mutated model files, WAVs and manifests fail with a typed error, never a crash
 # ---------------------------------------------------------------------------
 
 # frame 4 gives 3 bins; at width 1 a model sees 3-element windows
@@ -431,12 +479,37 @@ def _valid_model_files() -> tuple[bytes, bytes]:
         return mlp_path.read_bytes(), nmf_path.read_bytes()
 
 
+def _wav(audio_format: int, bits: int, channels: int, payload: bytes) -> bytes:
+    block = bits // 8 * channels
+    return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
+                       b"fmt ", 16, audio_format, channels, 8000, 8000 * block, block,
+                       bits, b"data", len(payload)) + payload
+
+
+@functools.cache
+def _valid_wav_files() -> tuple[bytes, ...]:
+    """float32 mono as write_wav writes it, PCM16 stereo and PCM24 mono."""
+    samples = np.sin(np.arange(24) * 0.7)
+    with tempfile.TemporaryDirectory() as root:
+        write_wav(Path(root, "f.wav"), AudioBuffer(samples, 8000))
+        float32 = Path(root, "f.wav").read_bytes()
+    pcm16 = np.round(samples * 30000).astype("<i2").tobytes()
+    pcm24 = b"".join(int(v).to_bytes(3, "little", signed=True)
+                     for v in np.round(samples * 8_000_000))
+    return float32, _wav(1, 16, 2, pcm16), _wav(1, 24, 1, pcm24)
+
+
+_VALID_MANIFEST = json.dumps({"songs": [{"id": "s", "stems": [
+    {"path": "vocal.wav", "label": "vocal"},
+    {"path": "accomp.wav", "label": "non_vocal"}]}]}).encode()
+
+
 @st.composite
-def _mutated_model_file(draw):
-    raw = bytearray(draw(st.sampled_from(_valid_model_files())))
+def _mutated(draw, seeds, head: int):
+    """One of `seeds()` with 1 to 4 byte edits, favouring the first `head` bytes."""
+    raw = bytearray(draw(st.sampled_from(seeds())))
     for _ in range(draw(st.integers(1, 4))):
-        # favour the header, where the sizes live
-        at = draw(st.integers(0, 23) | st.integers(0, len(raw)))
+        at = draw(st.integers(0, head - 1) | st.integers(0, len(raw)))
         op = draw(st.sampled_from(["set", "truncate", "insert", "delete"]))
         if op == "set" and at < len(raw):
             raw[at] = draw(st.integers(0, 255))
@@ -449,8 +522,20 @@ def _mutated_model_file(draw):
     return bytes(raw)
 
 
+def _cli_fails_cleanly(argv: list[str], may_succeed: bool) -> None:
+    """The CLI exits 1 with one error line, or 0 silently if `may_succeed`."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    if may_succeed and code == 0:
+        assert err.getvalue() == ""
+        return
+    assert code == 1
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 @settings(max_examples=200, deadline=None)
-@given(raw=_mutated_model_file())
+@given(raw=_mutated(_valid_model_files, head=24))
 def test_mutated_model_file_fails_cleanly(tmp_path_factory, raw):
     root = tmp_path_factory.getbasetemp()
     path = root / "fuzz.mfg"
@@ -460,13 +545,49 @@ def test_mutated_model_file_fails_cleanly(tmp_path_factory, raw):
     except (ValueError, OSError):
         pass
     # the input WAV does not exist, so separate fails even on a valid model
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        code = cli.main(["separate", "--model", str(path), "--alpha", "0.5",
-                         "--input", str(root / "missing.wav"),
-                         "--out-vocal", str(root / "v.wav"),
-                         "--out-accomp", str(root / "a.wav"), *FUZZ_FLAGS])
-    assert code == 1
-    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    _cli_fails_cleanly(["separate", "--model", str(path), "--alpha", "0.5",
+                        "--input", str(root / "missing.wav"),
+                        "--out-vocal", str(root / "v.wav"),
+                        "--out-accomp", str(root / "a.wav"), *FUZZ_FLAGS],
+                       may_succeed=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_mutated(_valid_wav_files, head=44))
+def test_mutated_wav_fails_cleanly(tmp_path_factory, raw):
+    root = tmp_path_factory.getbasetemp()
+    path, model = root / "fuzz.wav", root / "fuzz.mfg"
+    path.write_bytes(raw)
+    model.write_bytes(_valid_model_files()[0])
+    try:
+        read_wav(path)
+        decoded = True
+    except (ValueError, OSError):
+        decoded = False
+    _cli_fails_cleanly(["separate", "--model", str(model), "--alpha", "0.5",
+                        "--input", str(path), "--out-vocal", str(root / "v.wav"),
+                        "--out-accomp", str(root / "a.wav"), *FUZZ_FLAGS],
+                       may_succeed=decoded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_mutated(lambda: (_VALID_MANIFEST,), head=len(_VALID_MANIFEST)))
+def test_mutated_manifest_fails_cleanly(tmp_path_factory, raw):
+    root = tmp_path_factory.getbasetemp() / "fuzz_manifest"
+    root.mkdir(exist_ok=True)
+    float32 = _valid_wav_files()[0]
+    (root / "vocal.wav").write_bytes(float32)
+    (root / "accomp.wav").write_bytes(float32)
+    path = root / "m.json"
+    path.write_bytes(raw)
+    try:
+        load_manifest(path)
+        parsed = True
+    except (ValueError, OSError):
+        parsed = False
+    # --song keeps the output names fixed whatever the mutated ids say
+    _cli_fails_cleanly(["mix", "--manifest", str(path), "--song", "s",
+                        "--out-dir", str(root / "out")], may_succeed=parsed)
 
 
 def test_duplicate_model_kind_exits_one(tmp_path, capsys):

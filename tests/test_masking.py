@@ -1,4 +1,4 @@
-"""Ideal binary masks, confidence thresholding, soft masks, mask files."""
+"""Ideal binary masks, confidence thresholding, the vocal share, mask application."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,11 @@ import pytest
 from maskforge.audio_io import NON_VOCAL, VOCAL, AudioBuffer
 from maskforge.masking import (
     BinaryMask,
-    SoftMask,
     apply_mask,
     ideal_binary_mask,
     nonvocal_mask_from_confidence,
-    soft_mask,
-    threshold_soft_mask,
     vocal_mask_from_confidence,
+    vocal_share,
 )
 from maskforge.patching import MeanPrediction
 from maskforge.stft import MagnitudeSpectrogram, StftConfig, stft
@@ -71,8 +69,10 @@ def test_ibm_complementary_coverage(rng):
 
 def test_low_alpha_masks_overlap():
     pred = _pred([[0.5]])
-    assert vocal_mask_from_confidence(pred, 0.2).values[0, 0] == 1.0
-    assert nonvocal_mask_from_confidence(pred, 0.2).values[0, 0] == 1.0
+    m_v = vocal_mask_from_confidence(pred, 0.2)
+    m_nv = nonvocal_mask_from_confidence(pred, 0.2)
+    assert m_v.values[0, 0] == 1.0 and m_v.source_tag == VOCAL
+    assert m_nv.values[0, 0] == 1.0 and m_nv.source_tag == NON_VOCAL
 
 
 def test_high_alpha_masks_exclude():
@@ -114,39 +114,23 @@ def test_vocal_mask_monotone_in_alpha(rng):
 
 
 # ---------------------------------------------------------------------------
-# soft masks
+# vocal share: the soft mask V_v / (V_v + V_nv) that NMF windows predict
 # ---------------------------------------------------------------------------
 
 def test_soft_mask_ratio():
-    sm = soft_mask(_mag([[3.0, 0.0]]), _mag([[1.0, 2.0]]))
-    assert sm.values.tolist() == [[0.75, 0.0]]
+    share = vocal_share(np.array([[3.0, 0.0]]), np.array([[1.0, 2.0]]))
+    assert share.tolist() == [[0.75, 0.0]]
 
 
 def test_soft_mask_zero_energy_element_is_half():
-    sm = soft_mask(_mag([[0.0]]), _mag([[0.0]]))
-    assert sm.values[0, 0] == 0.5
+    assert vocal_share(np.zeros((1, 1)), np.zeros((1, 1)))[0, 0] == 0.5
 
 
 def test_soft_mask_complementary(rng):
     a = rng.uniform(0, 2, size=(4, 6))
     b = rng.uniform(0, 2, size=(4, 6))
-    sv = soft_mask(_mag(a), _mag(b)).values
-    snv = soft_mask(_mag(b), _mag(a)).values
-    assert np.allclose(sv + snv, 1.0, rtol=0, atol=1e-12)
-
-
-def test_threshold_soft_mask_example():
-    b_v, b_nv = threshold_soft_mask(SoftMask(np.array([[0.75]])), 0.5)
-    assert b_v.values[0, 0] == 1.0
-    assert b_nv.values[0, 0] == 0.0
-    assert b_v.source_tag == VOCAL
-    assert b_nv.source_tag == NON_VOCAL
-
-
-def test_threshold_soft_mask_boundary_drops_both():
-    b_v, b_nv = threshold_soft_mask(SoftMask(np.array([[0.5]])), 0.5)
-    assert b_v.values[0, 0] == 0.0
-    assert b_nv.values[0, 0] == 0.0
+    a[0, 0] = b[0, 0] = 0.0  # the 0/0 element: 0.5 + 0.5
+    assert np.allclose(vocal_share(a, b) + vocal_share(b, a), 1.0, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +163,3 @@ def test_binary_mask_validation():
         BinaryMask(np.array([[1.0]]), source_tag="drums")
     with pytest.raises(ValueError, match="2-D"):
         BinaryMask(np.zeros(4))
-
-
-def test_soft_mask_validation():
-    with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        SoftMask(np.array([[1.2]]))
-    with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        SoftMask(np.array([[-0.1]]))

@@ -9,7 +9,6 @@ from maskforge.mlp import (
     LOSS_MSE,
     MlpModel,
     TrainConfig,
-    forward,
     forward_batch,
     init_model,
     load_model,
@@ -21,7 +20,7 @@ from maskforge.mlp import (
     softplus_stable,
     train_sgd,
 )
-from maskforge.patching import KIND_PREDICTION, PatchConfig, PatchSet, extract_patches, flatten_set
+from maskforge.patching import KIND_PREDICTION, PatchConfig, extract_patches, flatten_set
 from maskforge.stft import MagnitudeSpectrogram
 
 
@@ -109,22 +108,22 @@ def test_model_validation():
 
 def test_zero_parameters_give_half():
     model = _zero_model([3, 4, 3])
-    out = forward(model, np.array([0.2, -0.7, 1.0]))
+    out = forward_batch(model, np.array([[0.2, -0.7, 1.0]]))[0]
     assert np.array_equal(out, np.full(3, 0.5))
 
 
 def test_large_preactivation_saturates():
     model = MlpModel([1, 1], [np.array([[40.0]])], [np.zeros(1)])
-    out = forward(model, np.array([1.0]))
+    out = forward_batch(model, np.array([[1.0]]))[0]
     assert abs(out[0] - 1.0) < 1e-12
-    out = forward(model, np.array([-1.0]))
+    out = forward_batch(model, np.array([[-1.0]]))[0]
     assert abs(out[0]) < 1e-12
 
 
 def test_outputs_stay_in_unit_interval_for_huge_inputs():
     model = init_model([4, 8, 4], seed=0)
     for scale in (1.0, 1e3, 1e6, -1e6):
-        out = forward(model, np.full(4, scale))
+        out = forward_batch(model, np.full((1, 4), scale))[0]
         assert np.all(np.isfinite(out))
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
@@ -134,14 +133,14 @@ def test_forward_batch_matches_single(rng):
     X = rng.standard_normal((11, 5))
     batch = forward_batch(model, X)
     for i in range(11):
-        single = forward(model, X[i])
+        single = forward_batch(model, X[i:i + 1])[0]
         assert np.allclose(batch[i], single, rtol=1e-12, atol=0)
 
 
 def test_forward_input_length_checked():
     model = init_model([3, 3], seed=0)
     with pytest.raises(ValueError):
-        forward(model, np.zeros(4))
+        forward_batch(model, np.zeros(3))  # one row must still be a matrix
     with pytest.raises(ValueError):
         forward_batch(model, np.zeros((2, 4)))
 
@@ -164,7 +163,7 @@ def test_cross_entropy_matches_direct_formula(rng):
     x = rng.standard_normal(4)
     y = (rng.uniform(size=4) > 0.5).astype(np.float64)
     value, _ = loss_and_gradient(model, x, y, loss=LOSS_CROSS_ENTROPY)
-    p = forward(model, x)
+    p = forward_batch(model, x[None])[0]
     direct = -np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     assert abs(value - direct) < 1e-12
 
@@ -174,7 +173,7 @@ def test_mse_matches_direct_formula(rng):
     x = rng.standard_normal(4)
     y = (rng.uniform(size=4) > 0.5).astype(np.float64)
     value, _ = loss_and_gradient(model, x, y, loss=LOSS_MSE)
-    p = forward(model, x)
+    p = forward_batch(model, x[None])[0]
     assert abs(value - 0.5 * np.sum((p - y) ** 2)) < 1e-15
 
 

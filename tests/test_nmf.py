@@ -1,4 +1,4 @@
-"""KL divergence, multiplicative updates, dictionaries, and soft-mask repack."""
+"""KL divergence, multiplicative updates, dictionaries, and the confidence grid."""
 
 import struct
 
@@ -9,18 +9,17 @@ from scipy.special import xlogy
 from maskforge.nmf import (
     KL_EPS,
     MAGIC,
-    Factorization,
     NmfModel,
     infer_activations,
     kl_divergence,
     load_nmf,
-    mean_prediction_from_soft,
     nmf_factorize,
     nmf_separate,
     nmf_train_class,
     save_nmf,
-    soft_mask_patches,
 )
+from maskforge.patching import PatchConfig, extract_patches
+from maskforge.stft import MagnitudeSpectrogram
 
 
 # ---------------------------------------------------------------------------
@@ -331,52 +330,58 @@ def test_model_validation(rng):
 
 
 # ---------------------------------------------------------------------------
-# soft masks from reconstructions
+# confidence: each window's soft mask (the vocal share of the two
+# reconstructions), averaged over the windows covering each element
 # ---------------------------------------------------------------------------
 
+def _windows(grid, width):
+    return extract_patches(MagnitudeSpectrogram(grid), PatchConfig(width=width), stride=1)
+
+
 def test_soft_mask_patches_layout(rng):
-    F, T, P = 3, 2, 4
-    v = rng.uniform(0.1, 1.0, size=(F * T, P))
-    nv = rng.uniform(0.1, 1.0, size=(F * T, P))
-    masks = soft_mask_patches(v, nv, n_bins=F, width=T)
-    assert masks.shape == (P, F, T)
-    # element (f, t) of window p comes from flat row t*F + f
-    for p in range(P):
-        for t in range(T):
-            for f in range(F):
-                flat = t * F + f
-                expect = v[flat, p] / (v[flat, p] + nv[flat, p])
-                assert abs(masks[p, f, t] - expect) < 1e-15
+    # one dictionary atom per window element: the vocal dictionary owns the
+    # elements where `owner` is 1, so every window's soft mask is exactly
+    # `owner`, read back from flat row t*F + f
+    F, T, N = 3, 2, 6
+    owner = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    rows = owner.reshape(-1, order="F")
+    eye = np.eye(F * T)
+    model = NmfModel(eye[:, rows == 1.0], eye[:, rows == 0.0], n_bins=F, width=T)
+    patches = _windows(rng.uniform(0.1, 1.0, size=(F, N)), T)
+    mp = model.confidence(patches, iterations=5, seed=0)
+    expect = np.zeros((F, N))
+    for n in range(N):
+        covering = [o for o in patches.offsets if o <= n < o + T]
+        expect[:, n] = np.mean([owner[:, n - o] for o in covering], axis=0)
+    assert np.allclose(mp.values, expect, rtol=0, atol=1e-15)
 
 
-def test_soft_mask_patches_zero_total_is_half():
-    v = np.zeros((4, 1))
-    nv = np.zeros((4, 1))
-    masks = soft_mask_patches(v, nv, n_bins=2, width=2)
-    assert np.all(masks == 0.5)
-
-
-def test_soft_mask_patches_validation(rng):
-    v = rng.uniform(0.1, 1, (6, 2))
-    with pytest.raises(ValueError, match="shapes differ"):
-        soft_mask_patches(v, v[:, :1], 3, 2)
-    with pytest.raises(ValueError, match="window length"):
-        soft_mask_patches(v, v, 4, 2)
+def test_soft_mask_patches_zero_total_is_half(rng):
+    # silent windows are reconstructed as silence by both classes: 0/0 -> 0.5
+    model = NmfModel(rng.uniform(0.1, 1, (4, 2)), rng.uniform(0.1, 1, (4, 3)),
+                     n_bins=2, width=2)
+    mp = model.confidence(_windows(np.zeros((2, 5)), 2), iterations=3, seed=0)
+    assert np.all(mp.values == 0.5)
 
 
 def test_repack_soft_mask_against_manual_average(rng):
     F, T, N = 2, 3, 5
-    offsets = np.array([0, 1, 2], dtype=np.int64)
-    P = len(offsets)
-    v = rng.uniform(0.1, 1.0, size=(F * T, P))
-    nv = rng.uniform(0.1, 1.0, size=(F * T, P))
-    mp = mean_prediction_from_soft(v, nv, F, T, offsets, N)
-    masks = soft_mask_patches(v, nv, F, T)
+    model = NmfModel(rng.uniform(0.1, 1, (F * T, 2)), rng.uniform(0.1, 1, (F * T, 3)),
+                     n_bins=F, width=T)
+    patches = _windows(rng.uniform(0.1, 1.0, size=(F, N)), T)
+    offsets = patches.offsets
+    assert offsets.tolist() == [0, 1, 2]
+    mp = model.confidence(patches, iterations=20, seed=3)
+    V = np.stack([w.reshape(-1, order="F") for w in patches.patches], axis=1)
+    v, nv = nmf_separate(V, model, iterations=20, seed=3)
     acc = np.zeros((F, offsets[-1] + T))
     cnt = np.zeros(offsets[-1] + T)
     for p, o in enumerate(offsets):
-        acc[:, o:o + T] += masks[p]
-        cnt[o:o + T] += 1
+        for t in range(T):
+            for f in range(F):
+                flat = t * F + f
+                acc[f, o + t] += v[flat, p] / (v[flat, p] + nv[flat, p])
+            cnt[o + t] += 1
     assert np.array_equal(mp.values, (acc / cnt[None, :])[:, :N])
     assert mp.counts[0].tolist() == [1, 2, 3, 2, 1]
 

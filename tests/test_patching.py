@@ -1,4 +1,4 @@
-"""Sliding-window extraction, flattening order, and mean repacking."""
+"""Sliding-window extraction, the frame-major row layout, and mean repacking."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,14 @@ import pytest
 from maskforge.patching import (
     KIND_PREDICTION,
     KIND_TARGET,
-    MeanPrediction,
     PatchConfig,
     PatchSet,
     extract_patches,
-    flatten,
     flatten_set,
     normalize_unit_scale,
     patch_offsets,
     repack_accumulate,
     repack_mean,
-    unflatten,
     unflatten_rows,
 )
 from maskforge.stft import MagnitudeSpectrogram
@@ -110,19 +107,21 @@ def test_prediction_patchset_bounds_checked():
 
 def test_flatten_frame_major_order():
     patch = np.array([[1.0, 3.0], [2.0, 4.0]])  # frame 0 = [1,2], frame 1 = [3,4]
-    assert flatten(patch).tolist() == [1.0, 2.0, 3.0, 4.0]
+    ps = PatchSet(patch[None], np.array([0]), total_frames=2)
+    assert flatten_set(ps).tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
 
 def test_flatten_length_for_full_band_patch():
-    patch = np.zeros((1025, 20))
-    assert flatten(patch).shape == (20500,)
+    ps = PatchSet(np.zeros((1, 1025, 20)), np.array([0]), total_frames=20)
+    assert flatten_set(ps).shape == (1, 20500)
 
 
 def test_unflatten_inverts_flatten(rng):
-    patch = rng.uniform(0, 1, size=(7, 5))
-    assert np.array_equal(unflatten(flatten(patch), 7, 5), patch)
+    patches = rng.uniform(0, 1, size=(3, 7, 5))
+    ps = PatchSet(patches, np.arange(3), total_frames=7)
+    assert np.array_equal(unflatten_rows(flatten_set(ps), 7, 5), patches)
     with pytest.raises(ValueError):
-        unflatten(np.zeros(10), 7, 5)
+        unflatten_rows(np.zeros((1, 10)), 7, 5)
 
 
 def test_flatten_set_rows_match_scalar_flatten(rng):
@@ -131,7 +130,7 @@ def test_flatten_set_rows_match_scalar_flatten(rng):
     rows = flatten_set(ps)
     assert rows.shape == (3, 60)
     for i in range(ps.n_patches):
-        assert np.array_equal(rows[i], flatten(ps.patches[i]))
+        assert np.array_equal(rows[i], ps.patches[i].reshape(-1, order="F"))
     assert np.array_equal(unflatten_rows(rows, 6, 10), ps.patches)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maskforge.audio_io import NON_VOCAL, VOCAL, AudioBuffer, StemSet, load_song
-from maskforge.masking import apply_mask, ideal_binary_mask
+from maskforge.masking import ideal_binary_mask
 from maskforge.mlp import MlpModel
 from maskforge.patching import MeanPrediction, PatchConfig
 from maskforge.pipeline import (
@@ -32,7 +32,7 @@ from maskforge.pipeline import (
     train_dnn,
     train_nmf,
 )
-from maskforge.stft import StftConfig, istft, split, stft
+from maskforge.stft import StftConfig, istft, magnitude, stft
 from maskforge.audio_io import pool_and_mix
 
 
@@ -40,7 +40,7 @@ def _small_cfg(**overrides):
     """Config sized for sub-second unit tests."""
     defaults = dict(
         stft=StftConfig(frame_len=256, hop=64),
-        patch=PatchConfig(width=5, train_stride=5, test_stride=1),
+        patch=PatchConfig(width=5, train_stride=5),
         alphas=(0.3, 0.5),
         hidden=(16,),
         epochs=2,
@@ -91,7 +91,7 @@ def test_song_training_pairs_tiling():
     # 10-frame window at stride 10 cuts exactly two pairs
     stems = _toy_stems(n=2944)
     stft_cfg = StftConfig(frame_len=512, hop=128)
-    patch_cfg = PatchConfig(width=10, train_stride=10, test_stride=1)
+    patch_cfg = PatchConfig(width=10, train_stride=10)
     X, Y = song_training_pairs(stems, stft_cfg, patch_cfg)
     assert X.shape == (2, 2570)
     assert Y.shape == (2, 2570)
@@ -103,18 +103,18 @@ def test_song_training_pairs_tiling():
 def test_song_training_pairs_target_is_oracle_mask():
     stems = _toy_stems(n=2944, seed=3)
     stft_cfg = StftConfig(frame_len=512, hop=128)
-    patch_cfg = PatchConfig(width=20, train_stride=20, test_stride=1)
+    patch_cfg = PatchConfig(width=20, train_stride=20)
     X, Y = song_training_pairs(stems, stft_cfg, patch_cfg)
     vocal_mix, nonvocal_mix, _ = pool_and_mix(stems)
-    mag_v, _ = split(stft(vocal_mix, stft_cfg))
-    mag_nv, _ = split(stft(nonvocal_mix, stft_cfg))
+    mag_v = magnitude(stft(vocal_mix, stft_cfg))
+    mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
     ibm = ideal_binary_mask(mag_v, mag_nv)
     assert np.array_equal(Y[0], ibm.values.reshape(-1, order="F"))
 
 
 def test_build_training_set_stacks_songs(tiny_corpus):
     stft_cfg = StftConfig(frame_len=256, hop=64)
-    patch_cfg = PatchConfig(width=5, train_stride=5, test_stride=1)
+    patch_cfg = PatchConfig(width=5, train_stride=5)
     X, Y = build_training_set(tiny_corpus["train_songs"], stft_cfg, patch_cfg)
     x0, y0 = song_training_pairs(load_song(tiny_corpus["train_songs"][0]),
                                  stft_cfg, patch_cfg)
@@ -126,14 +126,14 @@ def test_build_training_set_stacks_songs(tiny_corpus):
 
 def test_build_training_set_rejects_empty():
     with pytest.raises(ValueError, match="empty manifest"):
-        build_training_set([], StftConfig(256, 64), PatchConfig(5, 5, 1))
+        build_training_set([], StftConfig(256, 64), PatchConfig(5, 5))
     with pytest.raises(ValueError, match="empty manifest"):
-        build_class_matrices([], StftConfig(256, 64), PatchConfig(5, 5, 1))
+        build_class_matrices([], StftConfig(256, 64), PatchConfig(5, 5))
 
 
 def test_build_class_matrices_shapes(tiny_corpus):
     stft_cfg = StftConfig(frame_len=256, hop=64)
-    patch_cfg = PatchConfig(width=5, train_stride=5, test_stride=1)
+    patch_cfg = PatchConfig(width=5, train_stride=5)
     V_v, V_nv = build_class_matrices(tiny_corpus["train_songs"], stft_cfg, patch_cfg)
     d = stft_cfg.n_bins * patch_cfg.width
     assert V_v.shape[0] == d and V_nv.shape[0] == d
@@ -195,8 +195,8 @@ def test_oracle_confidence_reproduces_ideal_masking():
     stems = _toy_stems(n=2944, seed=8)
     stft_cfg = StftConfig(frame_len=512, hop=128)
     vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
-    mag_v, _ = split(stft(vocal_mix, stft_cfg))
-    mag_nv, _ = split(stft(nonvocal_mix, stft_cfg))
+    mag_v = magnitude(stft(vocal_mix, stft_cfg))
+    mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
     ibm = ideal_binary_mask(mag_v, mag_nv)
     spec = stft(full_mix, stft_cfg)
     mean = MeanPrediction(values=ibm.values, counts=np.ones_like(ibm.values))
@@ -222,7 +222,7 @@ def test_indifferent_predictions_give_silence_at_half():
     # all-0.5 confidence claims nothing for either mask at alpha = 0.5
     stems = _toy_stems(n=2944, seed=2)
     cfg = _small_cfg(stft=StftConfig(frame_len=512, hop=128),
-                     patch=PatchConfig(width=10, train_stride=10, test_stride=1))
+                     patch=PatchConfig(width=10, train_stride=10))
     d = cfg.layer_sizes[0]
     zero_model = MlpModel([d, d], [np.zeros((d, d))], [np.zeros(d)])
     _, _, full_mix = pool_and_mix(stems)

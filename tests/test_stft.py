@@ -1,4 +1,4 @@
-"""Analysis/synthesis transform: window, COLA, round trips, grid files."""
+"""Analysis/synthesis transform: window, COLA, round trips, magnitude."""
 
 import importlib
 
@@ -10,12 +10,11 @@ from maskforge.stft import (
     ComplexSpectrogram,
     MagnitudeSpectrogram,
     StftConfig,
-    combine,
     hann_window,
     istft,
+    magnitude,
     n_frames_for,
     ola_accumulate,
-    split,
     stft,
 )
 
@@ -68,8 +67,6 @@ def test_config_validation():
         StftConfig(frame_len=8, hop=0)
     with pytest.raises(ValueError):
         StftConfig(frame_len=8, hop=9)
-    with pytest.raises(ValueError):
-        StftConfig(frame_len=8, hop=2, window="boxcar")
     assert StftConfig(frame_len=512, hop=128).n_bins == 257
 
 
@@ -206,24 +203,16 @@ def test_istft_rejects_vanishing_envelope(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# split / combine
+# magnitude
 # ---------------------------------------------------------------------------
 
-def test_split_combine_identity(rng):
+def test_magnitude_is_abs_of_bins(rng):
     cfg = StftConfig(frame_len=64, hop=16)
     spec = stft(_buf(rng.standard_normal(400)), cfg)
-    mag, phase = split(spec)
+    mag = magnitude(spec)
     assert isinstance(mag, MagnitudeSpectrogram)
     assert np.all(mag.values >= 0)
-    rebuilt = combine(mag, phase, cfg, spec.original_len, spec.sample_rate)
-    assert np.allclose(rebuilt.bins, spec.bins, rtol=0, atol=1e-12)
-
-
-def test_split_zero_bin_has_zero_phase():
-    cfg = StftConfig(frame_len=16, hop=4)
-    spec = stft(_buf(np.zeros(40)), cfg)
-    _, phase = split(spec)
-    assert not np.any(phase.values)
+    assert np.array_equal(mag.values, np.abs(spec.bins))
 
 
 def test_magnitude_validation():
