@@ -220,6 +220,8 @@ def load_manifest(path: str | Path) -> list[ManifestSong]:
         if (not isinstance(entry, dict) or not isinstance(entry.get("id"), str)
                 or not isinstance(entry.get("stems"), list)):
             raise ValueError(f"{path}: each song needs a string 'id' and a 'stems' list")
+        if entry["id"] in ("", ".", "..") or any(c in entry["id"] for c in "/\\"):
+            raise ValueError(f"{path}: song id {entry['id']!r} is not a plain file name")
         stems = []
         for s in entry["stems"]:
             if (not isinstance(s, dict) or not isinstance(s.get("path"), str)

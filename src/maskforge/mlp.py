@@ -15,14 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .patching import (
-    KIND_PREDICTION,
-    MeanPrediction,
-    PatchSet,
-    flatten_set,
-    repack_mean,
-    unflatten_rows,
-)
+from .patching import KIND_PREDICTION, PatchSet, flatten_set, unflatten_rows
 
 MAGIC = b"MFG1"
 
@@ -90,10 +83,11 @@ class MlpModel:
                 f"{n_bins * width}; pass matching --frame/--width"
             )
 
-    def confidence(self, patches: PatchSet, iterations: int, seed: int) -> MeanPrediction:
-        """Mean predicted vocal probability over the mixture windows. The
-        forward pass is deterministic, so `iterations` and `seed` are unused."""
-        return repack_mean(predict_masks(self, patches))
+    def predictor(self, n_windows: int, iterations: int, seed: int):
+        """Block predictor for one mixture's windows: each window's predicted
+        vocal probabilities. The forward pass is deterministic and rows are
+        independent, so the arguments are unused."""
+        return lambda windows, first: predict_masks(self, windows)
 
     def copy(self) -> "MlpModel":
         return MlpModel(

@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .masking import vocal_share
-from .patching import (
-    KIND_PREDICTION,
-    MeanPrediction,
-    PatchSet,
-    flatten_set,
-    repack_mean,
-    unflatten_rows,
-)
+from .patching import KIND_PREDICTION, PatchSet, flatten_set, unflatten_rows
 
 MAGIC = b"MFGN"
 
@@ -69,12 +62,20 @@ class NmfModel:
                 f"frames, flags give {n_bins} x {width}"
             )
 
-    def confidence(self, patches: PatchSet, iterations: int, seed: int) -> MeanPrediction:
-        """Mean vocal share over the windows, activations fitted from `seed`."""
-        v_hat, nv_hat = nmf_separate(flatten_set(patches).T, self, iterations, seed=seed)
-        shares = unflatten_rows(vocal_share(v_hat, nv_hat).T, self.n_bins, self.width)
-        return repack_mean(PatchSet(shares, patches.offsets, patches.total_frames,
-                                    kind=KIND_PREDICTION))
+    def predictor(self, n_windows: int, iterations: int, seed: int):
+        """Block predictor for one mixture's `n_windows` windows: each window's
+        vocal share. The activations of all windows start from one draw from
+        `seed`, so the columns of a block's fit equal the whole-mixture fit's
+        up to rounding (the H update is column-separable for a fixed W)."""
+        start = initial_activations(self.rank_vocal + self.rank_nonvocal, n_windows, seed)
+
+        def predict(windows: PatchSet, first: int) -> PatchSet:
+            H0 = start[:, first:first + windows.n_patches]
+            v_hat, nv_hat = nmf_separate(flatten_set(windows).T, self, iterations, H0=H0)
+            shares = unflatten_rows(vocal_share(v_hat, nv_hat).T, self.n_bins, self.width)
+            return PatchSet(shares, windows.offsets, windows.total_frames,
+                            kind=KIND_PREDICTION)
+        return predict
 
 
 @dataclass
@@ -161,15 +162,24 @@ def nmf_factorize(V: np.ndarray, r: int, iterations: int = 200,
     return Factorization(W, H, trace)
 
 
+def initial_activations(rank: int, n_columns: int, seed: int) -> np.ndarray:
+    """Seeded uniform(0,1] start for the activations of `n_columns` windows."""
+    return 1.0 - np.random.default_rng(seed).random((rank, n_columns))
+
+
 def infer_activations(V: np.ndarray, W: np.ndarray, iterations: int = 200,
-                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Fit H for fixed W; returns (H, divergence trace)."""
+                      seed: int = 0, H0: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Fit H for fixed W from H0, or from a start drawn from `seed`;
+    returns (H, divergence trace)."""
     V = _checked_v(V, iterations)
     W = np.asarray(W, dtype=np.float64)
     if V.shape[0] != W.shape[0]:
         raise ValueError(f"V rows {V.shape[0]} != dictionary rows {W.shape[0]}")
-    rng = np.random.default_rng(seed)
-    H = 1.0 - rng.random((W.shape[1], V.shape[1]))
+    if H0 is None:
+        H = initial_activations(W.shape[1], V.shape[1], seed)
+    else:
+        H = np.array(H0, dtype=np.float64)   # a copy: the caller's start is kept
     return H, _multiplicative_updates(V, W, H, iterations, update_w=False)
 
 
@@ -187,10 +197,11 @@ def nmf_train_class(V_class: np.ndarray, r: int, iterations: int = 200,
 
 
 def nmf_separate(V_u: np.ndarray, model: NmfModel, iterations: int = 200,
-                 seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                 seed: int = 0, H0: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class reconstructions of mixture windows with dictionaries frozen."""
     W_u = np.concatenate([model.w_vocal, model.w_nonvocal], axis=1)
-    H_u, _ = infer_activations(V_u, W_u, iterations, seed)
+    H_u, _ = infer_activations(V_u, W_u, iterations, seed, H0)
     r_v = model.rank_vocal
     V_v_hat = model.w_vocal @ H_u[:r_v]
     V_nv_hat = model.w_nonvocal @ H_u[r_v:]

@@ -3,8 +3,10 @@
 A spectrogram is cut into F x T windows along the time axis. Training uses
 non-overlapping windows (stride = T); at separation time the window slides one
 frame at a time, so every interior element receives T overlapping predictions
-whose arithmetic mean becomes the element's confidence value. Models read a
-window as one row, frame by frame; this module owns that layout.
+whose arithmetic mean becomes the element's confidence value. Separation cuts,
+predicts and accumulates those windows a fixed-size block at a time, so the
+memory they take does not grow with the song's length. Models read a window
+as one row, frame by frame; this module owns that layout.
 """
 
 from __future__ import annotations
@@ -116,20 +118,23 @@ def unflatten_rows(rows: np.ndarray, n_bins: int, width: int) -> np.ndarray:
     return rows.reshape(P, width, n_bins).transpose(0, 2, 1)
 
 
-def repack_accumulate(patches, offsets, n_frames_padded):
-    """Accumulate patch grids at their frame offsets.
+def repack_accumulate(patches, offsets, acc, counts) -> None:
+    """Add patch grids (P, F, T) at their frame offsets into the sum grid
+    `acc` (F x Np) and the per-frame `counts` (Np), in place.
 
-    patches: (P, F, T); returns (sum grid F x Np, per-frame counts Np).
     Patches are added in offset order, so per-element summation order is fixed.
     """
-    n_patches, F, T = patches.shape
-    acc = np.zeros((F, n_frames_padded), dtype=np.float64)
-    counts = np.zeros(n_frames_padded, dtype=np.int64)
-    for p in range(n_patches):
-        o = offsets[p]
-        acc[:, o:o + T] += patches[p]
+    patches = np.ascontiguousarray(patches)
+    T = patches.shape[2]
+    for grid, o in zip(patches, offsets):
+        acc[:, o:o + T] += grid
         counts[o:o + T] += 1
-    return acc, counts
+
+
+def repack_finish(acc, counts, n_frames: int) -> MeanPrediction:
+    """Divide accumulated sums by their counts; padded frames dropped."""
+    counts_grid = np.broadcast_to(counts[None, :n_frames], (acc.shape[0], n_frames)).copy()
+    return MeanPrediction(values=acc[:, :n_frames] / counts_grid, counts=counts_grid)
 
 
 def repack_mean(predictions: PatchSet) -> MeanPrediction:
@@ -143,11 +148,7 @@ def repack_mean(predictions: PatchSet) -> MeanPrediction:
     if predictions.n_patches == 0:
         raise ValueError("empty patch set")
     F, T = predictions.patch_shape
-    N = predictions.total_frames
     padded = int(predictions.offsets[-1]) + T
-    acc, counts = repack_accumulate(
-        np.ascontiguousarray(predictions.patches), predictions.offsets, padded
-    )
-    counts_grid = np.broadcast_to(counts[None, :N], (F, N)).copy()
-    values = acc[:, :N] / counts_grid
-    return MeanPrediction(values=values, counts=counts_grid)
+    acc, counts = np.zeros((F, padded)), np.zeros(padded, dtype=np.int64)
+    repack_accumulate(predictions.patches, predictions.offsets, acc, counts)
+    return repack_finish(acc, counts, predictions.total_frames)

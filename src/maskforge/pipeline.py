@@ -44,6 +44,9 @@ from .patching import (
     extract_patches,
     flatten_set,
     normalize_unit_scale,
+    patch_offsets,
+    repack_accumulate,
+    repack_finish,
 )
 from .stft import (
     ComplexSpectrogram,
@@ -59,7 +62,7 @@ METHOD_NMF = "nmf"
 METHOD_IDEAL = "ideal"
 METHOD_MIXTURE = "mixture"
 
-# Each model kind owns its file format, patch-shape check and confidence grid.
+# Each model kind owns its file format, patch-shape check and block predictor.
 Model = MlpModel | NmfModel
 _MODEL_FILES = {mlp.MAGIC: (METHOD_DNN, mlp.load_model),
                 nmf.MAGIC: (METHOD_NMF, nmf.load_nmf)}
@@ -185,16 +188,33 @@ def load_any_model(path: str | Path, cfg: ExperimentConfig) -> tuple[str, Model]
 # separation
 # ---------------------------------------------------------------------------
 
+# Windows that separation cuts, predicts and accumulates at a time; a 1.8 s
+# desk song (about 300 windows) is one block.
+_WINDOW_BLOCK = 512
+
+
 def confidence_grid(mix: AudioBuffer, model: Model, cfg: ExperimentConfig,
                     infer_seed: int = 0) -> tuple[MeanPrediction, ComplexSpectrogram]:
     """Mean per-element vocal confidence for a mixture, plus its spectrogram.
 
-    All alpha thresholds derive from this one grid, so a sweep reuses it.
+    All alpha thresholds derive from this one grid, so a sweep reuses it. The
+    stride-1 windows are cut, predicted and added into one sum grid in blocks
+    of _WINDOW_BLOCK, in offset order, so the memory they take does not grow
+    with the mixture's length.
     """
     spec = stft(mix, cfg.stft)
     norm, _ = normalize_unit_scale(magnitude(spec))
-    patches = extract_patches(norm, cfg.patch, 1, kind=KIND_MIXTURE)
-    return model.confidence(patches, cfg.nmf_infer_iters, infer_seed), spec
+    F, N = norm.values.shape
+    T = cfg.patch.width
+    n_windows = len(patch_offsets(N, T, 1))
+    padded = n_windows - 1 + T
+    acc, counts = np.zeros((F, padded)), np.zeros(padded, dtype=np.int64)
+    predict = model.predictor(n_windows, cfg.nmf_infer_iters, infer_seed)
+    for first in range(0, n_windows, _WINDOW_BLOCK):
+        frames = MagnitudeSpectrogram(norm.values[:, first:first + _WINDOW_BLOCK + T - 1])
+        preds = predict(extract_patches(frames, cfg.patch, 1), first)
+        repack_accumulate(preds.patches, preds.offsets + first, acc, counts)
+    return repack_finish(acc, counts, N), spec
 
 
 def threshold_and_invert(mean: MeanPrediction, spec: ComplexSpectrogram,

@@ -325,6 +325,27 @@ def test_manifest_stem_path_not_a_string_exits_one(tmp_path, capsys):
     assert str(manifest) in err and "string 'path'" in err
 
 
+@pytest.mark.parametrize("song_id", ["<root>/x", "../up", ".."])
+def test_mix_rejects_song_id_that_is_not_a_file_name(tmp_path, capsys, song_id):
+    # an absolute id would replace --out-dir and a ".." id would climb out of it
+    song_id = song_id.replace("<root>", str(tmp_path))
+    rng = np.random.default_rng(5)
+    stems = []
+    for label in ("vocal", "non_vocal"):
+        write_wav(tmp_path / f"{label}.wav", AudioBuffer(rng.uniform(-0.5, 0.5, 256), 8000))
+        stems.append({"path": f"{label}.wav", "label": label})
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"songs": [{"id": song_id, "stems": stems}]}))
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = _run(capsys, [
+        "mix", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out" / "mixes"),
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert str(manifest) in err and "not a plain file name" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("text", [
     '{"songs": ' + "[" * 100_000 + "]" * 100_000 + "}",  # deeper than the parser recurses
     '{"songs": [',

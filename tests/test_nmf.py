@@ -18,7 +18,7 @@ from maskforge.nmf import (
     nmf_train_class,
     save_nmf,
 )
-from maskforge.patching import PatchConfig, extract_patches
+from maskforge.patching import PatchConfig, extract_patches, repack_mean
 from maskforge.stft import MagnitudeSpectrogram
 
 
@@ -338,6 +338,13 @@ def _windows(grid, width):
     return extract_patches(MagnitudeSpectrogram(grid), PatchConfig(width=width), stride=1)
 
 
+def _confidence(model, patches, iterations, seed):
+    """The model's block predictor run on all of `patches` as one block, then
+    averaged: the single-block case of pipeline.confidence_grid."""
+    predict = model.predictor(patches.n_patches, iterations, seed)
+    return repack_mean(predict(patches, 0))
+
+
 def test_soft_mask_patches_layout(rng):
     # one dictionary atom per window element: the vocal dictionary owns the
     # elements where `owner` is 1, so every window's soft mask is exactly
@@ -348,7 +355,7 @@ def test_soft_mask_patches_layout(rng):
     eye = np.eye(F * T)
     model = NmfModel(eye[:, rows == 1.0], eye[:, rows == 0.0], n_bins=F, width=T)
     patches = _windows(rng.uniform(0.1, 1.0, size=(F, N)), T)
-    mp = model.confidence(patches, iterations=5, seed=0)
+    mp = _confidence(model, patches, iterations=5, seed=0)
     expect = np.zeros((F, N))
     for n in range(N):
         covering = [o for o in patches.offsets if o <= n < o + T]
@@ -360,7 +367,7 @@ def test_soft_mask_patches_zero_total_is_half(rng):
     # silent windows are reconstructed as silence by both classes: 0/0 -> 0.5
     model = NmfModel(rng.uniform(0.1, 1, (4, 2)), rng.uniform(0.1, 1, (4, 3)),
                      n_bins=2, width=2)
-    mp = model.confidence(_windows(np.zeros((2, 5)), 2), iterations=3, seed=0)
+    mp = _confidence(model, _windows(np.zeros((2, 5)), 2), iterations=3, seed=0)
     assert np.all(mp.values == 0.5)
 
 
@@ -371,7 +378,7 @@ def test_repack_soft_mask_against_manual_average(rng):
     patches = _windows(rng.uniform(0.1, 1.0, size=(F, N)), T)
     offsets = patches.offsets
     assert offsets.tolist() == [0, 1, 2]
-    mp = model.confidence(patches, iterations=20, seed=3)
+    mp = _confidence(model, patches, iterations=20, seed=3)
     V = np.stack([w.reshape(-1, order="F") for w in patches.patches], axis=1)
     v, nv = nmf_separate(V, model, iterations=20, seed=3)
     acc = np.zeros((F, offsets[-1] + T))

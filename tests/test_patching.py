@@ -235,6 +235,7 @@ def test_normalize_unit_scale(rng):
 def test_repack_accumulate_counts():
     patches = np.ones((3, 2, 2))
     offsets = np.array([0, 1, 2], dtype=np.int64)
-    acc, counts = repack_accumulate(patches, offsets, 4)
+    acc, counts = np.zeros((2, 4)), np.zeros(4, dtype=np.int64)
+    repack_accumulate(patches, offsets, acc, counts)
     assert counts.tolist() == [1, 2, 2, 1]
     assert acc[0].tolist() == [1.0, 2.0, 2.0, 1.0]

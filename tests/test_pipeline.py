@@ -1,12 +1,22 @@
 """End-to-end pipeline: training sets, separation, sweep, CSV emission."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from maskforge.audio_io import NON_VOCAL, VOCAL, AudioBuffer, StemSet, load_song
 from maskforge.masking import ideal_binary_mask
-from maskforge.mlp import MlpModel
-from maskforge.patching import MeanPrediction, PatchConfig
+from maskforge import pipeline
+from maskforge.mlp import MlpModel, init_model
+from maskforge.nmf import NmfModel
+from maskforge.patching import (
+    MeanPrediction,
+    PatchConfig,
+    extract_patches,
+    normalize_unit_scale,
+    repack_mean,
+)
 from maskforge.pipeline import (
     FIG2_HEADER,
     FIG3_HEADER,
@@ -187,6 +197,81 @@ def test_confidence_grid_nmf(tiny_corpus):
     mean, spec = confidence_grid(full_mix, model, cfg)
     assert mean.values.shape == spec.bins.shape
     assert mean.values.min() >= 0.0 and mean.values.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# separation windows in blocks
+# ---------------------------------------------------------------------------
+
+def _untrained_model(method, cfg, seed=0):
+    """A small DNN or NMF model for cfg's window shape."""
+    d = cfg.stft.n_bins * cfg.patch.width
+    if method == METHOD_DNN:
+        return init_model([d, 8, d], seed=seed)
+    rng = np.random.default_rng(seed)
+    return NmfModel(rng.uniform(0.1, 1, (d, 3)), rng.uniform(0.1, 1, (d, 4)),
+                    n_bins=cfg.stft.n_bins, width=cfg.patch.width)
+
+
+def _mixture_with_windows(n_windows, cfg, seed=0):
+    """Noise whose spectrogram has exactly n_windows stride-1 windows."""
+    n_frames = n_windows + cfg.patch.width - 1
+    n = (n_frames - 1) * cfg.stft.hop + cfg.stft.frame_len
+    return AudioBuffer(np.random.default_rng(seed).uniform(-0.8, 0.8, n), 22050)
+
+
+def _whole_mixture_grid(mix, model, cfg, seed):
+    """Every window of the mixture in one stack, predicted and averaged at once."""
+    norm, _ = normalize_unit_scale(magnitude(stft(mix, cfg.stft)))
+    windows = extract_patches(norm, cfg.patch, 1)
+    predict = model.predictor(windows.n_patches, cfg.nmf_infer_iters, seed)
+    return repack_mean(predict(windows, 0))
+
+
+@pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])
+def test_block_grid_matches_whole_mixture(monkeypatch, method):
+    cfg = _small_cfg(stft=StftConfig(frame_len=64, hop=16), nmf_infer_iters=10)
+    model = _untrained_model(method, cfg)
+    monkeypatch.setattr(pipeline, "_WINDOW_BLOCK", 16)
+    mix = _mixture_with_windows(3 * 16 + 5, cfg)          # three full blocks and a partial
+    mean, _ = confidence_grid(mix, model, cfg, infer_seed=4)
+    whole = _whole_mixture_grid(mix, model, cfg, seed=4)
+    assert mean.values.shape == whole.values.shape
+    assert np.allclose(mean.values, whole.values, rtol=0, atol=1e-12)
+    assert np.array_equal(mean.counts, whole.counts)
+
+
+@pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])
+@pytest.mark.parametrize("n_windows", [1, 15, 16])
+def test_one_block_grid_is_whole_mixture_grid(monkeypatch, method, n_windows):
+    cfg = _small_cfg(stft=StftConfig(frame_len=64, hop=16), nmf_infer_iters=10)
+    model = _untrained_model(method, cfg)
+    monkeypatch.setattr(pipeline, "_WINDOW_BLOCK", 16)
+    mix = _mixture_with_windows(n_windows, cfg)
+    mean, _ = confidence_grid(mix, model, cfg, infer_seed=4)
+    whole = _whole_mixture_grid(mix, model, cfg, seed=4)
+    assert np.array_equal(mean.values, whole.values)
+    assert np.array_equal(mean.counts, whole.counts)
+
+
+@pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])
+def test_confidence_grid_memory_stays_below_window_stack(method):
+    # 20000 windows of 9 bins x 20 frames: the whole-mixture window stack
+    # alone is 28.8 MB, about 20 times one block's
+    cfg = _small_cfg(stft=StftConfig(frame_len=16, hop=4),
+                     patch=PatchConfig(width=20, train_stride=20), nmf_infer_iters=2)
+    model = _untrained_model(method, cfg)
+    n_windows = 20000
+    mix = _mixture_with_windows(n_windows, cfg)
+    stack_bytes = 8 * n_windows * cfg.stft.n_bins * cfg.patch.width
+    tracemalloc.start()
+    try:
+        mean, _ = confidence_grid(mix, model, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mean.values.shape[1] == n_windows + cfg.patch.width - 1
+    assert peak < stack_bytes, (peak, stack_bytes)
 
 
 def test_oracle_confidence_reproduces_ideal_masking():
