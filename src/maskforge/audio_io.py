@@ -215,13 +215,15 @@ def load_manifest(path: str | Path) -> list[ManifestSong]:
     if not isinstance(doc, dict) or not isinstance(doc.get("songs"), list):
         raise ValueError(f"{path}: manifest must be an object with a 'songs' list")
     base = path.parent
-    songs = []
+    songs: dict[str, ManifestSong] = {}
     for entry in doc["songs"]:
         if (not isinstance(entry, dict) or not isinstance(entry.get("id"), str)
                 or not isinstance(entry.get("stems"), list)):
             raise ValueError(f"{path}: each song needs a string 'id' and a 'stems' list")
         if entry["id"] in ("", ".", "..") or any(c in entry["id"] for c in "/\\"):
             raise ValueError(f"{path}: song id {entry['id']!r} is not a plain file name")
+        if entry["id"] in songs:
+            raise ValueError(f"{path}: song id {entry['id']!r} appears more than once")
         stems = []
         for s in entry["stems"]:
             if (not isinstance(s, dict) or not isinstance(s.get("path"), str)
@@ -232,8 +234,8 @@ def load_manifest(path: str | Path) -> list[ManifestSong]:
                 raise ValueError(f"{path}: bad stem label {label!r}")
             p = Path(s["path"])
             stems.append((p if p.is_absolute() else base / p, label))
-        songs.append(ManifestSong(entry["id"], stems))
-    return songs
+        songs[entry["id"]] = ManifestSong(entry["id"], stems)
+    return list(songs.values())
 
 
 def load_song(song: ManifestSong) -> StemSet:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .patching import KIND_PREDICTION, PatchSet, flatten_set, unflatten_rows
+from .patching import PatchSet
 
 MAGIC = b"MFG1"
 
@@ -133,7 +133,7 @@ def init_model(layer_sizes: list[int], seed: int = 0) -> MlpModel:
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Row-per-example forward pass, one matmul per layer."""
-    A = np.asarray(X, dtype=np.float64)
+    A = np.ascontiguousarray(X, dtype=np.float64)   # matmul needs plain rows for BLAS
     if A.ndim != 2 or A.shape[1] != model.input_size:
         raise ValueError(f"expected (n, {model.input_size}) inputs, got {A.shape}")
     for W, b in zip(model.weights, model.biases):
@@ -278,16 +278,11 @@ def train_sgd(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
 
 
 def predict_masks(model: MlpModel, patches: PatchSet) -> PatchSet:
-    """Flatten, forward, unflatten every patch; output kind is prediction."""
+    """Forward every window's row; output kind is prediction."""
     F, T = patches.patch_shape
     if F * T != model.input_size:
-        raise ValueError(
-            f"patch size {F}x{T} does not match model input {model.input_size}"
-        )
-    rows = forward_batch(model, flatten_set(patches))
-    grids = unflatten_rows(rows, F, T)
-    return PatchSet(grids, patches.offsets.copy(),
-                    total_frames=patches.total_frames, kind=KIND_PREDICTION)
+        raise ValueError(f"patch size {F}x{T} does not match model input {model.input_size}")
+    return patches.predictions(forward_batch(model, patches.rows))
 
 
 # ---------------------------------------------------------------------------

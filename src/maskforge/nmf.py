@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .masking import vocal_share
-from .patching import KIND_PREDICTION, PatchSet, flatten_set, unflatten_rows
+from .patching import PatchSet
 
 MAGIC = b"MFGN"
 
@@ -71,10 +71,8 @@ class NmfModel:
 
         def predict(windows: PatchSet, first: int) -> PatchSet:
             H0 = start[:, first:first + windows.n_patches]
-            v_hat, nv_hat = nmf_separate(flatten_set(windows).T, self, iterations, H0=H0)
-            shares = unflatten_rows(vocal_share(v_hat, nv_hat).T, self.n_bins, self.width)
-            return PatchSet(shares, windows.offsets, windows.total_frames,
-                            kind=KIND_PREDICTION)
+            v_hat, nv_hat = nmf_separate(windows.rows.T, self, iterations, H0=H0)
+            return windows.predictions(vocal_share(v_hat, nv_hat).T)
         return predict
 
 

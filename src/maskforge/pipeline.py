@@ -37,12 +37,10 @@ from .masking import (
 from .mlp import MlpModel, TrainConfig, init_model, train_sgd
 from .nmf import NmfModel, nmf_train_class
 from .patching import (
-    KIND_MIXTURE,
     KIND_TARGET,
     MeanPrediction,
     PatchConfig,
     extract_patches,
-    flatten_set,
     normalize_unit_scale,
     patch_offsets,
     repack_accumulate,
@@ -120,11 +118,10 @@ def song_training_pairs(stems: StemSet, stft_cfg: StftConfig,
     mag_mix = magnitude(stft(full_mix, stft_cfg))
     ibm = ideal_binary_mask(mag_v, mag_nv)
     norm_mix, _ = normalize_unit_scale(mag_mix)
-    mix_patches = extract_patches(norm_mix, patch_cfg, patch_cfg.train_stride,
-                                  kind=KIND_MIXTURE)
-    target_patches = extract_patches(MagnitudeSpectrogram(ibm.values), patch_cfg,
-                                     patch_cfg.train_stride, kind=KIND_TARGET)
-    return flatten_set(mix_patches), flatten_set(target_patches)
+    mix = extract_patches(norm_mix, patch_cfg, patch_cfg.train_stride)
+    target = extract_patches(MagnitudeSpectrogram(ibm.values), patch_cfg,
+                             patch_cfg.train_stride, kind=KIND_TARGET)
+    return mix.rows, target.rows
 
 
 def build_training_set(songs: list[ManifestSong], stft_cfg: StftConfig,
@@ -152,7 +149,7 @@ def build_class_matrices(songs: list[ManifestSong], stft_cfg: StftConfig,
         for target, mix in ((v_cols, vocal_mix), (nv_cols, nonvocal_mix)):
             norm, _ = normalize_unit_scale(magnitude(stft(mix, stft_cfg)))
             patches = extract_patches(norm, patch_cfg, patch_cfg.train_stride)
-            target.append(flatten_set(patches).T)
+            target.append(patches.rows.T)
     return np.concatenate(v_cols, axis=1), np.concatenate(nv_cols, axis=1)
 
 
@@ -208,7 +205,8 @@ def confidence_grid(mix: AudioBuffer, model: Model, cfg: ExperimentConfig,
     T = cfg.patch.width
     n_windows = len(patch_offsets(N, T, 1))
     padded = n_windows - 1 + T
-    acc, counts = np.zeros((F, padded)), np.zeros(padded, dtype=np.int64)
+    # the sum grid is stored frame-major, like the windows added into it
+    acc, counts = np.zeros((padded, F)).T, np.zeros(padded, dtype=np.int64)
     predict = model.predictor(n_windows, cfg.nmf_infer_iters, infer_seed)
     for first in range(0, n_windows, _WINDOW_BLOCK):
         frames = MagnitudeSpectrogram(norm.values[:, first:first + _WINDOW_BLOCK + T - 1])

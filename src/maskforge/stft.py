@@ -4,7 +4,8 @@ Analysis uses the periodic (DFT-even) Hann window, which sums to a constant
 across hop-shifted copies and so keeps the synthesis envelope flat away from
 the signal edges. Synthesis divides by the accumulated squared-window
 envelope, which stays well behaved even for masked spectrograms that are no
-longer consistent STFTs.
+longer consistent STFTs. Frames are a strided view of the signal, and one
+`overlap_add` inverts the STFT and repacks the windows of `maskforge.patching`.
 """
 
 from __future__ import annotations
@@ -87,28 +88,41 @@ def n_frames_for(length: int, cfg: StftConfig) -> int:
 def stft(buffer: AudioBuffer, cfg: StftConfig | None = None) -> ComplexSpectrogram:
     """Forward transform; the final partial frame is zero-padded."""
     cfg = cfg or StftConfig()
-    x = buffer.samples
-    n = len(x)
+    n = len(buffer.samples)
     frames = n_frames_for(n, cfg)
-    padded_len = (frames - 1) * cfg.hop + cfg.frame_len
-    if padded_len > n:
-        x = np.concatenate([x, np.zeros(padded_len - n)])
-    idx = np.arange(cfg.frame_len)[None, :] + cfg.hop * np.arange(frames)[:, None]
-    segs = x[idx] * hann_window(cfg.frame_len)[None, :]
+    x = np.pad(buffer.samples, (0, (frames - 1) * cfg.hop + cfg.frame_len - n))
+    segs = strided_frames(x, frames, cfg.frame_len, cfg.hop) * hann_window(cfg.frame_len)
     bins = np.fft.rfft(segs, axis=1).T
     return ComplexSpectrogram(bins, cfg, original_len=n, sample_rate=buffer.sample_rate)
 
 
+def strided_frames(x, count, length, hop, writeable=False):
+    """View of `count` frames of `length` entries along x's first axis, `hop`
+    apart: frame i is x[i*hop : i*hop + length]. Nothing is copied."""
+    if hop < 1 or count and (count - 1) * hop + length > x.shape[0]:
+        raise ValueError(f"{count} frames of {length} at hop {hop} do not fit {x.shape[0]} rows")
+    return np.lib.stride_tricks.as_strided(
+        x, (count, length, *x.shape[1:]), (hop * x.strides[0], *x.strides),
+        writeable=writeable)
+
+
+def overlap_add(segments, hop, out) -> None:
+    """out[p*hop : p*hop + L] += segments[p] for every segment p, in place.
+
+    Piece j (entries j*hop to (j+1)*hop) of all segments is one strided slice-add.
+    Pieces run last to first, so each element sums its segments in start order."""
+    count, length = segments.shape[:2]
+    for start in reversed(range(0, length, hop)):
+        stop = min(start + hop, length)
+        target = strided_frames(out[start:], count, stop - start, hop, writeable=True)
+        target += segments[:, start:stop]
+
+
 def ola_accumulate(frames, window, hop, out_len):
     """Sum windowed time-domain frames into (signal, squared-window envelope)."""
-    acc = np.zeros(out_len, dtype=np.float64)
-    env = np.zeros(out_len, dtype=np.float64)
-    w2 = window * window
-    n_frames, frame_len = frames.shape
-    for m in range(n_frames):
-        start = m * hop
-        acc[start:start + frame_len] += frames[m] * window
-        env[start:start + frame_len] += w2
+    acc, env = np.zeros(out_len), np.zeros(out_len)
+    overlap_add(frames * window, hop, acc)
+    overlap_add(np.broadcast_to(window * window, frames.shape), hop, env)
     return acc, env
 
 
@@ -122,10 +136,8 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
     """
     cfg = spec.config
     frames_td = np.fft.irfft(spec.bins.T, n=cfg.frame_len, axis=1)
-    frames_td = np.ascontiguousarray(frames_td, dtype=np.float64)
     out_len = (spec.n_frames - 1) * cfg.hop + cfg.frame_len
-    win = hann_window(cfg.frame_len)
-    acc, env = ola_accumulate(frames_td, win, cfg.hop, out_len)
+    acc, env = ola_accumulate(frames_td, hann_window(cfg.frame_len), cfg.hop, out_len)
     if cfg.hop <= cfg.frame_len // 2 and spec.n_frames > 1:
         interior = env[cfg.frame_len:-cfg.frame_len]
         if interior.size and np.min(interior) <= _ENVELOPE_EPS:

@@ -346,6 +346,26 @@ def test_mix_rejects_song_id_that_is_not_a_file_name(tmp_path, capsys, song_id):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_mix_rejects_duplicate_song_ids(tmp_path, capsys):
+    # both songs would write <id>_*.wav, the second over the first
+    rng = np.random.default_rng(6)
+    stems = []
+    for label in ("vocal", "non_vocal"):
+        write_wav(tmp_path / f"{label}.wav", AudioBuffer(rng.uniform(-0.5, 0.5, 256), 8000))
+        stems.append({"path": f"{label}.wav", "label": label})
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"songs": [{"id": "synth_020", "stems": stems},
+                                              {"id": "synth_020", "stems": stems}]}))
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = _run(capsys, [
+        "mix", "--manifest", str(manifest), "--out-dir", str(tmp_path / "mixes"),
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert str(manifest) in err and "'synth_020'" in err and "more than once" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("text", [
     '{"songs": ' + "[" * 100_000 + "]" * 100_000 + "}",  # deeper than the parser recurses
     '{"songs": [',

@@ -20,7 +20,7 @@ from maskforge.mlp import (
     softplus_stable,
     train_sgd,
 )
-from maskforge.patching import KIND_PREDICTION, PatchConfig, extract_patches, flatten_set
+from maskforge.patching import KIND_PREDICTION, PatchConfig, extract_patches
 from maskforge.stft import MagnitudeSpectrogram
 
 
@@ -413,8 +413,8 @@ def test_predict_masks_round_trips_patch_geometry(rng):
     assert preds.patch_shape == (4, 3)
     assert preds.total_frames == 12
     assert np.array_equal(preds.offsets, patches.offsets)
-    rows = forward_batch(model, flatten_set(patches))
-    assert np.allclose(flatten_set(preds), rows, rtol=0, atol=1e-15)
+    rows = forward_batch(model, patches.rows)
+    assert np.allclose(preds.rows, rows, rtol=0, atol=1e-15)
 
 
 def test_predict_masks_dimension_mismatch(rng):

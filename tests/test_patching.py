@@ -9,12 +9,10 @@ from maskforge.patching import (
     PatchConfig,
     PatchSet,
     extract_patches,
-    flatten_set,
     normalize_unit_scale,
     patch_offsets,
     repack_accumulate,
     repack_mean,
-    unflatten_rows,
 )
 from maskforge.stft import MagnitudeSpectrogram
 
@@ -108,30 +106,30 @@ def test_prediction_patchset_bounds_checked():
 def test_flatten_frame_major_order():
     patch = np.array([[1.0, 3.0], [2.0, 4.0]])  # frame 0 = [1,2], frame 1 = [3,4]
     ps = PatchSet(patch[None], np.array([0]), total_frames=2)
-    assert flatten_set(ps).tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert ps.rows.tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
 
 def test_flatten_length_for_full_band_patch():
     ps = PatchSet(np.zeros((1, 1025, 20)), np.array([0]), total_frames=20)
-    assert flatten_set(ps).shape == (1, 20500)
+    assert ps.rows.shape == (1, 20500)
 
 
 def test_unflatten_inverts_flatten(rng):
     patches = rng.uniform(0, 1, size=(3, 7, 5))
     ps = PatchSet(patches, np.arange(3), total_frames=7)
-    assert np.array_equal(unflatten_rows(flatten_set(ps), 7, 5), patches)
+    assert np.array_equal(ps.predictions(ps.rows).patches, patches)
     with pytest.raises(ValueError):
-        unflatten_rows(np.zeros((1, 10)), 7, 5)
+        ps.predictions(np.zeros((1, 10)))
 
 
 def test_flatten_set_rows_match_scalar_flatten(rng):
     grid = rng.uniform(0, 1, size=(6, 30))
     ps = extract_patches(_mag(grid), PatchConfig(width=10), stride=10)
-    rows = flatten_set(ps)
+    rows = ps.rows
     assert rows.shape == (3, 60)
     for i in range(ps.n_patches):
         assert np.array_equal(rows[i], ps.patches[i].reshape(-1, order="F"))
-    assert np.array_equal(unflatten_rows(rows, 6, 10), ps.patches)
+    assert np.array_equal(ps.predictions(rows).patches, ps.patches)
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +237,18 @@ def test_repack_accumulate_counts():
     repack_accumulate(patches, offsets, acc, counts)
     assert counts.tolist() == [1, 2, 2, 1]
     assert acc[0].tolist() == [1.0, 2.0, 2.0, 1.0]
+
+
+@pytest.mark.parametrize("offsets", [[0, 1, 3], [0, 2, 3], [2, 1, 0], [1, 1, 1]])
+def test_repack_accumulate_rejects_uneven_offsets(offsets):
+    acc, counts = np.zeros((2, 8)), np.zeros(8, dtype=np.int64)
+    with pytest.raises(ValueError, match="evenly spaced"):
+        repack_accumulate(np.ones((3, 2, 2)), np.array(offsets), acc, counts)
+
+
+def test_repack_counts_is_a_read_only_view(rng):
+    ps = extract_patches(_mag(rng.uniform(0, 1, (3, 12))), PatchConfig(width=4), stride=1)
+    mp = repack_mean(PatchSet(ps.patches, ps.offsets, ps.total_frames, kind=KIND_PREDICTION))
+    assert mp.counts.shape == (3, 12)
+    assert not mp.counts.flags.owndata
+    assert not mp.counts.flags.writeable

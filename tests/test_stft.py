@@ -15,7 +15,9 @@ from maskforge.stft import (
     magnitude,
     n_frames_for,
     ola_accumulate,
+    overlap_add,
     stft,
+    strided_frames,
 )
 
 
@@ -113,6 +115,18 @@ def test_forward_linearity(rng):
     lhs = stft(_buf(a * x + b * y), cfg).bins
     rhs = a * stft(_buf(x), cfg).bins + b * stft(_buf(y), cfg).bins
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("length", [40, 300, 303])   # shorter than a frame, ragged tails
+def test_stft_frames_bit_identical_to_per_frame_slices(rng, length):
+    cfg = StftConfig(frame_len=64, hop=24)
+    x = rng.standard_normal(length)
+    spec = stft(_buf(x), cfg)
+    padded = np.zeros((spec.n_frames - 1) * cfg.hop + cfg.frame_len)
+    padded[:length] = x
+    segs = np.stack([padded[m * cfg.hop:m * cfg.hop + cfg.frame_len] * hann_window(64)
+                     for m in range(spec.n_frames)])
+    assert np.array_equal(spec.bins, np.fft.rfft(segs, axis=1).T)
 
 
 def test_windowed_parseval_per_frame(rng):
@@ -256,3 +270,69 @@ def test_ola_two_overlapping_frames():
     expect_env[:4] += window ** 2
     expect_env[2:] += window ** 2
     assert np.array_equal(env, expect_env)
+
+
+def _brute_overlap_add(segments, hop, out):
+    for p, seg in enumerate(segments):
+        out[p * hop:p * hop + len(seg)] += seg
+
+
+@pytest.mark.parametrize("hop", [2, 4, 6, 9])   # divides L = 6, does not, = L, > L
+@pytest.mark.parametrize("trailing", [(), (3,)])
+def test_overlap_add_matches_segment_loop_exactly(rng, hop, trailing):
+    # magnitudes spread over 16 decades, so any change of summation order shows
+    P, L = 7, 6
+    shape = (P, L, *trailing)
+    segments = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    start = rng.standard_normal(((P - 1) * hop + L + 3, *trailing))
+    got, expect = start.copy(), start.copy()
+    overlap_add(segments, hop, got)
+    _brute_overlap_add(segments, hop, expect)
+    assert np.array_equal(got, expect)
+
+
+def test_overlap_add_writes_through_a_transposed_out(rng):
+    segments = rng.standard_normal((5, 4, 3))
+    out = np.zeros((3, 12)).T            # (12, 3), not contiguous
+    expect = np.zeros((12, 3))
+    overlap_add(segments, 2, out)
+    _brute_overlap_add(segments, 2, expect)
+    assert np.array_equal(out, expect)
+
+
+def test_overlap_add_rejects_short_out():
+    out = np.zeros(7)
+    with pytest.raises(ValueError, match="do not fit"):
+        overlap_add(np.ones((3, 4)), 2, out)
+    assert not out.any()
+
+
+@pytest.mark.parametrize("hop", [0, -1])
+def test_strided_frames_rejects_hop_below_one(hop):
+    with pytest.raises(ValueError, match="do not fit"):
+        strided_frames(np.zeros(12), 3, 4, hop)
+
+
+def _reference_istft(spec):
+    """The per-frame weighted overlap-add that the strided one replaced."""
+    cfg = spec.config
+    frames = np.fft.irfft(spec.bins.T, n=cfg.frame_len, axis=1)
+    window = hann_window(cfg.frame_len)
+    out_len = (spec.n_frames - 1) * cfg.hop + cfg.frame_len
+    acc, env = np.zeros(out_len), np.zeros(out_len)
+    for m in range(spec.n_frames):
+        acc[m * cfg.hop:m * cfg.hop + cfg.frame_len] += frames[m] * window
+        env[m * cfg.hop:m * cfg.hop + cfg.frame_len] += window * window
+    samples = np.where(env > 1e-12, acc / np.maximum(env, 1e-12), 0.0)
+    return samples[:spec.original_len]
+
+
+@pytest.mark.parametrize("hop", [32, 64, 100, 128])   # 100 does not divide 256
+def test_istft_bit_identical_to_per_frame_loop(rng, hop):
+    cfg = StftConfig(frame_len=256, hop=hop)
+    spec = stft(_buf(rng.standard_normal(3000)), cfg)
+    # a random binary mask makes the grid an inconsistent STFT, as separation does
+    masked = ComplexSpectrogram(spec.bins * (rng.random(spec.bins.shape) < 0.5), cfg,
+                                spec.original_len)
+    for s in (spec, masked):
+        assert np.array_equal(istft(s).samples, _reference_istft(s))
