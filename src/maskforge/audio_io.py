@@ -182,6 +182,8 @@ def pool_and_mix(stems: StemSet) -> tuple[AudioBuffer, AudioBuffer, AudioBuffer]
         raise ValueError("empty stem set")
     by_label: dict[str, list[np.ndarray]] = {VOCAL: [], NON_VOCAL: []}
     for buf, label in stems.stems:
+        if not np.any(buf.samples):
+            raise ValueError(f"song {stems.song_id!r} has an all-zero {label} stem")
         by_label[label].append(peak_normalize(buf).samples)
     for label in LABELS:
         if not by_label[label]:

@@ -5,8 +5,7 @@ magnitude exceeds the accompaniment's). At separation time, mean network
 predictions are thresholded into two independent masks: the vocal mask keeps
 elements with mean confidence above alpha, the non-vocal mask keeps elements
 below 1 - alpha. For alpha > 0.5 some elements belong to neither mask; for
-alpha < 0.5 the masks overlap. The NMF baseline's per-element prediction is
-the vocal share of its two reconstructions.
+alpha < 0.5 the masks overlap.
 """
 
 from __future__ import annotations
@@ -15,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import NON_VOCAL, VOCAL
 from .patching import MeanPrediction
-from .stft import ComplexSpectrogram, MagnitudeSpectrogram
+from .stft import ComplexSpectrogram
 
 
 @dataclass
 class BinaryMask:
     values: np.ndarray           # (F, N) in {0, 1}
-    source_tag: str = VOCAL
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -31,8 +28,6 @@ class BinaryMask:
             raise ValueError("mask must be a 2-D grid")
         if not np.all((self.values == 0.0) | (self.values == 1.0)):
             raise ValueError("binary mask values must be exactly 0 or 1")
-        if self.source_tag not in (VOCAL, NON_VOCAL):
-            raise ValueError(f"unknown source tag {self.source_tag!r}")
 
 
 def _check_alpha(alpha: float) -> float:
@@ -42,33 +37,23 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def ideal_binary_mask(mag_vocal: MagnitudeSpectrogram,
-                      mag_nonvocal: MagnitudeSpectrogram) -> BinaryMask:
+def ideal_binary_mask(mag_vocal: np.ndarray, mag_nonvocal: np.ndarray) -> BinaryMask:
     """1 where the vocal magnitude strictly exceeds the accompaniment, else 0."""
-    if mag_vocal.values.shape != mag_nonvocal.values.shape:
+    if mag_vocal.shape != mag_nonvocal.shape:
         raise ValueError("magnitude shapes differ")
-    values = (mag_vocal.values > mag_nonvocal.values).astype(np.float64)
-    return BinaryMask(values, source_tag=VOCAL)
+    return BinaryMask((mag_vocal > mag_nonvocal).astype(np.float64))
 
 
 def vocal_mask_from_confidence(mean_pred: MeanPrediction, alpha: float) -> BinaryMask:
     """Keep elements whose mean prediction is strictly above alpha."""
     alpha = _check_alpha(alpha)
-    return BinaryMask((mean_pred.values > alpha).astype(np.float64), source_tag=VOCAL)
+    return BinaryMask((mean_pred.values > alpha).astype(np.float64))
 
 
 def nonvocal_mask_from_confidence(mean_pred: MeanPrediction, alpha: float) -> BinaryMask:
     """Keep elements whose mean prediction is strictly below 1 - alpha."""
     alpha = _check_alpha(alpha)
-    values = (mean_pred.values < 1.0 - alpha).astype(np.float64)
-    return BinaryMask(values, source_tag=NON_VOCAL)
-
-
-def vocal_share(v: np.ndarray, nv: np.ndarray) -> np.ndarray:
-    """Elementwise v / (v + nv) for non-negative arrays; 0/0 becomes 0.5."""
-    total = v + nv
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(total > 0.0, v / np.where(total > 0.0, total, 1.0), 0.5)
+    return BinaryMask((mean_pred.values < 1.0 - alpha).astype(np.float64))
 
 
 def apply_mask(mix: ComplexSpectrogram, mask: BinaryMask) -> ComplexSpectrogram:

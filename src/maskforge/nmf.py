@@ -3,8 +3,8 @@
 Training factorizes a matrix whose columns are flattened class-spectrogram
 windows, once per class, keeping only the dictionaries. Separation freezes
 the stacked dictionaries and fits activations to the mixture windows; each
-element's vocal share of the per-class reconstructions, averaged over the
-windows covering it, is its confidence.
+element's vocal share of the per-class reconstructions (`vocal_share`),
+averaged over the windows covering it, is its confidence.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .masking import vocal_share
 from .patching import PatchSet
 
 MAGIC = b"MFGN"
@@ -74,6 +73,12 @@ class NmfModel:
             v_hat, nv_hat = nmf_separate(windows.rows.T, self, iterations, H0=H0)
             return windows.predictions(vocal_share(v_hat, nv_hat).T)
         return predict
+
+
+def vocal_share(v: np.ndarray, nv: np.ndarray) -> np.ndarray:
+    """Elementwise v / (v + nv) for non-negative arrays; 0/0 becomes 0.5."""
+    total = v + nv
+    return np.where(total > 0.0, v / np.where(total > 0.0, total, 1.0), 0.5)
 
 
 @dataclass

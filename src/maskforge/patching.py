@@ -1,6 +1,7 @@
 """Sliding-window patch extraction, the models' row layout, and repacking.
 
-A spectrogram is cut into F x T windows along the time axis. Training uses
+A plain (F, N) grid, a peak-normalized magnitude spectrogram or an oracle
+mask, is cut into F x T windows along the time axis. Training uses
 non-overlapping windows (stride = T); at separation time the window slides one
 frame at a time, so every interior element receives T overlapping predictions
 whose arithmetic mean becomes the element's confidence value. Separation cuts,
@@ -17,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import MagnitudeSpectrogram, overlap_add, strided_frames
+from .stft import overlap_add, strided_frames
 
 KIND_MIXTURE = "mixture_input"
-KIND_TARGET = "mask_target"
 KIND_PREDICTION = "prediction"
 
 
@@ -84,12 +84,12 @@ class MeanPrediction:
     counts: np.ndarray   # (F, N) contribution counts, >= 1; a read-only view
 
 
-def normalize_unit_scale(mag: MagnitudeSpectrogram) -> tuple[MagnitudeSpectrogram, float]:
-    """Rescale so max element is 1; returns (scaled, original max)."""
-    peak = float(np.max(mag.values))
+def normalize_unit_scale(mag: np.ndarray) -> np.ndarray:
+    """The magnitude grid divided by its largest element."""
+    peak = float(np.max(mag))
     if peak == 0.0:
         raise ValueError("all-zero spectrogram has no unit scale")
-    return MagnitudeSpectrogram(mag.values / peak), peak
+    return mag / peak
 
 
 def patch_offsets(n_frames: int, width: int, stride: int) -> np.ndarray:
@@ -102,18 +102,17 @@ def patch_offsets(n_frames: int, width: int, stride: int) -> np.ndarray:
     return stride * np.arange(count, dtype=np.int64)
 
 
-def extract_patches(mag: MagnitudeSpectrogram, cfg: PatchConfig,
-                    stride: int, kind: str = KIND_MIXTURE) -> PatchSet:
-    """Cut F x width windows at the given stride, zero-padding the tail; the
-    windows are one strided view of the padded (N, F) frame matrix."""
+def extract_patches(grid: np.ndarray, cfg: PatchConfig, stride: int) -> PatchSet:
+    """Cut F x width windows of an (F, N) grid at the given stride, zero-padding
+    the tail; the windows are one strided view of the padded (N, F) frame matrix."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    N = mag.values.shape[1]
+    F, N = grid.shape
     offsets = patch_offsets(N, cfg.width, stride)
-    frames = np.zeros((int(offsets[-1]) + cfg.width, mag.values.shape[0]))
-    frames[:N] = mag.values.T
+    frames = np.zeros((int(offsets[-1]) + cfg.width, F))
+    frames[:N] = grid.T
     windows = strided_frames(frames, len(offsets), cfg.width, stride)
-    return PatchSet(windows.transpose(0, 2, 1), offsets, total_frames=N, kind=kind)
+    return PatchSet(windows.transpose(0, 2, 1), offsets, total_frames=N)
 
 
 def repack_accumulate(patches, offsets, acc, counts) -> None:

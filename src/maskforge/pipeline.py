@@ -37,7 +37,6 @@ from .masking import (
 from .mlp import MlpModel, TrainConfig, init_model, train_sgd
 from .nmf import NmfModel, nmf_train_class
 from .patching import (
-    KIND_TARGET,
     MeanPrediction,
     PatchConfig,
     extract_patches,
@@ -46,14 +45,7 @@ from .patching import (
     repack_accumulate,
     repack_finish,
 )
-from .stft import (
-    ComplexSpectrogram,
-    MagnitudeSpectrogram,
-    StftConfig,
-    istft,
-    magnitude,
-    stft,
-)
+from .stft import ComplexSpectrogram, StftConfig, istft, magnitude, stft
 
 METHOD_DNN = "dnn"
 METHOD_NMF = "nmf"
@@ -109,19 +101,26 @@ class ExperimentConfig:
 # training-set construction
 # ---------------------------------------------------------------------------
 
+def _oracle_mask_and_mixture(stems: StemSet,
+                             stft_cfg: StftConfig) -> tuple[BinaryMask, ComplexSpectrogram]:
+    """A song's ideal binary vocal mask and the STFT of its pooled full mix."""
+    vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
+    ibm = ideal_binary_mask(magnitude(stft(vocal_mix, stft_cfg)),
+                            magnitude(stft(nonvocal_mix, stft_cfg)))
+    return ibm, stft(full_mix, stft_cfg)
+
+
+def _training_rows(grid: np.ndarray, patch_cfg: PatchConfig) -> np.ndarray:
+    """An (F, N) grid's windows at the training stride, one frame-major row each."""
+    return extract_patches(grid, patch_cfg, patch_cfg.train_stride).rows
+
+
 def song_training_pairs(stems: StemSet, stft_cfg: StftConfig,
                         patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
     """(mixture window, oracle mask window) vector pairs for one song."""
-    vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
-    mag_v = magnitude(stft(vocal_mix, stft_cfg))
-    mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
-    mag_mix = magnitude(stft(full_mix, stft_cfg))
-    ibm = ideal_binary_mask(mag_v, mag_nv)
-    norm_mix, _ = normalize_unit_scale(mag_mix)
-    mix = extract_patches(norm_mix, patch_cfg, patch_cfg.train_stride)
-    target = extract_patches(MagnitudeSpectrogram(ibm.values), patch_cfg,
-                             patch_cfg.train_stride, kind=KIND_TARGET)
-    return mix.rows, target.rows
+    ibm, spec = _oracle_mask_and_mixture(stems, stft_cfg)
+    return (_training_rows(normalize_unit_scale(magnitude(spec)), patch_cfg),
+            _training_rows(ibm.values, patch_cfg))
 
 
 def build_training_set(songs: list[ManifestSong], stft_cfg: StftConfig,
@@ -144,12 +143,10 @@ def build_class_matrices(songs: list[ManifestSong], stft_cfg: StftConfig,
         raise ValueError("empty manifest")
     v_cols, nv_cols = [], []
     for song in songs:
-        stems = load_song(song)
-        vocal_mix, nonvocal_mix, _ = pool_and_mix(stems)
-        for target, mix in ((v_cols, vocal_mix), (nv_cols, nonvocal_mix)):
-            norm, _ = normalize_unit_scale(magnitude(stft(mix, stft_cfg)))
-            patches = extract_patches(norm, patch_cfg, patch_cfg.train_stride)
-            target.append(patches.rows.T)
+        vocal_mix, nonvocal_mix, _ = pool_and_mix(load_song(song))
+        for cols, mix in ((v_cols, vocal_mix), (nv_cols, nonvocal_mix)):
+            norm = normalize_unit_scale(magnitude(stft(mix, stft_cfg)))
+            cols.append(_training_rows(norm, patch_cfg).T)
     return np.concatenate(v_cols, axis=1), np.concatenate(nv_cols, axis=1)
 
 
@@ -200,8 +197,8 @@ def confidence_grid(mix: AudioBuffer, model: Model, cfg: ExperimentConfig,
     with the mixture's length.
     """
     spec = stft(mix, cfg.stft)
-    norm, _ = normalize_unit_scale(magnitude(spec))
-    F, N = norm.values.shape
+    norm = normalize_unit_scale(magnitude(spec))
+    F, N = norm.shape
     T = cfg.patch.width
     n_windows = len(patch_offsets(N, T, 1))
     padded = n_windows - 1 + T
@@ -209,7 +206,7 @@ def confidence_grid(mix: AudioBuffer, model: Model, cfg: ExperimentConfig,
     acc, counts = np.zeros((padded, F)).T, np.zeros(padded, dtype=np.int64)
     predict = model.predictor(n_windows, cfg.nmf_infer_iters, infer_seed)
     for first in range(0, n_windows, _WINDOW_BLOCK):
-        frames = MagnitudeSpectrogram(norm.values[:, first:first + _WINDOW_BLOCK + T - 1])
+        frames = norm[:, first:first + _WINDOW_BLOCK + T - 1]
         preds = predict(extract_patches(frames, cfg.patch, 1), first)
         repack_accumulate(preds.patches, preds.offsets + first, acc, counts)
     return repack_finish(acc, counts, N), spec
@@ -234,12 +231,8 @@ def separate_song(mix: AudioBuffer, model: Model, alpha: float,
 def ideal_mask_separate(stems: StemSet,
                         stft_cfg: StftConfig) -> tuple[AudioBuffer, AudioBuffer]:
     """Oracle separation: the true-source mask applied to the true mixture."""
-    vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
-    mag_v = magnitude(stft(vocal_mix, stft_cfg))
-    mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
-    spec = stft(full_mix, stft_cfg)
-    ibm = ideal_binary_mask(mag_v, mag_nv)
-    complement = BinaryMask(1.0 - ibm.values, source_tag=NON_VOCAL)
+    ibm, spec = _oracle_mask_and_mixture(stems, stft_cfg)
+    complement = BinaryMask(1.0 - ibm.values)
     return istft(apply_mask(spec, ibm)), istft(apply_mask(spec, complement))
 
 

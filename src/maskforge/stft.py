@@ -58,18 +58,6 @@ class ComplexSpectrogram:
         return self.bins.shape[1]
 
 
-@dataclass
-class MagnitudeSpectrogram:
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("magnitude grid must be 2-D")
-        if np.any(self.values < 0):
-            raise ValueError("magnitudes must be non-negative")
-
-
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann: w[k] = 0.5*(1 - cos(2*pi*k/n)), k = 0..n-1."""
     if n < 2:
@@ -146,6 +134,6 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
     return AudioBuffer(samples[: spec.original_len], sample_rate=spec.sample_rate)
 
 
-def magnitude(spec: ComplexSpectrogram) -> MagnitudeSpectrogram:
-    """Elementwise |bins|."""
-    return MagnitudeSpectrogram(np.abs(spec.bins))
+def magnitude(spec: ComplexSpectrogram) -> np.ndarray:
+    """Elementwise |bins|, an (F, N) float64 grid."""
+    return np.abs(spec.bins)

@@ -34,8 +34,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.sample_rate < 1000:
             raise ValueError("sample rate too low for audio synthesis")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        n = self.duration * self.sample_rate
+        if not (np.isfinite(n) and round(n) >= 2):
+            raise ValueError(f"duration must give at least 2 samples at {self.sample_rate} Hz, "
+                             f"got {self.duration} s")
 
 
 def _smooth_gate(n: int, segments: list[tuple[int, int]], edge: int) -> np.ndarray:

@@ -366,6 +366,36 @@ def test_mix_rejects_duplicate_song_ids(tmp_path, capsys):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_make_corpus_too_short_exits_one(tmp_path, capsys):
+    for duration in ("0.00001", "0.00005"):      # 0 and 1 samples at 22050 Hz
+        code, out, err = _run(capsys, [
+            "make-corpus", "--out-dir", str(tmp_path / "c"), "--duration", duration,
+        ])
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "at least 2 samples" in err
+        assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mix", "--out-dir", "<dir>/out"],
+    ["train-nmf", "--out", "<dir>/m.nmf"],
+    ["ideal-mask", "--out-vocal", "<dir>/v.wav", "--out-accomp", "<dir>/a.wav"],
+])
+def test_silent_stem_error_names_the_song(tmp_path, capsys, argv):
+    write_wav(tmp_path / "vocal.wav", AudioBuffer(np.zeros(256), 8000))
+    write_wav(tmp_path / "non_vocal.wav",
+              AudioBuffer(np.random.default_rng(7).uniform(-0.5, 0.5, 256), 8000))
+    stems = [{"path": f"{label}.wav", "label": label} for label in ("vocal", "non_vocal")]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"songs": [{"id": "quiet_song", "stems": stems}]}))
+    argv = [a.replace("<dir>", str(tmp_path)) for a in argv]
+    code, out, err = _run(capsys, [*argv, "--manifest", str(manifest)])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "'quiet_song'" in err and "vocal" in err
+
+
 @pytest.mark.parametrize("text", [
     '{"songs": ' + "[" * 100_000 + "]" * 100_000 + "}",  # deeper than the parser recurses
     '{"songs": [',

@@ -3,21 +3,21 @@
 import numpy as np
 import pytest
 
-from maskforge.audio_io import NON_VOCAL, VOCAL, AudioBuffer
+from maskforge.audio_io import AudioBuffer
 from maskforge.masking import (
     BinaryMask,
     apply_mask,
     ideal_binary_mask,
     nonvocal_mask_from_confidence,
     vocal_mask_from_confidence,
-    vocal_share,
 )
+from maskforge.nmf import vocal_share
 from maskforge.patching import MeanPrediction
-from maskforge.stft import MagnitudeSpectrogram, StftConfig, stft
+from maskforge.stft import StftConfig, stft
 
 
 def _mag(values):
-    return MagnitudeSpectrogram(np.asarray(values, dtype=np.float64))
+    return np.asarray(values, dtype=np.float64)
 
 
 def _pred(values):
@@ -32,7 +32,6 @@ def _pred(values):
 def test_ibm_strict_inequality():
     mask = ideal_binary_mask(_mag([[2.0, 1.0]]), _mag([[1.0, 3.0]]))
     assert mask.values.tolist() == [[1.0, 0.0]]
-    assert mask.source_tag == VOCAL
 
 
 def test_ibm_ties_go_to_accompaniment():
@@ -71,8 +70,8 @@ def test_low_alpha_masks_overlap():
     pred = _pred([[0.5]])
     m_v = vocal_mask_from_confidence(pred, 0.2)
     m_nv = nonvocal_mask_from_confidence(pred, 0.2)
-    assert m_v.values[0, 0] == 1.0 and m_v.source_tag == VOCAL
-    assert m_nv.values[0, 0] == 1.0 and m_nv.source_tag == NON_VOCAL
+    assert m_v.values[0, 0] == 1.0
+    assert m_nv.values[0, 0] == 1.0
 
 
 def test_high_alpha_masks_exclude():
@@ -114,7 +113,8 @@ def test_vocal_mask_monotone_in_alpha(rng):
 
 
 # ---------------------------------------------------------------------------
-# vocal share: the soft mask V_v / (V_v + V_nv) that NMF windows predict
+# vocal share: the soft mask V_v / (V_v + V_nv) that NMF windows predict,
+# kept in maskforge.nmf, its only user
 # ---------------------------------------------------------------------------
 
 def test_soft_mask_ratio():
@@ -159,7 +159,5 @@ def test_apply_mask_shape_mismatch(rng):
 def test_binary_mask_validation():
     with pytest.raises(ValueError, match="exactly 0 or 1"):
         BinaryMask(np.array([[0.5]]))
-    with pytest.raises(ValueError, match="source tag"):
-        BinaryMask(np.array([[1.0]]), source_tag="drums")
     with pytest.raises(ValueError, match="2-D"):
         BinaryMask(np.zeros(4))

@@ -19,7 +19,6 @@ from maskforge.nmf import (
     save_nmf,
 )
 from maskforge.patching import PatchConfig, extract_patches, repack_mean
-from maskforge.stft import MagnitudeSpectrogram
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +334,7 @@ def test_model_validation(rng):
 # ---------------------------------------------------------------------------
 
 def _windows(grid, width):
-    return extract_patches(MagnitudeSpectrogram(grid), PatchConfig(width=width), stride=1)
+    return extract_patches(grid, PatchConfig(width=width), stride=1)
 
 
 def _confidence(model, patches, iterations, seed):

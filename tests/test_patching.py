@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from maskforge.patching import (
+    KIND_MIXTURE,
     KIND_PREDICTION,
-    KIND_TARGET,
     PatchConfig,
     PatchSet,
     extract_patches,
@@ -14,11 +14,6 @@ from maskforge.patching import (
     repack_accumulate,
     repack_mean,
 )
-from maskforge.stft import MagnitudeSpectrogram
-
-
-def _mag(values):
-    return MagnitudeSpectrogram(np.asarray(values, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +58,7 @@ def test_offsets_cover_every_frame(rng):
 
 def test_extract_tail_is_zero_padded(rng):
     grid = rng.uniform(0, 1, size=(3, 25))
-    ps = extract_patches(_mag(grid), PatchConfig(width=20), stride=20)
+    ps = extract_patches(grid, PatchConfig(width=20), stride=20)
     assert ps.n_patches == 2
     assert ps.total_frames == 25
     assert np.array_equal(ps.patches[0], grid[:, :20])
@@ -73,7 +68,7 @@ def test_extract_tail_is_zero_padded(rng):
 
 def test_extract_sliding_windows(rng):
     grid = rng.uniform(0, 1, size=(4, 22))
-    ps = extract_patches(_mag(grid), PatchConfig(width=20), stride=1)
+    ps = extract_patches(grid, PatchConfig(width=20), stride=1)
     assert ps.offsets.tolist() == [0, 1, 2]
     for i, o in enumerate(ps.offsets):
         assert np.array_equal(ps.patches[i], grid[:, o:o + 20])
@@ -81,7 +76,7 @@ def test_extract_sliding_windows(rng):
 
 def test_extract_rejects_bad_stride(rng):
     with pytest.raises(ValueError):
-        extract_patches(_mag(np.zeros((2, 8))), PatchConfig(width=4), stride=0)
+        extract_patches(np.zeros((2, 8)), PatchConfig(width=4), stride=0)
 
 
 def test_patch_config_validation():
@@ -96,7 +91,7 @@ def test_prediction_patchset_bounds_checked():
     with pytest.raises(ValueError, match="outside"):
         PatchSet(bad, np.array([0]), total_frames=2, kind=KIND_PREDICTION)
     # same payload is fine under a non-prediction kind
-    PatchSet(bad, np.array([0]), total_frames=2, kind=KIND_TARGET)
+    PatchSet(bad, np.array([0]), total_frames=2, kind=KIND_MIXTURE)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +119,7 @@ def test_unflatten_inverts_flatten(rng):
 
 def test_flatten_set_rows_match_scalar_flatten(rng):
     grid = rng.uniform(0, 1, size=(6, 30))
-    ps = extract_patches(_mag(grid), PatchConfig(width=10), stride=10)
+    ps = extract_patches(grid, PatchConfig(width=10), stride=10)
     rows = ps.rows
     assert rows.shape == (3, 60)
     for i in range(ps.n_patches):
@@ -148,7 +143,7 @@ def _brute_force_mean(patches, offsets, F, T, N):
 
 
 def test_repack_requires_prediction_kind(rng):
-    ps = extract_patches(_mag(rng.uniform(0, 1, (2, 8))), PatchConfig(width=4), stride=4)
+    ps = extract_patches(rng.uniform(0, 1, (2, 8)), PatchConfig(width=4), stride=4)
     with pytest.raises(ValueError, match="prediction"):
         repack_mean(ps)
 
@@ -165,7 +160,7 @@ def test_repack_coverage_counts_stride_one(rng):
     # closed form for full coverage: min(t+1, T, N-t, N-T+1)
     F, T, N = 2, 5, 12
     grid = rng.uniform(0, 1, size=(F, N))
-    ps = extract_patches(_mag(grid), PatchConfig(width=T), stride=1)
+    ps = extract_patches(grid, PatchConfig(width=T), stride=1)
     ps = PatchSet(ps.patches, ps.offsets, ps.total_frames, kind=KIND_PREDICTION)
     mp = repack_mean(ps)
     expected = np.array([min(t + 1, T, N - t, N - T + 1) for t in range(N)])
@@ -175,7 +170,7 @@ def test_repack_coverage_counts_stride_one(rng):
 def test_repack_interior_coverage_equals_width():
     # frame 20 of a 22-frame grid sits inside windows starting at 1 and 2
     grid = np.zeros((1, 22))
-    ps = extract_patches(_mag(grid), PatchConfig(width=20), stride=1)
+    ps = extract_patches(grid, PatchConfig(width=20), stride=1)
     ps = PatchSet(ps.patches, ps.offsets, ps.total_frames, kind=KIND_PREDICTION)
     mp = repack_mean(ps)
     assert mp.counts[0, 20] == 2
@@ -200,7 +195,7 @@ def test_extract_repack_round_trip_near_identity(rng):
     # sums of several copies of one value round in the last bit, so the
     # round trip is identical only to ~1 ulp, not bitwise
     grid = rng.uniform(0, 1, size=(5, 40))
-    ps = extract_patches(_mag(grid), PatchConfig(width=8), stride=1)
+    ps = extract_patches(grid, PatchConfig(width=8), stride=1)
     ps = PatchSet(ps.patches, ps.offsets, ps.total_frames, kind=KIND_PREDICTION)
     mp = repack_mean(ps)
     assert np.allclose(mp.values, grid, rtol=0, atol=1e-15)
@@ -208,7 +203,7 @@ def test_extract_repack_round_trip_near_identity(rng):
 
 def test_repack_drops_padded_frames(rng):
     grid = rng.uniform(0, 1, size=(2, 25))
-    ps = extract_patches(_mag(grid), PatchConfig(width=20), stride=20)
+    ps = extract_patches(grid, PatchConfig(width=20), stride=20)
     ps = PatchSet(ps.patches, ps.offsets, ps.total_frames, kind=KIND_PREDICTION)
     mp = repack_mean(ps)
     assert mp.values.shape == (2, 25)
@@ -222,12 +217,11 @@ def test_repack_drops_padded_frames(rng):
 def test_normalize_unit_scale(rng):
     grid = rng.uniform(0, 3, size=(4, 6))
     grid[2, 3] = 5.0
-    scaled, peak = normalize_unit_scale(_mag(grid))
-    assert peak == 5.0
-    assert scaled.values.max() == 1.0
-    assert np.array_equal(scaled.values, grid / 5.0)
+    scaled = normalize_unit_scale(grid)
+    assert scaled.max() == 1.0
+    assert np.array_equal(scaled, grid / 5.0)
     with pytest.raises(ValueError, match="all-zero"):
-        normalize_unit_scale(_mag(np.zeros((2, 2))))
+        normalize_unit_scale(np.zeros((2, 2)))
 
 
 def test_repack_accumulate_counts():
@@ -247,7 +241,7 @@ def test_repack_accumulate_rejects_uneven_offsets(offsets):
 
 
 def test_repack_counts_is_a_read_only_view(rng):
-    ps = extract_patches(_mag(rng.uniform(0, 1, (3, 12))), PatchConfig(width=4), stride=1)
+    ps = extract_patches(rng.uniform(0, 1, (3, 12)), PatchConfig(width=4), stride=1)
     mp = repack_mean(PatchSet(ps.patches, ps.offsets, ps.total_frames, kind=KIND_PREDICTION))
     assert mp.counts.shape == (3, 12)
     assert not mp.counts.flags.owndata

@@ -115,11 +115,14 @@ def test_song_training_pairs_target_is_oracle_mask():
     stft_cfg = StftConfig(frame_len=512, hop=128)
     patch_cfg = PatchConfig(width=20, train_stride=20)
     X, Y = song_training_pairs(stems, stft_cfg, patch_cfg)
-    vocal_mix, nonvocal_mix, _ = pool_and_mix(stems)
+    vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
     mag_v = magnitude(stft(vocal_mix, stft_cfg))
     mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
     ibm = ideal_binary_mask(mag_v, mag_nv)
     assert np.array_equal(Y[0], ibm.values.reshape(-1, order="F"))
+    # 20 frames and a 20-frame window: X[0] is the whole peak-normalized mixture
+    mag_mix = np.abs(stft(full_mix, stft_cfg).bins)
+    assert np.array_equal(X[0], (mag_mix / mag_mix.max()).reshape(-1, order="F"))
 
 
 def test_build_training_set_stacks_songs(tiny_corpus):
@@ -149,6 +152,32 @@ def test_build_class_matrices_shapes(tiny_corpus):
     assert V_v.shape[0] == d and V_nv.shape[0] == d
     assert V_v.shape[1] == V_nv.shape[1] > 0
     assert V_v.min() >= 0.0
+
+
+def _unit_windows_by_hand(buffer, stft_cfg, patch_cfg):
+    """The buffer's magnitudes over their own peak, cut at the training stride
+    with a zero-padded tail; one frame-major column per window."""
+    mag = np.abs(stft(buffer, stft_cfg).bins)
+    mag = mag / mag.max()
+    T, S = patch_cfg.width, patch_cfg.train_stride
+    n = mag.shape[1]
+    starts = range(0, n - T + S, S) if n > T else [0]
+    padded = np.pad(mag, ((0, 0), (0, starts[-1] + T - n)))
+    return np.stack([padded[:, s:s + T].reshape(-1, order="F") for s in starts], axis=1)
+
+
+def test_build_class_matrices_columns_are_own_peak_windows(tiny_corpus):
+    stft_cfg = StftConfig(frame_len=256, hop=64)
+    patch_cfg = PatchConfig(width=5, train_stride=4)
+    songs = tiny_corpus["train_songs"]
+    V_v, V_nv = build_class_matrices(songs, stft_cfg, patch_cfg)
+    expect_v, expect_nv = [], []
+    for song in songs:
+        vocal_mix, nonvocal_mix, _ = pool_and_mix(load_song(song))
+        expect_v.append(_unit_windows_by_hand(vocal_mix, stft_cfg, patch_cfg))
+        expect_nv.append(_unit_windows_by_hand(nonvocal_mix, stft_cfg, patch_cfg))
+    assert np.array_equal(V_v, np.concatenate(expect_v, axis=1))
+    assert np.array_equal(V_nv, np.concatenate(expect_nv, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +251,7 @@ def _mixture_with_windows(n_windows, cfg, seed=0):
 
 def _whole_mixture_grid(mix, model, cfg, seed):
     """Every window of the mixture in one stack, predicted and averaged at once."""
-    norm, _ = normalize_unit_scale(magnitude(stft(mix, cfg.stft)))
-    windows = extract_patches(norm, cfg.patch, 1)
+    windows = extract_patches(normalize_unit_scale(magnitude(stft(mix, cfg.stft))), cfg.patch, 1)
     predict = model.predictor(windows.n_patches, cfg.nmf_infer_iters, seed)
     return repack_mean(predict(windows, 0))
 

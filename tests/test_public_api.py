@@ -7,9 +7,9 @@ import inspect
 import maskforge
 
 REMOVED = {
-    "masking": ["SoftMask", "soft_mask", "threshold_soft_mask"],
-    "stft": ["PhaseSpectrogram", "combine", "split"],
-    "patching": ["flatten", "unflatten"],
+    "masking": ["SoftMask", "soft_mask", "threshold_soft_mask", "vocal_share"],
+    "stft": ["PhaseSpectrogram", "combine", "split", "MagnitudeSpectrogram"],
+    "patching": ["flatten", "unflatten", "KIND_TARGET"],
     "mlp": ["forward"],
     "nmf": ["soft_mask_patches", "mean_prediction_from_soft"],
 }
@@ -33,3 +33,7 @@ def test_one_value_knobs_are_gone():
         "width", "train_stride"]
     assert [f.name for f in dataclasses.fields(maskforge.StftConfig)] == ["frame_len", "hop"]
     assert list(inspect.signature(maskforge.write_wav).parameters) == ["path", "buffer"]
+
+
+def test_binary_mask_holds_only_its_values():
+    assert [f.name for f in dataclasses.fields(maskforge.BinaryMask)] == ["values"]

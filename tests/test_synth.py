@@ -18,6 +18,11 @@ def test_config_validation():
         SynthConfig(sample_rate=100)
     with pytest.raises(ValueError):
         SynthConfig(duration=0.0)
+    # 0 and 1 samples at 22050 Hz, and no sample count at all
+    for duration in (0.00001, 0.00005, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            SynthConfig(duration=duration)
+    assert len(generate_song(SynthConfig(duration=0.0001), 0).stems[0][0]) == 2
 
 
 def test_song_shape_and_labels():
