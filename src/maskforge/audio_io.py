@@ -185,14 +185,16 @@ def pool_and_mix(stems: StemSet) -> tuple[AudioBuffer, AudioBuffer, AudioBuffer]
         if not np.any(buf.samples):
             raise ValueError(f"song {stems.song_id!r} has an all-zero {label} stem")
         by_label[label].append(peak_normalize(buf).samples)
+    sr = stems.stems[0][0].sample_rate
+    length = max(len(b) for bufs in by_label.values() for b in bufs)
+    submixes = []
     for label in LABELS:
         if not by_label[label]:
             raise ValueError(f"song {stems.song_id!r} has no {label} stems")
-
-    sr = stems.stems[0][0].sample_rate
-    length = max(len(b) for bufs in by_label.values() for b in bufs)
-    vocal = peak_normalize(AudioBuffer(_padded_sum(by_label[VOCAL], length), sr))
-    nonvocal = peak_normalize(AudioBuffer(_padded_sum(by_label[NON_VOCAL], length), sr))
+        if not np.any(submix := _padded_sum(by_label[label], length)):
+            raise ValueError(f"song {stems.song_id!r} has {label} stems that sum to silence")
+        submixes.append(peak_normalize(AudioBuffer(submix, sr)))
+    vocal, nonvocal = submixes
     full = AudioBuffer(vocal.samples + nonvocal.samples, sr)
     return vocal, nonvocal, full
 

@@ -5,6 +5,10 @@ windows, once per class, keeping only the dictionaries. Separation freezes
 the stacked dictionaries and fits activations to the mixture windows; each
 element's vocal share of the per-class reconstructions (`vocal_share`),
 averaged over the windows covering it, is its confidence.
+
+Each fit forms its products, floors and ratios in one reused buffer.
+`nmf_factorize` and `infer_activations` score the divergence after every
+iteration by default; training and separation skip it, leaving the trace None.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def vocal_share(v: np.ndarray, nv: np.ndarray) -> np.ndarray:
 class Factorization:
     W: np.ndarray
     H: np.ndarray
-    trace: np.ndarray          # KL(V || max(W @ H, KL_EPS)) after each iteration
+    trace: np.ndarray | None   # KL(V || max(W @ H, KL_EPS)) per iteration; None if unscored
 
 
 def kl_divergence(V: np.ndarray, V_hat: np.ndarray) -> float:
@@ -111,32 +115,32 @@ def _kl_floored(V, V_hat, c_V):
     return c_V - float(np.vdot(V, np.log(V_hat))) + float(np.sum(V_hat))
 
 
-def _update_w(V, W, H):
-    ratio = V / np.maximum(W @ H, KL_EPS)
-    W *= (ratio @ H.T) / np.maximum(H.sum(axis=1)[None, :], KL_EPS)
-
-
-def _multiplicative_updates(V, W, H, iterations, update_w):
-    """Update H (then W, if update_w) in place; returns the divergence trace.
-
-    The divergence after update k is scored from the floored product that
-    update k+1 forms for its ratio; one more product scores the last update.
-    """
-    c_V = _kl_constant(V)
-    trace = np.empty(iterations)
+def _fit(V, W, H, iterations, update_w, score):
+    """Update H (then W, if update_w) in place through one (F, N) buffer;
+    returns the divergence trace, or None unless `score`. The divergence
+    after update k is scored from the floored product that update k+1 forms
+    for its ratio; one more product scores the last update. Unscored, H and
+    W (if updated) are checked for finiteness instead."""
+    buf = np.empty(V.shape)
+    trace = np.empty(iterations) if score else None
+    c_V = _kl_constant(V) if score else 0.0
     for done in range(iterations + 1):
-        V_hat = np.maximum(W @ H, KL_EPS)
+        if done < iterations or score:
+            np.maximum(np.matmul(W, H, out=buf), KL_EPS, out=buf)
         if done:
-            trace[done - 1] = _kl_floored(V, V_hat, c_V)
-            if not np.isfinite(trace[done - 1]):
-                raise FloatingPointError(
-                    f"divergence became non-finite at iteration {done - 1}")
+            if score:
+                trace[done - 1] = _kl_floored(V, buf, c_V)
+                finite = np.isfinite(trace[done - 1])
+            else:
+                finite = np.isfinite(H).all() and (not update_w or np.isfinite(W).all())
+            if not finite:
+                raise FloatingPointError(f"divergence became non-finite at iteration {done - 1}")
         if done == iterations:
             return trace
-        ratio = np.divide(V, V_hat, out=V_hat)
-        H *= (W.T @ ratio) / np.maximum(W.sum(axis=0)[:, None], KL_EPS)
+        H *= (W.T @ np.divide(V, buf, out=buf)) / np.maximum(W.sum(axis=0)[:, None], KL_EPS)
         if update_w:
-            _update_w(V, W, H)
+            np.maximum(np.matmul(W, H, out=buf), KL_EPS, out=buf)
+            W *= (np.divide(V, buf, out=buf) @ H.T) / np.maximum(H.sum(axis=1)[None, :], KL_EPS)
 
 
 def _checked_v(V, iterations):
@@ -151,8 +155,9 @@ def _checked_v(V, iterations):
 
 
 def nmf_factorize(V: np.ndarray, r: int, iterations: int = 200,
-                  seed: int = 0) -> Factorization:
-    """Alternating multiplicative updates from a seeded uniform(0,1] start."""
+                  seed: int = 0, *, trace: bool = True) -> Factorization:
+    """Alternating multiplicative updates from a seeded uniform(0,1] start;
+    the divergence is scored after each iteration only if `trace`."""
     V = _checked_v(V, iterations)
     if r < 1:
         raise ValueError("rank must be >= 1")
@@ -161,8 +166,7 @@ def nmf_factorize(V: np.ndarray, r: int, iterations: int = 200,
     rng = np.random.default_rng(seed)
     W = 1.0 - rng.random((V.shape[0], r))
     H = 1.0 - rng.random((r, V.shape[1]))
-    trace = _multiplicative_updates(V, W, H, iterations, update_w=True)
-    return Factorization(W, H, trace)
+    return Factorization(W, H, _fit(V, W, H, iterations, update_w=True, score=trace))
 
 
 def initial_activations(rank: int, n_columns: int, seed: int) -> np.ndarray:
@@ -171,10 +175,10 @@ def initial_activations(rank: int, n_columns: int, seed: int) -> np.ndarray:
 
 
 def infer_activations(V: np.ndarray, W: np.ndarray, iterations: int = 200,
-                      seed: int = 0, H0: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      seed: int = 0, H0: np.ndarray | None = None, *,
+                      trace: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Fit H for fixed W from H0, or from a start drawn from `seed`;
-    returns (H, divergence trace)."""
+    returns (H, divergence trace), the trace None unless `trace`."""
     V = _checked_v(V, iterations)
     W = np.asarray(W, dtype=np.float64)
     if V.shape[0] != W.shape[0]:
@@ -183,7 +187,7 @@ def infer_activations(V: np.ndarray, W: np.ndarray, iterations: int = 200,
         H = initial_activations(W.shape[1], V.shape[1], seed)
     else:
         H = np.array(H0, dtype=np.float64)   # a copy: the caller's start is kept
-    return H, _multiplicative_updates(V, W, H, iterations, update_w=False)
+    return H, _fit(V, W, H, iterations, update_w=False, score=trace)
 
 
 def nmf_train_class(V_class: np.ndarray, r: int, iterations: int = 200,
@@ -192,7 +196,7 @@ def nmf_train_class(V_class: np.ndarray, r: int, iterations: int = 200,
     V_class = np.asarray(V_class, dtype=np.float64)
     if V_class.ndim != 2 or V_class.shape[1] == 0:
         raise ValueError("class patch matrix is empty")
-    fac = nmf_factorize(V_class, r, iterations, seed)
+    fac = nmf_factorize(V_class, r, iterations, seed, trace=False)
     sums = fac.W.sum(axis=0)
     if np.any(sums == 0.0):
         raise FloatingPointError("training produced an all-zero dictionary column")
@@ -204,7 +208,7 @@ def nmf_separate(V_u: np.ndarray, model: NmfModel, iterations: int = 200,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class reconstructions of mixture windows with dictionaries frozen."""
     W_u = np.concatenate([model.w_vocal, model.w_nonvocal], axis=1)
-    H_u, _ = infer_activations(V_u, W_u, iterations, seed, H0)
+    H_u, _ = infer_activations(V_u, W_u, iterations, seed, H0, trace=False)
     r_v = model.rank_vocal
     V_v_hat = model.w_vocal @ H_u[:r_v]
     V_nv_hat = model.w_nonvocal @ H_u[r_v:]

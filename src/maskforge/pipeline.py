@@ -101,10 +101,10 @@ class ExperimentConfig:
 # training-set construction
 # ---------------------------------------------------------------------------
 
-def _oracle_mask_and_mixture(stems: StemSet,
+def _oracle_mask_and_mixture(mixes: tuple[AudioBuffer, AudioBuffer, AudioBuffer],
                              stft_cfg: StftConfig) -> tuple[BinaryMask, ComplexSpectrogram]:
-    """A song's ideal binary vocal mask and the STFT of its pooled full mix."""
-    vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
+    """A song's ideal binary vocal mask and full-mix STFT from pool_and_mix's mixes."""
+    vocal_mix, nonvocal_mix, full_mix = mixes
     ibm = ideal_binary_mask(magnitude(stft(vocal_mix, stft_cfg)),
                             magnitude(stft(nonvocal_mix, stft_cfg)))
     return ibm, stft(full_mix, stft_cfg)
@@ -118,7 +118,7 @@ def _training_rows(grid: np.ndarray, patch_cfg: PatchConfig) -> np.ndarray:
 def song_training_pairs(stems: StemSet, stft_cfg: StftConfig,
                         patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
     """(mixture window, oracle mask window) vector pairs for one song."""
-    ibm, spec = _oracle_mask_and_mixture(stems, stft_cfg)
+    ibm, spec = _oracle_mask_and_mixture(pool_and_mix(stems), stft_cfg)
     return (_training_rows(normalize_unit_scale(magnitude(spec)), patch_cfg),
             _training_rows(ibm.values, patch_cfg))
 
@@ -231,9 +231,13 @@ def separate_song(mix: AudioBuffer, model: Model, alpha: float,
 def ideal_mask_separate(stems: StemSet,
                         stft_cfg: StftConfig) -> tuple[AudioBuffer, AudioBuffer]:
     """Oracle separation: the true-source mask applied to the true mixture."""
-    ibm, spec = _oracle_mask_and_mixture(stems, stft_cfg)
-    complement = BinaryMask(1.0 - ibm.values)
-    return istft(apply_mask(spec, ibm)), istft(apply_mask(spec, complement))
+    return _oracle_separation(pool_and_mix(stems), stft_cfg)
+
+
+def _oracle_separation(mixes: tuple[AudioBuffer, AudioBuffer, AudioBuffer],
+                       stft_cfg: StftConfig) -> tuple[AudioBuffer, AudioBuffer]:
+    ibm, spec = _oracle_mask_and_mixture(mixes, stft_cfg)
+    return istft(apply_mask(spec, ibm)), istft(apply_mask(spec, BinaryMask(1.0 - ibm.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +264,8 @@ class SweepResult:
 
 def _evaluate_song(song: ManifestSong, models: dict[str, Model],
                    cfg: ExperimentConfig, song_index: int) -> SongResult:
-    stems = load_song(song)
-    vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
+    mixes = pool_and_mix(load_song(song))
+    vocal_mix, nonvocal_mix, full_mix = mixes
     ref_v, ref_nv = vocal_mix.samples, nonvocal_mix.samples
     out: dict[str, dict[float | None, PairMetrics]] = {}
 
@@ -275,7 +279,7 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model],
                                              ref_v, ref_nv)
         out[method] = per_alpha
 
-    est_v, est_nv = ideal_mask_separate(stems, cfg.stft)
+    est_v, est_nv = _oracle_separation(mixes, cfg.stft)
     out[METHOD_IDEAL] = {None: evaluate_pair(est_v.samples, est_nv.samples,
                                              ref_v, ref_nv)}
     out[METHOD_MIXTURE] = {None: evaluate_pair(full_mix.samples, full_mix.samples,

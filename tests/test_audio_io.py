@@ -269,6 +269,13 @@ def test_pool_requires_both_labels():
         pool_and_mix(StemSet([_stem(np.ones(4), VOCAL)], song_id="s"))
 
 
+def test_pool_names_song_and_label_of_cancelling_stems(rng):
+    v = rng.uniform(-1, 1, 32)
+    stems = [_stem(v, VOCAL), _stem(-v, VOCAL), _stem(rng.uniform(-1, 1, 32), NON_VOCAL)]
+    with pytest.raises(ValueError, match="^song 'c' has vocal stems that sum to silence$"):
+        pool_and_mix(StemSet(stems, song_id="c"))
+
+
 def test_pool_rejects_empty():
     with pytest.raises(ValueError, match="empty stem set"):
         pool_and_mix(StemSet([]))

@@ -396,6 +396,24 @@ def test_silent_stem_error_names_the_song(tmp_path, capsys, argv):
     assert "'quiet_song'" in err and "vocal" in err
 
 
+def test_cancelling_stems_error_names_the_song(tmp_path, capsys):
+    noise = np.random.default_rng(7).uniform(-0.5, 0.5, 256)
+    for name, samples in (("v1", noise), ("v2", -noise), ("nv", noise[::-1])):
+        write_wav(tmp_path / f"{name}.wav", AudioBuffer(samples, 8000))
+    stems = [{"path": "v1.wav", "label": "vocal"}, {"path": "v2.wav", "label": "vocal"},
+             {"path": "nv.wav", "label": "non_vocal"}]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"songs": [{"id": "hollow_song", "stems": stems}]}))
+    code, out, err = _run(capsys, [
+        "ideal-mask", "--manifest", str(manifest),
+        "--out-vocal", str(tmp_path / "v.wav"), "--out-accomp", str(tmp_path / "a.wav"),
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "'hollow_song'" in err and "vocal stems that sum to silence" in err
+    assert not (tmp_path / "v.wav").exists()
+
+
 @pytest.mark.parametrize("text", [
     '{"songs": ' + "[" * 100_000 + "]" * 100_000 + "}",  # deeper than the parser recurses
     '{"songs": [',

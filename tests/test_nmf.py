@@ -248,6 +248,42 @@ def test_non_finite_v_names_iteration_zero(rng, bad):
         nmf_separate(V, model, iterations=5, seed=0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_unscored_training_names_iteration_zero(rng, bad):
+    V = rng.uniform(0.1, 1.0, size=(6, 5))
+    V[2, 3] = bad
+    with pytest.raises(FloatingPointError, match="at iteration 0$"):
+        nmf_train_class(V, r=2, iterations=5, seed=0)
+
+
+def test_unscored_fits_equal_scored_fits(rng):
+    V = _sparse_v(rng, 40, 30)
+    scored = nmf_factorize(V, r=4, iterations=15, seed=2)
+    unscored = nmf_factorize(V, r=4, iterations=15, seed=2, trace=False)
+    assert unscored.trace is None and len(scored.trace) == 15
+    assert np.array_equal(unscored.W, scored.W)
+    assert np.array_equal(unscored.H, scored.H)
+    W = rng.uniform(0.05, 1.0, size=(40, 5))
+    H, trace = infer_activations(V, W, iterations=15, seed=3)
+    H_unscored, no_trace = infer_activations(V, W, iterations=15, seed=3, trace=False)
+    assert no_trace is None and len(trace) == 15
+    assert np.array_equal(H_unscored, H)
+
+
+def test_training_and_separation_equal_the_public_fits(rng):
+    V = _sparse_v(rng, 24, 30)
+    fac = nmf_factorize(V, r=3, iterations=20, seed=4)
+    W = nmf_train_class(V, r=3, iterations=20, seed=4)
+    assert np.array_equal(W, fac.W / fac.W.sum(axis=0)[None, :])
+    model = NmfModel(W[:, :2], rng.uniform(0.1, 1.0, size=(24, 2)), n_bins=4, width=6)
+    H, _ = infer_activations(V, np.concatenate([model.w_vocal, model.w_nonvocal], axis=1),
+                             iterations=20, seed=5)
+    v, nv = nmf_separate(V, model, iterations=20, seed=5)
+    assert np.array_equal(v, model.w_vocal @ H[:2])
+    assert np.array_equal(nv, model.w_nonvocal @ H[2:])
+
+
 # ---------------------------------------------------------------------------
 # class dictionaries
 # ---------------------------------------------------------------------------

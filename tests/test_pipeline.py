@@ -7,7 +7,7 @@ import pytest
 
 from maskforge.audio_io import NON_VOCAL, VOCAL, AudioBuffer, StemSet, load_song
 from maskforge.masking import ideal_binary_mask
-from maskforge import pipeline
+from maskforge import nmf, pipeline
 from maskforge.mlp import MlpModel, init_model
 from maskforge.nmf import NmfModel
 from maskforge.patching import (
@@ -228,6 +228,23 @@ def test_confidence_grid_nmf(tiny_corpus):
     assert mean.values.min() >= 0.0 and mean.values.max() <= 1.0
 
 
+def test_nmf_training_and_separation_reach_the_public_fits(tiny_corpus, monkeypatch):
+    # the benchmark's traced run times nmf_factorize and infer_activations by
+    # wrapping them, so training and separation must call through them
+    calls = {"nmf_factorize": 0, "infer_activations": 0}
+    for name in calls:
+        def counted(*args, _fit=getattr(nmf, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fit(*args, **kwargs)
+        monkeypatch.setattr(nmf, name, counted)
+    cfg = _small_cfg()
+    model = train_nmf(tiny_corpus["train_songs"], cfg)
+    assert calls == {"nmf_factorize": 2, "infer_activations": 0}
+    _, _, full_mix = pool_and_mix(load_song(tiny_corpus["test_songs"][0]))
+    confidence_grid(full_mix, model, cfg)
+    assert calls["nmf_factorize"] == 2 and calls["infer_activations"] >= 1
+
+
 # ---------------------------------------------------------------------------
 # separation windows in blocks
 # ---------------------------------------------------------------------------
@@ -364,6 +381,18 @@ def test_sweep_structure_without_models(tiny_corpus):
     assert list(song.metrics[METHOD_IDEAL].keys()) == [None]
     pm = song.metrics[METHOD_IDEAL][None]
     assert pm.vocal.sir_db > pm.mean.sir_db or np.isfinite(pm.mean.sir_db)
+
+
+def test_sweep_pools_each_song_once(tiny_corpus, monkeypatch):
+    calls = []
+
+    def counted(stems):
+        calls.append(stems.song_id)
+        return pool_and_mix(stems)
+    monkeypatch.setattr(pipeline, "pool_and_mix", counted)
+    songs = tiny_corpus["train_songs"]
+    sweep_alpha(songs, {}, _small_cfg())
+    assert calls == [song.song_id for song in songs]
 
 
 def test_mixture_baseline_scores_identical_estimates(tiny_corpus):
