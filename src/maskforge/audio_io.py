@@ -1,5 +1,9 @@
 """Mono WAV I/O, peak normalization, and the stem pooling/mixing procedure.
 
+WAV files are read and written a range of samples at a time (`WavReader`,
+`WavWriter`), so streamed separation holds neither its input nor its outputs
+whole; `read_wav` and `write_wav` are their whole-file uses.
+
 Stems labeled "vocal" / "non_vocal" are each peak normalized, summed by label
 into two submixes, the submixes peak normalized again, and their sum is the
 full mixture. The full mixture is deliberately left un-normalized (downstream
@@ -9,6 +13,7 @@ spectrogram processing rescales, so mixture headroom is irrelevant).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,88 +77,175 @@ _FMT_EXTENSIBLE = 0xFFFE
 _SAMPLE_BYTES = {(_FMT_PCM, 16): 2, (_FMT_PCM, 24): 3, (_FMT_FLOAT, 32): 4}
 
 
+# Samples that read_wav decodes at a time.
+_READ_CHUNK = 1 << 16
+
+
+class WavReader:
+    """An open RIFF/WAVE file (PCM 16/24-bit or float32) whose header is parsed
+    on opening and whose samples are decoded on request, a range at a time, so
+    no caller need hold the whole file. Multichannel audio is averaged to mono.
+
+    Opening raises FileNotFoundError, WavFormatError (bad container) or
+    UnsupportedWavError (unhandled codec); `read` raises WavFormatError on a
+    non-finite sample.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._fh = open(self.path, "rb")
+        try:
+            self._parse_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "WavReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def _parse_header(self) -> None:
+        path, fh = self.path, self._fh
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+
+        fmt = None
+        data = None           # (offset, size) of the last data chunk
+        pos = 12
+        while pos + 8 <= size:
+            fh.seek(pos)
+            cid, csize = struct.unpack("<4sI", fh.read(8))
+            present = min(csize, size - pos - 8)
+            if cid == b"fmt ":
+                if present < 16:
+                    raise WavFormatError(f"{path}: fmt chunk too short or truncated")
+                fmt = struct.unpack("<HHIIHH", fh.read(16))
+            elif cid == b"data":
+                if present < csize:
+                    raise WavFormatError(f"{path}: data chunk truncated")
+                data = (pos + 8, csize)
+            pos += 8 + csize + (csize & 1)
+
+        if fmt is None:
+            raise WavFormatError(f"{path}: missing fmt chunk")
+        if data is None:
+            raise WavFormatError(f"{path}: missing data chunk")
+
+        audio_format, n_channels, sample_rate, _, block_align, bits = fmt
+        if audio_format == _FMT_EXTENSIBLE:
+            raise UnsupportedWavError(f"{path}: WAVE_FORMAT_EXTENSIBLE not supported")
+        if n_channels < 1 or sample_rate < 1:
+            raise WavFormatError(f"{path}: invalid channel count or sample rate")
+
+        width = _SAMPLE_BYTES.get((audio_format, bits))
+        if width is None:
+            raise UnsupportedWavError(
+                f"{path}: unsupported codec (format={audio_format}, bits={bits})"
+            )
+        self._data, data_size = data
+        self._frame_bytes = width * n_channels
+        if data_size % self._frame_bytes:
+            raise WavFormatError(
+                f"{path}: data chunk of {data_size} bytes is not a whole number "
+                f"of {n_channels}-channel {bits}-bit frames"
+            )
+        self._channels, self._bits = n_channels, bits
+        self.sample_rate = sample_rate
+        self.n_samples = data_size // self._frame_bytes
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Mono samples start..stop-1 (clipped to the file's) as float64."""
+        start, stop = max(start, 0), min(stop, self.n_samples)
+        self._fh.seek(self._data + start * self._frame_bytes)
+        payload = self._fh.read(max(stop - start, 0) * self._frame_bytes)
+        if self._bits == 16:
+            samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+        elif self._bits == 24:
+            b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.uint32)
+            vals = (b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)).astype(np.int32)
+            vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
+            samples = vals.astype(np.float64) / float(1 << 23)
+        else:
+            samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        if self._channels > 1:
+            samples = samples.reshape(-1, self._channels).mean(axis=1)
+        if not np.all(np.isfinite(samples)):
+            raise WavFormatError(f"{self.path}: non-finite sample values")
+        return samples
+
+
 def read_wav(path: str | Path) -> AudioBuffer:
     """Read a RIFF/WAVE file (PCM 16/24-bit or float32) as a mono buffer.
 
     Multichannel audio is averaged to mono. Raises FileNotFoundError,
     WavFormatError (bad container) or UnsupportedWavError (unhandled codec).
     """
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+    with WavReader(path) as reader:
+        samples = np.empty(reader.n_samples)
+        for start in range(0, reader.n_samples, _READ_CHUNK):
+            stop = min(start + _READ_CHUNK, reader.n_samples)
+            samples[start:stop] = reader.read(start, stop)
+        return AudioBuffer(samples, reader.sample_rate)
 
-    fmt = None
-    payload = None
-    pos = 12
-    while pos + 8 <= len(data):
-        cid = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + size]
-        if cid == b"fmt ":
-            if len(body) < 16:
-                raise WavFormatError(f"{path}: fmt chunk too short or truncated")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif cid == b"data":
-            if len(body) < size:
-                raise WavFormatError(f"{path}: data chunk truncated")
-            payload = body
-        pos += 8 + size + (size & 1)
 
-    if fmt is None:
-        raise WavFormatError(f"{path}: missing fmt chunk")
-    if payload is None:
-        raise WavFormatError(f"{path}: missing data chunk")
+class WavWriter:
+    """A mono 32-bit float WAV file written a chunk at a time. The header's
+    sizes are known only at the end, so `close` writes them last. Leaving the
+    `with` block on an exception removes the unfinished file."""
 
-    audio_format, n_channels, sample_rate, _, block_align, bits = fmt
-    if audio_format == _FMT_EXTENSIBLE:
-        raise UnsupportedWavError(f"{path}: WAVE_FORMAT_EXTENSIBLE not supported")
-    if n_channels < 1 or sample_rate < 1:
-        raise WavFormatError(f"{path}: invalid channel count or sample rate")
+    def __init__(self, path: str | Path, sample_rate: int):
+        if sample_rate * 4 > 0xFFFFFFFF:
+            raise ValueError(f"sample rate {sample_rate} does not fit a WAV header")
+        self.path = Path(path)
+        self.sample_rate = sample_rate
+        self._payload_bytes = 0
+        self._fh = open(self.path, "wb")
+        self._fh.write(self._header())
 
-    width = _SAMPLE_BYTES.get((audio_format, bits))
-    if width is None:
-        raise UnsupportedWavError(
-            f"{path}: unsupported codec (format={audio_format}, bits={bits})"
+    def __enter__(self) -> "WavWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
+            self.path.unlink(missing_ok=True)
+
+    def _header(self) -> bytes:
+        return struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF", 36 + self._payload_bytes, b"WAVE",
+            b"fmt ", 16, _FMT_FLOAT, 1, self.sample_rate,
+            self.sample_rate * 4, 4, 32,
+            b"data", self._payload_bytes,
         )
-    if len(payload) % (width * n_channels):
-        raise WavFormatError(
-            f"{path}: data chunk of {len(payload)} bytes is not a whole number "
-            f"of {n_channels}-channel {bits}-bit frames"
-        )
-    if bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif bits == 24:
-        b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.uint32)
-        vals = (b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)).astype(np.int32)
-        vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
-        samples = vals.astype(np.float64) / float(1 << 23)
-    else:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
 
-    if n_channels > 1:
-        samples = samples.reshape(-1, n_channels).mean(axis=1)
-    if not np.all(np.isfinite(samples)):
-        raise WavFormatError(f"{path}: non-finite sample values")
-    return AudioBuffer(samples.copy(), sample_rate)
+    def write(self, samples: np.ndarray) -> None:
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("cannot write non-finite samples")
+        payload = np.asarray(samples).astype("<f4").tobytes()
+        if 36 + self._payload_bytes + len(payload) > 0xFFFFFFFF:
+            raise ValueError(f"{self.path}: output too long for a WAV file")
+        self._fh.write(payload)
+        self._payload_bytes += len(payload)
+
+    def close(self) -> None:
+        self._fh.seek(0)
+        self._fh.write(self._header())
+        self._fh.close()
 
 
 def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
     """Write a mono 32-bit float WAV file."""
     if not np.all(np.isfinite(buffer.samples)):
         raise ValueError("cannot write non-finite samples")
-    if buffer.sample_rate * 4 > 0xFFFFFFFF:
-        raise ValueError(f"sample rate {buffer.sample_rate} does not fit a WAV header")
-    payload = buffer.samples.astype("<f4").tobytes()
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, _FMT_FLOAT, 1, buffer.sample_rate,
-        buffer.sample_rate * 4, 4, 32,
-        b"data", len(payload),
-    )
-    Path(path).write_bytes(header + payload)
+    with WavWriter(path, buffer.sample_rate) as writer:
+        writer.write(buffer.samples)
 
 
 def peak_normalize(buffer: AudioBuffer) -> AudioBuffer:
@@ -248,6 +340,15 @@ def load_song(song: ManifestSong) -> StemSet:
         stems=[(read_wav(p), label) for p, label in song.stems],
         song_id=song.song_id,
     )
+
+
+def song_length(song: ManifestSong) -> int:
+    """Samples in the song's mixes, its longest stem's, from the WAV headers."""
+    lengths = []
+    for path, _ in song.stems:
+        with WavReader(path) as reader:
+            lengths.append(reader.n_samples)
+    return max(lengths, default=0)
 
 
 def write_manifest(path: str | Path, songs: list[ManifestSong]) -> None:

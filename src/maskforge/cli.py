@@ -126,11 +126,8 @@ def cmd_separate(args) -> int:
     cfg = _experiment_config(args, alphas=(args.alpha,),
                              nmf_infer_iters=args.nmf_iterations)
     _, model = pipeline.load_any_model(args.model, cfg)
-    mix = read_wav(args.input)
-    vocal, accomp = pipeline.separate_song(mix, model, args.alpha, cfg,
-                                           infer_seed=args.seed)
-    write_wav(args.out_vocal, vocal)
-    write_wav(args.out_accomp, accomp)
+    pipeline.separate_file(args.input, args.out_vocal, args.out_accomp, model,
+                           args.alpha, cfg, infer_seed=args.seed)
     print(f"wrote {args.out_vocal} and {args.out_accomp}")
     return 0
 

@@ -26,8 +26,10 @@ _LOSSES = (LOSS_CROSS_ENTROPY, LOSS_MSE)
 
 def sigmoid_stable(z: np.ndarray) -> np.ndarray:
     """Logistic function, safe against overflow for any finite input."""
-    e = np.exp(-np.abs(z))              # exp(-z) where z >= 0, exp(z) elsewhere
-    out = np.where(z >= 0, 1.0, e)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)                    # exp(-z) where z >= 0, exp(z) elsewhere
+    out = np.maximum(e, z >= 0)         # 1 where z >= 0 (e <= 1), e elsewhere; NaN stays
     e += 1.0
     out /= e
     return out
@@ -137,7 +139,9 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     if A.ndim != 2 or A.shape[1] != model.input_size:
         raise ValueError(f"expected (n, {model.input_size}) inputs, got {A.shape}")
     for W, b in zip(model.weights, model.biases):
-        A = sigmoid_stable(A @ W.T + b)
+        Z = A @ W.T
+        Z += b
+        A = sigmoid_stable(Z)
     return A
 
 

@@ -67,13 +67,14 @@ class NmfModel:
 
     def predictor(self, n_windows: int, iterations: int, seed: int):
         """Block predictor for one mixture's `n_windows` windows: each window's
-        vocal share. The activations of all windows start from one draw from
-        `seed`, so the columns of a block's fit equal the whole-mixture fit's
-        up to rounding (the H update is column-separable for a fixed W)."""
-        start = initial_activations(self.rank_vocal + self.rank_nonvocal, n_windows, seed)
+        vocal share. Each block's activations start from its columns of one
+        draw for all windows from `seed`, drawn for that block alone, so the
+        columns of a block's fit equal the whole-mixture fit's up to rounding
+        (the H update is column-separable for a fixed W)."""
+        rank = self.rank_vocal + self.rank_nonvocal
 
         def predict(windows: PatchSet, first: int) -> PatchSet:
-            H0 = start[:, first:first + windows.n_patches]
+            H0 = initial_activations(rank, n_windows, seed, first, windows.n_patches)
             v_hat, nv_hat = nmf_separate(windows.rows.T, self, iterations, H0=H0)
             return windows.predictions(vocal_share(v_hat, nv_hat).T)
         return predict
@@ -82,7 +83,7 @@ class NmfModel:
 def vocal_share(v: np.ndarray, nv: np.ndarray) -> np.ndarray:
     """Elementwise v / (v + nv) for non-negative arrays; 0/0 becomes 0.5."""
     total = v + nv
-    return np.where(total > 0.0, v / np.where(total > 0.0, total, 1.0), 0.5)
+    return np.divide(v, total, out=np.full(total.shape, 0.5), where=total > 0.0)
 
 
 @dataclass
@@ -169,9 +170,21 @@ def nmf_factorize(V: np.ndarray, r: int, iterations: int = 200,
     return Factorization(W, H, _fit(V, W, H, iterations, update_w=True, score=trace))
 
 
-def initial_activations(rank: int, n_columns: int, seed: int) -> np.ndarray:
-    """Seeded uniform(0,1] start for the activations of `n_columns` windows."""
-    return 1.0 - np.random.default_rng(seed).random((rank, n_columns))
+def initial_activations(rank: int, n_columns: int, seed: int, first: int = 0,
+                        count: int | None = None) -> np.ndarray:
+    """Columns first..first+count-1 (all by default) of a seeded uniform(0,1]
+    start for the activations of `n_columns` windows. Row k of the draw holds
+    the seeded stream's values k*n_columns onwards, so a block of columns is
+    drawn without the rest, bit for bit as the whole draw has it."""
+    count = n_columns - first if count is None else count
+    bits = np.random.PCG64(seed)
+    draws = np.random.Generator(bits)
+    bits.advance(first)
+    H = np.empty((rank, count))
+    for k in range(rank):
+        H[k] = 1.0 - draws.random(count)
+        bits.advance(n_columns - count)
+    return H
 
 
 def infer_activations(V: np.ndarray, W: np.ndarray, iterations: int = 200,

@@ -5,7 +5,9 @@ mask, is cut into F x T windows along the time axis. Training uses
 non-overlapping windows (stride = T); at separation time the window slides one
 frame at a time, so every interior element receives T overlapping predictions
 whose arithmetic mean becomes the element's confidence value. Separation cuts,
-predicts and accumulates those windows a fixed-size block at a time, so the
+predicts and accumulates those windows a fixed-size block at a time, each
+block into its own sum grid that starts from the last width - 1 frames'
+sums of the block before (`repack_accumulate`, `repack_finish`), so the
 memory they take does not grow with the song's length. Models read a window
 as one frame-major row, its T frames of F bins in turn; the rows are a strided
 view of the (N, F) frame matrix, and repacking adds them back with the

@@ -1,5 +1,14 @@
 """End-to-end orchestration: corpus -> training sets -> models -> sweep CSVs.
 
+Training matrices are filled in place, one preallocated array each, sized
+from the stems' WAV headers. Separation is one block engine with two passes
+over the mixture: pass one finds the magnitude peak from block STFTs, and
+pass two cuts, predicts and averages the stride-1 windows a block at a time
+and yields runs of finished frames (`_mean_blocks`). `separate_file` streams
+those runs through the masks and the inverse STFT into two WAV writers, so
+its memory does not grow with the mixture's length; `separate_song` and
+`confidence_grid` gather the same runs in memory.
+
 The alpha sweep evaluates every requested separation method on every test
 song across a confidence grid. Thresholding is cheap next to model inference,
 so each song's mean-confidence grid is computed once per method and re-cut
@@ -14,17 +23,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import mlp, nmf
 from .audio_io import (
+    LABELS,
     NON_VOCAL,
     VOCAL,
     AudioBuffer,
     ManifestSong,
     StemSet,
+    WavReader,
+    WavWriter,
     load_song,
     pool_and_mix,
+    song_length,
 )
 from .bss_eval import PairMetrics, SeparationMetrics, evaluate_pair
 from .masking import (
@@ -45,7 +57,7 @@ from .patching import (
     repack_accumulate,
     repack_finish,
 )
-from .stft import ComplexSpectrogram, StftConfig, istft, magnitude, stft
+from .stft import ComplexSpectrogram, InverseStft, StftConfig, istft, magnitude, n_frames_for, stft
 
 METHOD_DNN = "dnn"
 METHOD_NMF = "nmf"
@@ -123,31 +135,49 @@ def song_training_pairs(stems: StemSet, stft_cfg: StftConfig,
             _training_rows(ibm.values, patch_cfg))
 
 
-def build_training_set(songs: list[ManifestSong], stft_cfg: StftConfig,
-                       patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack training pairs over every manifest song."""
+def _song_windows(songs: list[ManifestSong], stft_cfg: StftConfig,
+                  patch_cfg: PatchConfig) -> list[int]:
+    """Each song's window count at the training stride, from its WAV headers."""
     if not songs:
         raise ValueError("empty manifest")
-    xs, ys = [], []
-    for song in songs:
-        X, Y = song_training_pairs(load_song(song), stft_cfg, patch_cfg)
-        xs.append(X)
-        ys.append(Y)
-    return np.concatenate(xs), np.concatenate(ys)
+    return [len(patch_offsets(n_frames_for(song_length(song), stft_cfg),
+                              patch_cfg.width, patch_cfg.train_stride)) for song in songs]
+
+
+def build_training_set(songs: list[ManifestSong], stft_cfg: StftConfig,
+                       patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Training pairs of every manifest song, stacked in one preallocated
+    C-ordered (P, d) pair, so no song's pieces and their stack coexist."""
+    counts = _song_windows(songs, stft_cfg, patch_cfg)
+    d = stft_cfg.n_bins * patch_cfg.width
+    X, Y = np.empty((sum(counts), d)), np.empty((sum(counts), d))
+    row = 0
+    for song, count in zip(songs, counts):
+        X[row:row + count], Y[row:row + count] = song_training_pairs(
+            load_song(song), stft_cfg, patch_cfg)
+        row += count
+    return X, Y
+
+
+def build_class_matrix(songs: list[ManifestSong], label: str, stft_cfg: StftConfig,
+                       patch_cfg: PatchConfig) -> np.ndarray:
+    """One class's column-stacked source windows for dictionary training, in
+    one preallocated C-ordered (d, P) matrix, which the fit uses as it is."""
+    counts = _song_windows(songs, stft_cfg, patch_cfg)
+    V = np.empty((stft_cfg.n_bins * patch_cfg.width, sum(counts)))
+    col = 0
+    for song, count in zip(songs, counts):
+        mix = pool_and_mix(load_song(song))[LABELS.index(label)]
+        norm = normalize_unit_scale(magnitude(stft(mix, stft_cfg)))
+        V[:, col:col + count] = _training_rows(norm, patch_cfg).T
+        col += count
+    return V
 
 
 def build_class_matrices(songs: list[ManifestSong], stft_cfg: StftConfig,
                          patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Column-stacked per-class source windows for dictionary training."""
-    if not songs:
-        raise ValueError("empty manifest")
-    v_cols, nv_cols = [], []
-    for song in songs:
-        vocal_mix, nonvocal_mix, _ = pool_and_mix(load_song(song))
-        for cols, mix in ((v_cols, vocal_mix), (nv_cols, nonvocal_mix)):
-            norm = normalize_unit_scale(magnitude(stft(mix, stft_cfg)))
-            cols.append(_training_rows(norm, patch_cfg).T)
-    return np.concatenate(v_cols, axis=1), np.concatenate(nv_cols, axis=1)
+    """The vocal and the non-vocal class matrix (`build_class_matrix`)."""
+    return tuple(build_class_matrix(songs, label, stft_cfg, patch_cfg) for label in LABELS)
 
 
 def train_dnn(songs: list[ManifestSong], cfg: ExperimentConfig) -> tuple[MlpModel, np.ndarray]:
@@ -159,9 +189,11 @@ def train_dnn(songs: list[ManifestSong], cfg: ExperimentConfig) -> tuple[MlpMode
 
 
 def train_nmf(songs: list[ManifestSong], cfg: ExperimentConfig) -> NmfModel:
-    V_v, V_nv = build_class_matrices(songs, cfg.stft, cfg.patch)
-    w_v = nmf_train_class(V_v, cfg.nmf_rank, cfg.nmf_train_iters, seed=cfg.seed)
-    w_nv = nmf_train_class(V_nv, cfg.nmf_rank, cfg.nmf_train_iters, seed=cfg.seed + 1)
+    """Per-class dictionaries, each class's matrix built and fitted in turn."""
+    w_v = nmf_train_class(build_class_matrix(songs, VOCAL, cfg.stft, cfg.patch),
+                          cfg.nmf_rank, cfg.nmf_train_iters, seed=cfg.seed)
+    w_nv = nmf_train_class(build_class_matrix(songs, NON_VOCAL, cfg.stft, cfg.patch),
+                           cfg.nmf_rank, cfg.nmf_train_iters, seed=cfg.seed + 1)
     return NmfModel(w_v, w_nv, n_bins=cfg.stft.n_bins, width=cfg.patch.width)
 
 
@@ -182,34 +214,75 @@ def load_any_model(path: str | Path, cfg: ExperimentConfig) -> tuple[str, Model]
 # separation
 # ---------------------------------------------------------------------------
 
-# Windows that separation cuts, predicts and accumulates at a time; a 1.8 s
-# desk song (about 300 windows) is one block.
+# Windows that separation cuts, predicts and accumulates at a time, and frames
+# per block of the first pass; a 1.8 s desk song (about 300 windows) is one
+# block.
 _WINDOW_BLOCK = 512
 
 
-def confidence_grid(mix: AudioBuffer, model: Model, cfg: ExperimentConfig,
+def _peak_magnitude(frames, n_frames: int) -> float:
+    """Pass one: the largest magnitude of the frames that frames(a, b) gives,
+    a block at a time."""
+    peak = max(float(np.max(np.abs(frames(a, min(a + _WINDOW_BLOCK, n_frames)))))
+               for a in range(0, n_frames, _WINDOW_BLOCK))
+    if peak == 0.0:
+        raise ValueError("all-zero spectrogram has no unit scale")
+    return peak
+
+
+def _mean_blocks(frames, n_frames: int, peak: float, model: Model,
+                 cfg: ExperimentConfig, infer_seed: int):
+    """Pass two: yield (bins, mean) for consecutive runs of finished frames,
+    their complex STFT bins and their mean vocal confidence.
+
+    frames(a, b) gives complex STFT frames a..b-1, and their magnitudes over
+    `peak` are what the windows are cut from. Block k cuts the stride-1
+    windows at offsets first..first + _WINDOW_BLOCK - 1, predicts them and
+    adds them to the sums carried from block k - 1. A frame is finished once
+    no later window covers it, so the last T - 1 frames' sums wait for the
+    next block, where they are added to in offset order, as in one
+    whole-mixture sum grid.
+    """
+    F, T = cfg.stft.n_bins, cfg.patch.width
+    n_windows = len(patch_offsets(n_frames, T, 1))
+    predict = model.predictor(n_windows, cfg.nmf_infer_iters, infer_seed)
+    # the sums are stored frame-major, like the windows added into them
+    acc, counts = np.zeros((T - 1, F)).T, np.zeros(T - 1, dtype=np.int64)
+    for first in range(0, n_windows, _WINDOW_BLOCK):
+        P = min(_WINDOW_BLOCK, n_windows - first)
+        bins = frames(first, min(first + P + T - 1, n_frames))
+        preds = predict(extract_patches(np.abs(bins) / peak, cfg.patch, 1), first)
+        block_acc = np.zeros((P + T - 1, F)).T
+        block_counts = np.zeros(P + T - 1, dtype=np.int64)
+        block_acc[:, :T - 1], block_counts[:T - 1] = acc, counts
+        repack_accumulate(preds.patches, preds.offsets, block_acc, block_counts)
+        done = P if first + P < n_windows else n_frames - first
+        yield bins[:, :done], repack_finish(block_acc, block_counts, done)
+        acc, counts = block_acc[:, P:], block_counts[P:]
+
+
+def confidence_grid(mix: AudioBuffer | ComplexSpectrogram, model: Model,
+                    cfg: ExperimentConfig,
                     infer_seed: int = 0) -> tuple[MeanPrediction, ComplexSpectrogram]:
-    """Mean per-element vocal confidence for a mixture, plus its spectrogram.
+    """Mean per-element vocal confidence for a mixture, given as audio or as
+    its STFT, plus that STFT.
 
     All alpha thresholds derive from this one grid, so a sweep reuses it. The
-    stride-1 windows are cut, predicted and added into one sum grid in blocks
-    of _WINDOW_BLOCK, in offset order, so the memory they take does not grow
-    with the mixture's length.
+    grid is assembled from `_mean_blocks`, the blocks that streamed separation
+    thresholds one at a time.
     """
-    spec = stft(mix, cfg.stft)
-    norm = normalize_unit_scale(magnitude(spec))
-    F, N = norm.shape
-    T = cfg.patch.width
-    n_windows = len(patch_offsets(N, T, 1))
-    padded = n_windows - 1 + T
-    # the sum grid is stored frame-major, like the windows added into it
-    acc, counts = np.zeros((padded, F)).T, np.zeros(padded, dtype=np.int64)
-    predict = model.predictor(n_windows, cfg.nmf_infer_iters, infer_seed)
-    for first in range(0, n_windows, _WINDOW_BLOCK):
-        frames = norm[:, first:first + _WINDOW_BLOCK + T - 1]
-        preds = predict(extract_patches(frames, cfg.patch, 1), first)
-        repack_accumulate(preds.patches, preds.offsets + first, acc, counts)
-    return repack_finish(acc, counts, N), spec
+    spec = mix if isinstance(mix, ComplexSpectrogram) else stft(mix, cfg.stft)
+    N = spec.n_frames
+    frames = lambda a, b: spec.bins[:, a:b]
+    # frame-major, like the STFT's bins, so that masked bins keep their layout
+    values, counts = np.empty((N, cfg.stft.n_bins)).T, np.empty(N, dtype=np.int64)
+    done = 0
+    for bins, mean in _mean_blocks(frames, N, _peak_magnitude(frames, N), model, cfg,
+                                   infer_seed):
+        values[:, done:done + bins.shape[1]] = mean.values
+        counts[done:done + bins.shape[1]] = mean.counts[0]
+        done += bins.shape[1]
+    return MeanPrediction(values, np.broadcast_to(counts, values.shape)), spec
 
 
 def threshold_and_invert(mean: MeanPrediction, spec: ComplexSpectrogram,
@@ -220,23 +293,75 @@ def threshold_and_invert(mean: MeanPrediction, spec: ComplexSpectrogram,
     return istft(apply_mask(spec, m_v)), istft(apply_mask(spec, m_nv))
 
 
+def _invert_block(bins: np.ndarray, mean: MeanPrediction, alpha: float,
+                  inverses: tuple[InverseStft, InverseStft]) -> tuple[np.ndarray, np.ndarray]:
+    """`threshold_and_invert` for one run of finished frames: the two masks'
+    bins are pushed through the vocal and the accompaniment inversion, which
+    carry their overlap into the next run; returns the samples each finishes."""
+    m_v = vocal_mask_from_confidence(mean, alpha)
+    m_nv = nonvocal_mask_from_confidence(mean, alpha)
+    return inverses[0].push(bins * m_v.values), inverses[1].push(bins * m_nv.values)
+
+
+def _separation(read, n_samples: int, sample_rate: int, model: Model, alpha: float,
+                cfg: ExperimentConfig, infer_seed: int):
+    """Separate a mixture whose samples a..b-1 read(a, b) returns, in two
+    passes over it. Pass one, which runs here, reads every sample and finds
+    the magnitude peak; the returned generator is pass two, which yields
+    consecutive (vocal, accompaniment) sample chunks. Each block's STFT is
+    taken from just the samples its frames cover, so the memory separation
+    takes does not grow with the mixture's length."""
+    hop, frame_len = cfg.stft.hop, cfg.stft.frame_len
+
+    def frames(a: int, b: int) -> np.ndarray:
+        samples = read(a * hop, min(n_samples, (b - 1) * hop + frame_len))
+        return stft(AudioBuffer(samples, sample_rate), cfg.stft).bins
+
+    n_frames = n_frames_for(n_samples, cfg.stft)
+    peak = _peak_magnitude(frames, n_frames)
+    inverses = tuple(InverseStft(cfg.stft, n_frames, n_samples) for _ in range(2))
+    return (_invert_block(bins, mean, alpha, inverses) for bins, mean in
+            _mean_blocks(frames, n_frames, peak, model, cfg, infer_seed))
+
+
 def separate_song(mix: AudioBuffer, model: Model, alpha: float,
                   cfg: ExperimentConfig,
                   infer_seed: int = 0) -> tuple[AudioBuffer, AudioBuffer]:
     """One mixture, one model, one alpha -> (vocal estimate, accompaniment)."""
-    mean, spec = confidence_grid(mix, model, cfg, infer_seed=infer_seed)
-    return threshold_and_invert(mean, spec, alpha)
+    chunks = list(_separation(lambda a, b: mix.samples[a:b], len(mix), mix.sample_rate,
+                              model, alpha, cfg, infer_seed))
+    return tuple(AudioBuffer(np.concatenate(parts), mix.sample_rate)
+                 for parts in zip(*chunks))
+
+
+def separate_file(mixture: str | Path, out_vocal: str | Path, out_accomp: str | Path,
+                  model: Model, alpha: float, cfg: ExperimentConfig,
+                  infer_seed: int = 0) -> None:
+    """`separate_song` from a WAV file to two WAV files, streamed: neither the
+    mixture nor either output is held whole. Pass one reads and checks every
+    sample, so a bad input fails before either output file is created, and a
+    failure after that removes both."""
+    paths = [Path(p).resolve() for p in (mixture, out_vocal, out_accomp)]
+    if len(set(paths)) < 3:
+        raise ValueError("the mixture and the two outputs must be three different files")
+    with WavReader(mixture) as reader:
+        chunks = _separation(reader.read, reader.n_samples, reader.sample_rate,
+                             model, alpha, cfg, infer_seed)
+        with WavWriter(out_vocal, reader.sample_rate) as vocal, \
+                WavWriter(out_accomp, reader.sample_rate) as accomp:
+            for v, a in chunks:
+                vocal.write(v)
+                accomp.write(a)
 
 
 def ideal_mask_separate(stems: StemSet,
                         stft_cfg: StftConfig) -> tuple[AudioBuffer, AudioBuffer]:
     """Oracle separation: the true-source mask applied to the true mixture."""
-    return _oracle_separation(pool_and_mix(stems), stft_cfg)
+    return _oracle_separation(*_oracle_mask_and_mixture(pool_and_mix(stems), stft_cfg))
 
 
-def _oracle_separation(mixes: tuple[AudioBuffer, AudioBuffer, AudioBuffer],
-                       stft_cfg: StftConfig) -> tuple[AudioBuffer, AudioBuffer]:
-    ibm, spec = _oracle_mask_and_mixture(mixes, stft_cfg)
+def _oracle_separation(ibm: BinaryMask,
+                       spec: ComplexSpectrogram) -> tuple[AudioBuffer, AudioBuffer]:
     return istft(apply_mask(spec, ibm)), istft(apply_mask(spec, BinaryMask(1.0 - ibm.values)))
 
 
@@ -267,11 +392,11 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model],
     mixes = pool_and_mix(load_song(song))
     vocal_mix, nonvocal_mix, full_mix = mixes
     ref_v, ref_nv = vocal_mix.samples, nonvocal_mix.samples
+    ibm, spec = _oracle_mask_and_mixture(mixes, cfg.stft)
     out: dict[str, dict[float | None, PairMetrics]] = {}
 
     for method, model in models.items():
-        mean, spec = confidence_grid(full_mix, model, cfg,
-                                     infer_seed=cfg.seed + 7000 + song_index)
+        mean, _ = confidence_grid(spec, model, cfg, infer_seed=cfg.seed + 7000 + song_index)
         per_alpha: dict[float | None, PairMetrics] = {}
         for alpha in cfg.alphas:
             est_v, est_nv = threshold_and_invert(mean, spec, alpha)
@@ -279,7 +404,7 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model],
                                              ref_v, ref_nv)
         out[method] = per_alpha
 
-    est_v, est_nv = _oracle_separation(mixes, cfg.stft)
+    est_v, est_nv = _oracle_separation(ibm, spec)
     out[METHOD_IDEAL] = {None: evaluate_pair(est_v.samples, est_nv.samples,
                                              ref_v, ref_nv)}
     out[METHOD_MIXTURE] = {None: evaluate_pair(full_mix.samples, full_mix.samples,
@@ -310,8 +435,10 @@ def _mean_and_ci(values: list[float]) -> tuple[float, str]:
     mean = float(np.mean(arr))
     if len(arr) < 2 or not np.all(np.isfinite(arr)):
         return mean, ""
+    # the Student-t quantile, imported here: scipy.stats takes a second to load
+    from scipy.special import stdtrit
     sem = float(np.std(arr, ddof=1)) / np.sqrt(len(arr))
-    half = float(stats.t.ppf(0.975, len(arr) - 1)) * sem
+    half = float(stdtrit(len(arr) - 1, 0.975)) * sem
     return mean, _fmt(half)
 
 

@@ -6,6 +6,8 @@ the signal edges. Synthesis divides by the accumulated squared-window
 envelope, which stays well behaved even for masked spectrograms that are no
 longer consistent STFTs. Frames are a strided view of the signal, and one
 `overlap_add` inverts the STFT and repacks the windows of `maskforge.patching`.
+The inverse takes its frames a block at a time (`InverseStft`), so a long
+signal is inverted without holding its whole grid; `istft` is one block.
 """
 
 from __future__ import annotations
@@ -114,24 +116,55 @@ def ola_accumulate(frames, window, hop, out_len):
     return acc, env
 
 
-def istft(spec: ComplexSpectrogram) -> AudioBuffer:
-    """Weighted overlap-add inversion, trimmed to the recorded original length.
+class InverseStft:
+    """Weighted overlap-add inversion of an `n_frames`-frame STFT whose frames
+    arrive in consecutive blocks; each `push` returns the samples that no later
+    frame reaches, and the last push returns the rest, trimmed to
+    `original_len`.
 
     Each frame is inverse transformed, windowed again, and accumulated; the
     result is divided by the summed squared-window envelope wherever that
     envelope is nonzero (it is strictly positive on the interior whenever
-    hop <= frame_len/2).
+    hop <= frame_len/2). The time-domain frames that overlap the next block's
+    first frame are carried into it and added again, so every sample sums its
+    frames from zero in start order, as one push of the whole grid does.
     """
-    cfg = spec.config
-    frames_td = np.fft.irfft(spec.bins.T, n=cfg.frame_len, axis=1)
-    out_len = (spec.n_frames - 1) * cfg.hop + cfg.frame_len
-    acc, env = ola_accumulate(frames_td, hann_window(cfg.frame_len), cfg.hop, out_len)
-    if cfg.hop <= cfg.frame_len // 2 and spec.n_frames > 1:
-        interior = env[cfg.frame_len:-cfg.frame_len]
-        if interior.size and np.min(interior) <= _ENVELOPE_EPS:
-            raise ValueError("overlap-add envelope vanishes inside the signal")
-    samples = np.where(env > _ENVELOPE_EPS, acc / np.maximum(env, _ENVELOPE_EPS), 0.0)
-    return AudioBuffer(samples[: spec.original_len], sample_rate=spec.sample_rate)
+
+    def __init__(self, cfg: StftConfig, n_frames: int, original_len: int):
+        self.cfg, self.n_frames, self.original_len = cfg, n_frames, original_len
+        self._window = hann_window(cfg.frame_len)
+        # earlier frames that reach a frame's first sample
+        self._overlap = -(-cfg.frame_len // cfg.hop) - 1
+        self._carry = np.empty((0, cfg.frame_len))
+        self._pushed = 0
+
+    def push(self, bins: np.ndarray) -> np.ndarray:
+        cfg = self.cfg
+        frames = np.fft.irfft(bins.T, n=cfg.frame_len, axis=1)
+        if len(self._carry):
+            frames = np.concatenate([self._carry, frames])
+        base = (self._pushed - len(self._carry)) * cfg.hop   # where frames[0] starts
+        self._pushed += bins.shape[1]
+        out_len = (len(frames) - 1) * cfg.hop + cfg.frame_len
+        acc, env = ola_accumulate(frames, self._window, cfg.hop, out_len)
+        lo = len(self._carry) * cfg.hop
+        hi = out_len if self._pushed == self.n_frames else len(frames) * cfg.hop
+        if cfg.hop <= cfg.frame_len // 2 and self.n_frames > 1:
+            interior = env[max(lo, cfg.frame_len - base):
+                           min(hi, (self.n_frames - 1) * cfg.hop - base)]
+            if interior.size and np.min(interior) <= _ENVELOPE_EPS:
+                raise ValueError("overlap-add envelope vanishes inside the signal")
+        self._carry = frames[len(frames) - min(self._overlap, len(frames)):]
+        samples = np.divide(acc[lo:hi], env[lo:hi], out=np.zeros(hi - lo),
+                            where=env[lo:hi] > _ENVELOPE_EPS)
+        return samples[:max(self.original_len - base - lo, 0)]
+
+
+def istft(spec: ComplexSpectrogram) -> AudioBuffer:
+    """Weighted overlap-add inversion (`InverseStft`), trimmed to the recorded
+    original length."""
+    inverse = InverseStft(spec.config, spec.n_frames, spec.original_len)
+    return AudioBuffer(inverse.push(spec.bins), sample_rate=spec.sample_rate)
 
 
 def magnitude(spec: ComplexSpectrogram) -> np.ndarray:

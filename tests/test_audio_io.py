@@ -14,11 +14,14 @@ from maskforge.audio_io import (
     StemSet,
     UnsupportedWavError,
     WavFormatError,
+    WavReader,
+    WavWriter,
     load_manifest,
     load_song,
     peak_normalize,
     pool_and_mix,
     read_wav,
+    song_length,
     write_manifest,
     write_wav,
 )
@@ -180,6 +183,60 @@ def test_read_rejects_partial_frame(tmp_path, audio_format, bits, channels, leng
     with pytest.raises(WavFormatError, match="not a whole number") as exc:
         read_wav(path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("audio_format, bits, channels",
+                         [(1, 16, 1), (1, 16, 2), (1, 24, 1), (3, 32, 3)])
+def test_reader_ranges_equal_whole_read(tmp_path, rng, audio_format, bits, channels):
+    if audio_format == 3:
+        raw = rng.uniform(-1, 1, 1000 * channels).astype("<f4").tobytes()
+    else:
+        raw = rng.integers(0, 256, 1000 * bits // 8 * channels, dtype=np.uint8).tobytes()
+    path = tmp_path / "x.wav"
+    path.write_bytes(_wav_bytes(audio_format, bits, channels, raw))
+    whole = read_wav(path).samples
+    with WavReader(path) as reader:
+        assert reader.n_samples == len(whole) == 1000 and reader.sample_rate == 8000
+        for start, stop in [(0, 1000), (0, 1), (999, 1000), (313, 700), (900, 5000)]:
+            assert np.array_equal(reader.read(start, stop), whole[start:stop])
+
+
+def test_reader_reports_non_finite_range(tmp_path):
+    samples = np.zeros(100, dtype="<f4")
+    samples[70] = np.inf
+    path = tmp_path / "inf.wav"
+    path.write_bytes(_wav_bytes(3, 32, 1, samples.tobytes()))
+    with WavReader(path) as reader:
+        assert not np.any(reader.read(0, 70))
+        with pytest.raises(WavFormatError, match="non-finite"):
+            reader.read(60, 80)
+
+
+def test_chunked_writer_matches_write_wav(tmp_path, rng):
+    samples = rng.uniform(-1, 1, 1001)
+    write_wav(tmp_path / "whole.wav", AudioBuffer(samples, 16000))
+    with WavWriter(tmp_path / "chunks.wav", 16000) as writer:
+        for start in range(0, 1001, 300):
+            writer.write(samples[start:start + 300])
+    assert (tmp_path / "chunks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+
+
+def test_writer_removes_unfinished_file(tmp_path):
+    path = tmp_path / "partial.wav"
+    with pytest.raises(ValueError, match="non-finite"):
+        with WavWriter(path, 8000) as writer:
+            writer.write(np.zeros(10))
+            writer.write(np.array([np.nan]))
+    assert not path.exists()
+
+
+def test_song_length_is_longest_stem_from_headers(tmp_path):
+    for name, n in (("a.wav", 300), ("b.wav", 1200), ("c.wav", 5)):
+        write_wav(tmp_path / name, AudioBuffer(np.ones(n), 8000))
+    song = ManifestSong("s", [(tmp_path / "a.wav", VOCAL), (tmp_path / "b.wav", NON_VOCAL),
+                              (tmp_path / "c.wav", VOCAL)])
+    assert song_length(song) == 1200
+    assert len(pool_and_mix(load_song(song))[2]) == 1200
 
 
 # ---------------------------------------------------------------------------

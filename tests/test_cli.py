@@ -280,6 +280,28 @@ def test_partial_sample_data_chunk_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and "not a whole number" in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_exits_one_before_any_output(tmp_path, capsys, bad):
+    # the bad sample sits near the end, in the last block the first pass reads
+    model_path = tmp_path / "m.mfg"
+    save_model(init_model([3, 2, 3], seed=0), model_path)
+    samples = np.linspace(-1, 1, 3000).astype("<f4")
+    samples[-3] = bad
+    wav = tmp_path / "bad.wav"
+    wav.write_bytes(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 4 * len(samples), b"WAVE",
+                                b"fmt ", 16, 3, 1, 8000, 32000, 4, 32, b"data", 4 * len(samples))
+                    + samples.tobytes())
+    outputs = (tmp_path / "v.wav", tmp_path / "a.wav")
+    code, out, err = _run(capsys, [
+        "separate", "--model", str(model_path), "--alpha", "0.5", "--input", str(wav),
+        "--out-vocal", str(outputs[0]), "--out-accomp", str(outputs[1]), *FUZZ_FLAGS,
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "non-finite sample values" in err
+    assert not any(p.exists() for p in outputs)
+
+
 def test_sample_rate_beyond_wav_header_exits_one(tmp_path, capsys):
     # a 2**30 Hz input decodes, but its byte rate does not fit the output header
     model_path = tmp_path / "m.mfg"

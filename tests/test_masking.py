@@ -161,3 +161,13 @@ def test_binary_mask_validation():
         BinaryMask(np.array([[0.5]]))
     with pytest.raises(ValueError, match="2-D"):
         BinaryMask(np.zeros(4))
+
+
+def test_vocal_share_equals_where_form(rng):
+    v = rng.uniform(0, 2, size=(30, 40))
+    nv = rng.uniform(0, 2, size=(30, 40))
+    v[::3, ::4] = 0.0
+    nv[::3, ::2] = 0.0
+    total = v + nv
+    expect = np.where(total > 0.0, v / np.where(total > 0.0, total, 1.0), 0.5)
+    assert np.array_equal(vocal_share(v, nv), expect)

@@ -49,6 +49,36 @@ def test_sigmoid_extremes_do_not_overflow():
     assert out[2] == 0.5
 
 
+def _sigmoid_with_where(z):
+    """The earlier form of sigmoid_stable, a reference for the select by maximum."""
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def test_sigmoid_equals_where_form_bit_for_bit(rng):
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                        1e-310, -1e-310, 745.2, -745.2, 1e308, -1e308])
+    z = np.concatenate([special, rng.standard_normal(20000) * 30, rng.uniform(-1, 1, 5000)])
+    got, expect = sigmoid_stable(z), _sigmoid_with_where(z)
+    assert np.array_equal(got, expect, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+def test_forward_batch_equals_out_of_place_bias(rng):
+    model = init_model([12, 7, 12], seed=3)
+    for b in model.biases[:-1]:
+        b[:] = rng.standard_normal(b.shape)
+    X = rng.uniform(0, 1, (9, 12))
+    A = X
+    for W, b in zip(model.weights, model.biases):
+        A = _sigmoid_with_where(A @ W.T + b)
+    assert np.array_equal(forward_batch(model, X), A)
+
+
 def test_softplus_matches_naive_in_safe_range(rng):
     z = rng.uniform(-30, 30, size=200)
     naive = np.log1p(np.exp(z))

@@ -11,6 +11,7 @@ from maskforge.nmf import (
     MAGIC,
     NmfModel,
     infer_activations,
+    initial_activations,
     kl_divergence,
     load_nmf,
     nmf_factorize,
@@ -287,6 +288,31 @@ def test_training_and_separation_equal_the_public_fits(rng):
 # ---------------------------------------------------------------------------
 # class dictionaries
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("first, count", [(0, 1037), (0, 512), (512, 512), (1024, 13),
+                                          (1036, 1), (7, 100)])
+def test_block_of_initial_activations_is_slice_of_whole_draw(first, count):
+    whole = 1.0 - np.random.default_rng(11).random((9, 1037))
+    block = initial_activations(9, 1037, 11, first, count)
+    assert np.array_equal(block, whole[:, first:first + count])
+    assert np.array_equal(initial_activations(9, 1037, 11), whole)
+
+
+def test_predictor_draws_only_its_block(rng, monkeypatch):
+    model = NmfModel(rng.uniform(0.1, 1, (12, 2)), rng.uniform(0.1, 1, (12, 3)),
+                     n_bins=4, width=3)
+    shapes = []
+
+    def recording(*args):
+        H = initial_activations(*args)
+        shapes.append(H.shape)
+        return H
+    monkeypatch.setattr("maskforge.nmf.initial_activations", recording)
+    predict = model.predictor(100000, 2, seed=0)
+    windows = extract_patches(rng.uniform(0, 1, (4, 10)), PatchConfig(3, 3), 1)
+    predict(windows, 5000)
+    assert shapes == [(5, windows.n_patches)]
+
 
 def test_train_class_single_patch_dictionary(rng):
     patch = rng.uniform(0.1, 1.0, size=(12, 1))

@@ -5,16 +5,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maskforge.audio_io import NON_VOCAL, VOCAL, AudioBuffer, StemSet, load_song
+from maskforge.audio_io import (
+    NON_VOCAL,
+    VOCAL,
+    AudioBuffer,
+    StemSet,
+    WavFormatError,
+    load_manifest,
+    load_song,
+    read_wav,
+    write_wav,
+)
 from maskforge.masking import ideal_binary_mask
 from maskforge import nmf, pipeline
-from maskforge.mlp import MlpModel, init_model
+from maskforge.mlp import MlpModel, init_model, predict_masks
 from maskforge.nmf import NmfModel
 from maskforge.patching import (
     MeanPrediction,
     PatchConfig,
     extract_patches,
     normalize_unit_scale,
+    repack_accumulate,
     repack_mean,
 )
 from maskforge.pipeline import (
@@ -35,6 +46,7 @@ from maskforge.pipeline import (
     ideal_mask_separate,
     per_song_rows,
     run_sweep_to_csv,
+    separate_file,
     separate_song,
     song_training_pairs,
     sweep_alpha,
@@ -42,8 +54,9 @@ from maskforge.pipeline import (
     train_dnn,
     train_nmf,
 )
-from maskforge.stft import StftConfig, istft, magnitude, stft
+from maskforge.stft import StftConfig, hann_window, istft, magnitude, ola_accumulate, stft
 from maskforge.audio_io import pool_and_mix
+from maskforge.synth import SynthConfig, generate_corpus
 
 
 def _small_cfg(**overrides):
@@ -202,6 +215,52 @@ def test_train_nmf_dimensions(tiny_corpus):
     assert np.allclose(model.w_vocal.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def window_corpus(tmp_path_factory):
+    """32 short songs, whose windows together outweigh the arrays any one
+    song needs while it is cut."""
+    train, _ = generate_corpus(tmp_path_factory.mktemp("window_corpus"), 32, 0,
+                               SynthConfig(sample_rate=8000, duration=0.5, seed=3))
+    return load_manifest(train)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("build", [build_training_set, build_class_matrices])
+def test_training_matrices_are_built_in_place(window_corpus, build):
+    # at the training stride of the window width, each song's windows are a
+    # view of an array as large as themselves, so stacking the songs' pieces
+    # would take twice the result
+    stft_cfg, patch_cfg = StftConfig(64, 16), PatchConfig(width=8, train_stride=8)
+    mats, peak = _traced_peak(lambda: build(window_corpus, stft_cfg, patch_cfg))
+    assert all(m.flags.c_contiguous for m in mats)
+    result_bytes = sum(m.nbytes for m in mats)
+    assert result_bytes > 4e6
+    assert peak <= 1.25 * result_bytes, (peak, result_bytes)
+
+
+def test_training_matrices_equal_stacked_songs(window_corpus):
+    stft_cfg, patch_cfg = StftConfig(64, 16), PatchConfig(width=8, train_stride=3)
+    X, Y = build_training_set(window_corpus, stft_cfg, patch_cfg)
+    pairs = [song_training_pairs(load_song(s), stft_cfg, patch_cfg) for s in window_corpus]
+    assert np.array_equal(X, np.concatenate([x for x, _ in pairs]))
+    assert np.array_equal(Y, np.concatenate([y for _, y in pairs]))
+    V_v, V_nv = build_class_matrices(window_corpus, stft_cfg, patch_cfg)
+    for V, mix_index in ((V_v, 0), (V_nv, 1)):
+        cols = [extract_patches(normalize_unit_scale(magnitude(stft(
+                    pool_and_mix(load_song(s))[mix_index], stft_cfg))), patch_cfg, 3).rows.T
+                for s in window_corpus]
+        assert np.array_equal(V, np.concatenate(cols, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # separation
 # ---------------------------------------------------------------------------
@@ -319,6 +378,131 @@ def test_confidence_grid_memory_stays_below_window_stack(method):
     assert peak < stack_bytes, (peak, stack_bytes)
 
 
+# ---------------------------------------------------------------------------
+# streamed separation
+# ---------------------------------------------------------------------------
+
+def _whole_song_reference(mix, model, alpha, cfg, seed):
+    """The whole-song separation that streaming must reproduce bit for bit:
+    every grid of the song held at once, one draw of every window's starting
+    NMF activations, the windows predicted in blocks of _WINDOW_BLOCK, and the
+    inverse STFT of each masked grid done in one piece."""
+    spec = stft(mix, cfg.stft)
+    norm = normalize_unit_scale(magnitude(spec))
+    F, N = norm.shape
+    T, block = cfg.patch.width, pipeline._WINDOW_BLOCK
+    n_windows = max(N - T + 1, 1)
+    acc = np.zeros((n_windows - 1 + T, F)).T
+    counts = np.zeros(n_windows - 1 + T, dtype=np.int64)
+    if isinstance(model, NmfModel):
+        rank = model.rank_vocal + model.rank_nonvocal
+        start = 1.0 - np.random.default_rng(seed).random((rank, n_windows))
+    for first in range(0, n_windows, block):
+        windows = extract_patches(norm[:, first:first + block + T - 1], cfg.patch, 1)
+        if isinstance(model, NmfModel):
+            H0 = start[:, first:first + windows.n_patches]
+            v, nv = nmf.nmf_separate(windows.rows.T, model, cfg.nmf_infer_iters, H0=H0)
+            total = v + nv
+            share = np.where(total > 0.0, v / np.where(total > 0.0, total, 1.0), 0.5)
+            preds = windows.predictions(share.T)
+        else:
+            preds = predict_masks(model, windows)
+        repack_accumulate(preds.patches, preds.offsets + first, acc, counts)
+    mean = acc[:, :N] / counts[:N]
+    fl, hop = cfg.stft.frame_len, cfg.stft.hop
+    outputs = []
+    for keep in (mean > alpha, mean < 1.0 - alpha):
+        frames = np.fft.irfft((spec.bins * keep.astype(np.float64)).T, n=fl, axis=1)
+        sums, env = ola_accumulate(frames, hann_window(fl), hop, (N - 1) * hop + fl)
+        outputs.append(np.where(env > 1e-12, sums / np.maximum(env, 1e-12), 0.0)[:len(mix)])
+    return outputs
+
+
+@pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])
+@pytest.mark.parametrize("n", [40, 624, 700, 1013, 2417])
+def test_streamed_separation_equals_whole_song_reference(monkeypatch, tmp_path, method, n):
+    # frame 64, hop 16, width 5 and blocks of 16 windows: 40 samples give one
+    # zero-padded window; 624 give exactly two blocks; 700, 1013 and 2417 end
+    # mid-hop and give 3, 4 and 10 blocks, the last one partial
+    cfg = _small_cfg(stft=StftConfig(frame_len=64, hop=16), nmf_infer_iters=10)
+    model = _untrained_model(method, cfg)
+    monkeypatch.setattr(pipeline, "_WINDOW_BLOCK", 16)
+    path = tmp_path / "mix.wav"
+    write_wav(path, AudioBuffer(np.random.default_rng(n).uniform(-0.8, 0.8, n), 22050))
+    mix = read_wav(path)
+    expect = _whole_song_reference(mix, model, 0.45, cfg, seed=3)
+    for got, ref in zip(separate_song(mix, model, 0.45, cfg, infer_seed=3), expect):
+        assert np.array_equal(got.samples, ref)
+    separate_file(path, tmp_path / "v.wav", tmp_path / "a.wav", model, 0.45, cfg, infer_seed=3)
+    for name, ref in (("v.wav", expect[0]), ("a.wav", expect[1])):
+        assert np.array_equal(read_wav(tmp_path / name).samples,
+                              ref.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])
+def test_streamed_separation_memory_does_not_grow_with_length(tmp_path, method):
+    # 2000 and 8000 windows: 4 and 16 blocks of 512; the longer mixture's
+    # spectrogram alone is 4.2 MB, several times one block's working arrays
+    cfg = _small_cfg(stft=StftConfig(frame_len=64, hop=16),
+                     patch=PatchConfig(width=4, train_stride=4), nmf_infer_iters=2)
+    model = _untrained_model(method, cfg)
+    paths = [tmp_path / name for name in ("mix.wav", "v.wav", "a.wav")]
+    peaks = []
+    for n_windows in (2000, 8000):
+        write_wav(paths[0], _mixture_with_windows(n_windows, cfg, seed=1))
+        _, peak = _traced_peak(lambda: separate_file(*paths, model, 0.5, cfg))
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_separate_file_rejects_bad_input_before_any_output(tmp_path):
+    cfg = _small_cfg(stft=StftConfig(frame_len=64, hop=16))
+    model = _untrained_model(METHOD_DNN, cfg)
+    samples = np.random.default_rng(0).uniform(-0.5, 0.5, 5000).astype("<f4")
+    samples[4990] = np.nan       # in the last block that pass one reads
+    path = tmp_path / "nan.wav"
+    write_wav(path, AudioBuffer(np.zeros(5000), 22050))
+    path.write_bytes(path.read_bytes()[:44] + samples.tobytes())
+    outputs = (tmp_path / "v.wav", tmp_path / "a.wav")
+    with pytest.raises(WavFormatError, match="non-finite"):
+        separate_file(path, *outputs, model, 0.5, cfg)
+    assert not any(p.exists() for p in outputs)
+
+
+def test_separate_file_removes_outputs_when_pass_two_fails(tmp_path, monkeypatch):
+    cfg = _small_cfg(stft=StftConfig(frame_len=64, hop=16))
+    model = _untrained_model(METHOD_DNN, cfg)
+    monkeypatch.setattr(pipeline, "_WINDOW_BLOCK", 16)
+    path = tmp_path / "mix.wav"
+    write_wav(path, _mixture_with_windows(100, cfg))
+    blocks = []
+
+    def failing_third_block(*args):
+        blocks.append(1)
+        if len(blocks) == 3:
+            raise FloatingPointError("divergence became non-finite at iteration 0")
+        return predict_masks(*args)
+    monkeypatch.setattr(pipeline.MlpModel, "predictor",
+                        lambda self, *a: lambda windows, first: failing_third_block(self, windows))
+    outputs = (tmp_path / "v.wav", tmp_path / "a.wav")
+    with pytest.raises(FloatingPointError):
+        separate_file(path, *outputs, model, 0.5, cfg)
+    assert not any(p.exists() for p in outputs)
+
+
+def test_separate_file_needs_three_different_files(tmp_path):
+    cfg = _small_cfg(stft=StftConfig(frame_len=64, hop=16))
+    model = _untrained_model(METHOD_DNN, cfg)
+    path = tmp_path / "mix.wav"
+    write_wav(path, _mixture_with_windows(10, cfg))
+    before = path.read_bytes()
+    for outputs in ((path, tmp_path / "a.wav"), (tmp_path / "v.wav", tmp_path / "v.wav")):
+        with pytest.raises(ValueError, match="three different files"):
+            separate_file(path, *outputs, model, 0.5, cfg)
+    assert path.read_bytes() == before
+    assert not (tmp_path / "a.wav").exists() and not (tmp_path / "v.wav").exists()
+
+
 def test_oracle_confidence_reproduces_ideal_masking():
     # feeding the true binary mask through the thresholding path must match
     # the dedicated oracle separation bit for bit
@@ -393,6 +577,23 @@ def test_sweep_pools_each_song_once(tiny_corpus, monkeypatch):
     songs = tiny_corpus["train_songs"]
     sweep_alpha(songs, {}, _small_cfg())
     assert calls == [song.song_id for song in songs]
+
+
+def test_sweep_transforms_each_full_mix_once(tiny_corpus, monkeypatch):
+    # per song: the vocal mix, the accompaniment mix and the full mix, which
+    # both models' grids and the ideal row share
+    cfg = _small_cfg()
+    models = {METHOD_DNN: _untrained_model(METHOD_DNN, cfg),
+              METHOD_NMF: _untrained_model(METHOD_NMF, cfg)}
+    calls = []
+
+    def counted(buffer, stft_cfg=None):
+        calls.append(len(buffer))
+        return stft(buffer, stft_cfg)
+    monkeypatch.setattr(pipeline, "stft", counted)
+    songs = tiny_corpus["test_songs"] * 2
+    sweep_alpha(songs, models, cfg)
+    assert len(calls) == 3 * len(songs)
 
 
 def test_mixture_baseline_scores_identical_estimates(tiny_corpus):

@@ -3,6 +3,9 @@
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import maskforge
 
@@ -37,3 +40,14 @@ def test_one_value_knobs_are_gone():
 
 def test_binary_mask_holds_only_its_values():
     assert [f.name for f in dataclasses.fields(maskforge.BinaryMask)] == ["values"]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import, which every CLI process
+    # would pay; the sweep's Student-t quantile comes from scipy.special
+    src = str(Path(maskforge.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import maskforge; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False"]

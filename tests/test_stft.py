@@ -8,6 +8,7 @@ import pytest
 from maskforge.audio_io import AudioBuffer
 from maskforge.stft import (
     ComplexSpectrogram,
+    InverseStft,
     StftConfig,
     hann_window,
     istft,
@@ -213,6 +214,43 @@ def test_istft_rejects_vanishing_envelope(monkeypatch):
                         zero_envelope)
     with pytest.raises(ValueError, match="envelope vanishes"):
         istft(spec)
+
+
+def _whole_istft(spec):
+    """The inverse as one whole-grid computation: every frame transformed,
+    overlap-added and divided at once (np.where in place of np.divide)."""
+    cfg = spec.config
+    frames = np.fft.irfft(spec.bins.T, n=cfg.frame_len, axis=1)
+    out_len = (spec.n_frames - 1) * cfg.hop + cfg.frame_len
+    acc, env = ola_accumulate(frames, hann_window(cfg.frame_len), cfg.hop, out_len)
+    samples = np.where(env > 1e-12, acc / np.maximum(env, 1e-12), 0.0)
+    return samples[:spec.original_len]
+
+
+@pytest.mark.parametrize("frame_len, hop", [(32, 8), (32, 12), (32, 16), (32, 32), (64, 24)])
+@pytest.mark.parametrize("length", [5, 32, 33, 200, 517])
+def test_inverse_in_blocks_equals_whole_grid(rng, frame_len, hop, length):
+    cfg = StftConfig(frame_len=frame_len, hop=hop)
+    spec = stft(_buf(rng.uniform(-1, 1, length)), cfg)
+    spec.bins *= rng.integers(0, 2, spec.bins.shape)      # a masked, inconsistent grid
+    expect = _whole_istft(spec)
+    assert np.array_equal(istft(spec).samples, expect)
+    for block in (1, 2, 3, 7):
+        inverse = InverseStft(cfg, spec.n_frames, length)
+        got = np.concatenate([inverse.push(spec.bins[:, a:a + block])
+                              for a in range(0, spec.n_frames, block)])
+        assert np.array_equal(got, expect), block
+
+
+def test_block_stft_equals_whole_columns(rng):
+    # a block's STFT taken from just the samples its frames cover
+    cfg = StftConfig(frame_len=64, hop=16)
+    x = rng.uniform(-1, 1, 1003)
+    whole = stft(_buf(x), cfg).bins
+    N = whole.shape[1]
+    for a, b in [(0, 1), (0, N), (5, 17), (N - 3, N), (N - 1, N)]:
+        part = stft(_buf(x[a * cfg.hop:min(len(x), (b - 1) * cfg.hop + cfg.frame_len)]), cfg)
+        assert np.array_equal(part.bins, whole[:, a:b])
 
 
 # ---------------------------------------------------------------------------
