@@ -51,13 +51,10 @@ def parse_alphas(text: str) -> tuple[float, ...]:
 
 
 def _experiment_config(args, **fields) -> ExperimentConfig:
-    """The STFT, patch and seed flags every model subcommand has, plus `fields`.
-    The training stride defaults to the patch width."""
-    stride = getattr(args, "train_stride", None)
+    """The STFT, patch and seed flags every model subcommand has, plus `fields`."""
     return ExperimentConfig(
         stft=StftConfig(frame_len=args.frame, hop=args.hop),
-        patch=PatchConfig(width=args.width,
-                          train_stride=args.width if stride is None else stride),
+        patch=PatchConfig(width=args.width, train_stride=args.train_stride),
         seed=args.seed,
         **fields,
     )
@@ -197,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maskforge",
         description="Vocal/accompaniment separation with learned binary masks.",
     )
+    # only the training subcommands set a stride; the rest keep PatchConfig's
+    parser.set_defaults(train_stride=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-corpus", help="generate a synthetic stem corpus")

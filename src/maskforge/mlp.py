@@ -24,12 +24,13 @@ LOSS_MSE = "mse"
 _LOSSES = (LOSS_CROSS_ENTROPY, LOSS_MSE)
 
 
-def sigmoid_stable(z: np.ndarray) -> np.ndarray:
-    """Logistic function, safe against overflow for any finite input."""
+def sigmoid_stable(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, safe against overflow for any finite input; `out`,
+    which may be `z` itself, receives the result."""
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)                    # exp(-z) where z >= 0, exp(z) elsewhere
-    out = np.maximum(e, z >= 0)         # 1 where z >= 0 (e <= 1), e elsewhere; NaN stays
+    out = np.maximum(e, z >= 0, out=out)  # 1 where z >= 0 (e <= 1), e elsewhere; NaN stays
     e += 1.0
     out /= e
     return out
@@ -141,7 +142,7 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     for W, b in zip(model.weights, model.biases):
         Z = A @ W.T
         Z += b
-        A = sigmoid_stable(Z)
+        A = sigmoid_stable(Z, out=Z)
     return A
 
 

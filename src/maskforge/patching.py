@@ -4,14 +4,14 @@ A plain (F, N) grid, a peak-normalized magnitude spectrogram or an oracle
 mask, is cut into F x T windows along the time axis. Training uses
 non-overlapping windows (stride = T); at separation time the window slides one
 frame at a time, so every interior element receives T overlapping predictions
-whose arithmetic mean becomes the element's confidence value. Separation cuts,
-predicts and accumulates those windows a fixed-size block at a time, each
-block into its own sum grid that starts from the last width - 1 frames'
-sums of the block before (`repack_accumulate`, `repack_finish`), so the
-memory they take does not grow with the song's length. Models read a window
-as one frame-major row, its T frames of F bins in turn; the rows are a strided
-view of the (N, F) frame matrix, and repacking adds them back with the
-overlap-add that also inverts the STFT. This module owns that layout.
+whose arithmetic mean becomes the element's confidence value. The windows are
+summed, with a count per frame, by the streamed overlap-add that also inverts
+the STFT (`stft.OverlapAdd`): `repack_mean` pushes them all at once, and
+separation pushes them a fixed-size block at a time, carrying only the last
+width - 1 frames' sums, so the memory it takes does not grow with the song's
+length. Models read a window as one frame-major row, its T frames of F bins in
+turn; the rows are a strided view of the (N, F) frame matrix. This module owns
+that layout.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import overlap_add, strided_frames
+from .stft import OverlapAdd, strided_frames
 
 KIND_MIXTURE = "mixture_input"
 KIND_PREDICTION = "prediction"
@@ -29,9 +29,11 @@ KIND_PREDICTION = "prediction"
 @dataclass(frozen=True)
 class PatchConfig:
     width: int = 20
-    train_stride: int = 20
+    train_stride: int | None = None     # None: the width, so windows tile the song
 
     def __post_init__(self):
+        if self.train_stride is None:
+            object.__setattr__(self, "train_stride", self.width)
         if self.width < 1:
             raise ValueError("patch width must be >= 1")
         if self.train_stride < 1:
@@ -85,6 +87,12 @@ class MeanPrediction:
     values: np.ndarray   # (F, N) in [0, 1]
     counts: np.ndarray   # (F, N) contribution counts, >= 1; a read-only view
 
+    @classmethod
+    def of_sums(cls, sums: np.ndarray, counts: np.ndarray) -> MeanPrediction:
+        """The mean of frame-major (N, F) window sums over their (N,) counts."""
+        values = (sums / counts[:, None]).T
+        return cls(values, np.broadcast_to(counts, values.shape))
+
 
 def normalize_unit_scale(mag: np.ndarray) -> np.ndarray:
     """The magnitude grid divided by its largest element."""
@@ -117,34 +125,22 @@ def extract_patches(grid: np.ndarray, cfg: PatchConfig, stride: int) -> PatchSet
     return PatchSet(windows.transpose(0, 2, 1), offsets, total_frames=N)
 
 
-def repack_accumulate(patches, offsets, acc, counts) -> None:
-    """Add patch grids (P, F, T) at their evenly spaced frame offsets into the
-    sum grid `acc` (F x Np) and the per-frame `counts` (Np), in place.
-
-    Each element sums its patches in offset order (see `stft.overlap_add`).
-    """
-    P, _, T = patches.shape
-    hop = int(offsets[1] - offsets[0]) if P > 1 else T
-    if hop < 1 or np.any(np.diff(offsets) != hop):
-        raise ValueError("repack needs increasing, evenly spaced offsets")
-    overlap_add(patches.transpose(0, 2, 1), hop, acc.T[offsets[0]:])
-    overlap_add(np.broadcast_to(np.int64(1), (P, T)), hop, counts[offsets[0]:])
-
-
-def repack_finish(acc, counts, n_frames: int) -> MeanPrediction:
-    """Divide accumulated sums by their counts; padded frames dropped."""
-    counts_grid = np.broadcast_to(counts[None, :n_frames], (acc.shape[0], n_frames))
-    return MeanPrediction(values=acc[:, :n_frames] / counts_grid, counts=counts_grid)
-
-
 def repack_mean(predictions: PatchSet) -> MeanPrediction:
-    """Average overlapping patch values per element; padded frames dropped."""
+    """Average overlapping patch values per element; padded frames dropped.
+
+    The windows must start at frame 0, at evenly spaced offsets no further
+    apart than their width, and reach frame total_frames - 1."""
     if predictions.kind != KIND_PREDICTION:
         raise ValueError(f"repack_mean expects prediction patches, got {predictions.kind!r}")
     if predictions.n_patches == 0:
         raise ValueError("empty patch set")
-    F, T = predictions.patch_shape
-    padded = int(predictions.offsets[-1]) + T
-    acc, counts = np.zeros((padded, F)).T, np.zeros(padded, dtype=np.int64)
-    repack_accumulate(predictions.patches, predictions.offsets, acc, counts)
-    return repack_finish(acc, counts, predictions.total_frames)
+    (P, _, T), offsets = predictions.patches.shape, predictions.offsets
+    N = predictions.total_frames
+    hop = int(offsets[1]) if P > 1 else T
+    if not (1 <= hop <= T and np.array_equal(offsets, hop * np.arange(P))
+            and 0 < N <= offsets[-1] + T):
+        raise ValueError(f"windows of {T} frames at offsets {offsets[0]}..{offsets[-1]} "
+                         f"do not evenly cover frames 0..{N - 1}")
+    sums, counts = OverlapAdd(np.ones(T, dtype=np.int64), hop).push(
+        predictions.patches.transpose(0, 2, 1), last=True)
+    return MeanPrediction.of_sums(sums[:N], counts[:N])

@@ -5,9 +5,11 @@ from the stems' WAV headers. Separation is one block engine with two passes
 over the mixture: pass one finds the magnitude peak from block STFTs, and
 pass two cuts, predicts and averages the stride-1 windows a block at a time
 and yields runs of finished frames (`_mean_blocks`). `separate_file` streams
-those runs through the masks and the inverse STFT into two WAV writers, so
-its memory does not grow with the mixture's length; `separate_song` and
-`confidence_grid` gather the same runs in memory.
+those runs through the masks and the inverse STFT into two WAV writers. Both
+the window average and the inverse are one `stft.OverlapAdd`, which carries
+only the sums the next block still adds to, so separation's memory does not
+grow with the mixture's length; `separate_song` and `confidence_grid` gather
+the same runs in memory.
 
 The alpha sweep evaluates every requested separation method on every test
 song across a confidence grid. Thresholding is cheap next to model inference,
@@ -54,10 +56,9 @@ from .patching import (
     extract_patches,
     normalize_unit_scale,
     patch_offsets,
-    repack_accumulate,
-    repack_finish,
 )
-from .stft import ComplexSpectrogram, InverseStft, StftConfig, istft, magnitude, n_frames_for, stft
+from .stft import (ComplexSpectrogram, InverseStft, OverlapAdd, StftConfig, istft, magnitude,
+                   n_frames_for, stft)
 
 METHOD_DNN = "dnn"
 METHOD_NMF = "nmf"
@@ -86,7 +87,7 @@ class ExperimentConfig:
     """
 
     stft: StftConfig = field(default_factory=lambda: StftConfig(frame_len=512, hop=128))
-    patch: PatchConfig = field(default_factory=lambda: PatchConfig(width=10, train_stride=10))
+    patch: PatchConfig = field(default_factory=lambda: PatchConfig(width=10))
     alphas: tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
     hidden: tuple[int, ...] = (1024,)
     epochs: int = 4
@@ -236,29 +237,23 @@ def _mean_blocks(frames, n_frames: int, peak: float, model: Model,
     their complex STFT bins and their mean vocal confidence.
 
     frames(a, b) gives complex STFT frames a..b-1, and their magnitudes over
-    `peak` are what the windows are cut from. Block k cuts the stride-1
+    `peak` are what the windows are cut from. Each block cuts the stride-1
     windows at offsets first..first + _WINDOW_BLOCK - 1, predicts them and
-    adds them to the sums carried from block k - 1. A frame is finished once
-    no later window covers it, so the last T - 1 frames' sums wait for the
-    next block, where they are added to in offset order, as in one
-    whole-mixture sum grid.
+    pushes them with a count of one per frame through one `OverlapAdd`, which
+    carries the last T - 1 frames' sums into the next block.
     """
-    F, T = cfg.stft.n_bins, cfg.patch.width
+    T = cfg.patch.width
     n_windows = len(patch_offsets(n_frames, T, 1))
     predict = model.predictor(n_windows, cfg.nmf_infer_iters, infer_seed)
-    # the sums are stored frame-major, like the windows added into them
-    acc, counts = np.zeros((T - 1, F)).T, np.zeros(T - 1, dtype=np.int64)
+    sums = OverlapAdd(np.ones(T, dtype=np.int64), 1)
     for first in range(0, n_windows, _WINDOW_BLOCK):
         P = min(_WINDOW_BLOCK, n_windows - first)
         bins = frames(first, min(first + P + T - 1, n_frames))
         preds = predict(extract_patches(np.abs(bins) / peak, cfg.patch, 1), first)
-        block_acc = np.zeros((P + T - 1, F)).T
-        block_counts = np.zeros(P + T - 1, dtype=np.int64)
-        block_acc[:, :T - 1], block_counts[:T - 1] = acc, counts
-        repack_accumulate(preds.patches, preds.offsets, block_acc, block_counts)
-        done = P if first + P < n_windows else n_frames - first
-        yield bins[:, :done], repack_finish(block_acc, block_counts, done)
-        acc, counts = block_acc[:, P:], block_counts[P:]
+        last = first + P == n_windows
+        acc, counts = sums.push(preds.patches.transpose(0, 2, 1), last)
+        done = n_frames - first if last else P
+        yield bins[:, :done], MeanPrediction.of_sums(acc[:done], counts[:done])
 
 
 def confidence_grid(mix: AudioBuffer | ComplexSpectrogram, model: Model,

@@ -4,10 +4,12 @@ Analysis uses the periodic (DFT-even) Hann window, which sums to a constant
 across hop-shifted copies and so keeps the synthesis envelope flat away from
 the signal edges. Synthesis divides by the accumulated squared-window
 envelope, which stays well behaved even for masked spectrograms that are no
-longer consistent STFTs. Frames are a strided view of the signal, and one
-`overlap_add` inverts the STFT and repacks the windows of `maskforge.patching`.
-The inverse takes its frames a block at a time (`InverseStft`), so a long
-signal is inverted without holding its whole grid; `istft` is one block.
+longer consistent STFTs. Frames are a strided view of the signal. One
+streamed overlap-add (`OverlapAdd`), which carries the sums that later
+segments still reach from block to block, inverts the STFT and averages the
+windows of `maskforge.patching`. The inverse takes its frames a block at a
+time (`InverseStft`), so a long signal is inverted without holding its whole
+grid; `istft` is one block.
 """
 
 from __future__ import annotations
@@ -108,12 +110,30 @@ def overlap_add(segments, hop, out) -> None:
         target += segments[:, start:stop]
 
 
-def ola_accumulate(frames, window, hop, out_len):
-    """Sum windowed time-domain frames into (signal, squared-window envelope)."""
-    acc, env = np.zeros(out_len), np.zeros(out_len)
-    overlap_add(frames * window, hop, acc)
-    overlap_add(np.broadcast_to(window * window, frames.shape), hop, env)
-    return acc, env
+class OverlapAdd:
+    """`overlap_add` of segments that arrive in consecutive blocks, each also
+    adding `weight` (L,) into a second sum: a squared window or a count.
+
+    `push` adds its segments, in start order, onto the sums carried from the
+    push before, and returns (sums, weights) of the entries no later segment
+    reaches, or of all the rest on the last push. So every entry sums its
+    segments from zero in start order, exactly as one push of them all does."""
+
+    def __init__(self, weight: np.ndarray, hop: int):
+        self.weight, self.hop = weight, hop
+        self._sums = self._weights = 0          # nothing carried before the first push
+        self._carried = max(len(weight) - hop, 0)
+
+    def push(self, segments: np.ndarray, last: bool):
+        P, L = segments.shape[:2]
+        sums = np.zeros((P * self.hop + self._carried, *segments.shape[2:]))
+        weights = np.zeros(len(sums), dtype=self.weight.dtype)
+        sums[:self._carried], weights[:self._carried] = self._sums, self._weights
+        overlap_add(segments, self.hop, sums)
+        overlap_add(np.broadcast_to(self.weight, (P, L)), self.hop, weights)
+        done = len(sums) if last else P * self.hop
+        self._sums, self._weights = sums[done:], weights[done:]
+        return sums[:done], weights[:done]
 
 
 class InverseStft:
@@ -122,42 +142,30 @@ class InverseStft:
     frame reaches, and the last push returns the rest, trimmed to
     `original_len`.
 
-    Each frame is inverse transformed, windowed again, and accumulated; the
-    result is divided by the summed squared-window envelope wherever that
-    envelope is nonzero (it is strictly positive on the interior whenever
-    hop <= frame_len/2). The time-domain frames that overlap the next block's
-    first frame are carried into it and added again, so every sample sums its
-    frames from zero in start order, as one push of the whole grid does.
+    Each frame is inverse transformed, windowed again, and summed with its
+    squared window by one `OverlapAdd`, which carries the unfinished sums into
+    the next block; the sums are divided by that envelope wherever it is
+    nonzero (it is strictly positive on the interior whenever hop <= frame_len/2).
     """
 
     def __init__(self, cfg: StftConfig, n_frames: int, original_len: int):
         self.cfg, self.n_frames, self.original_len = cfg, n_frames, original_len
         self._window = hann_window(cfg.frame_len)
-        # earlier frames that reach a frame's first sample
-        self._overlap = -(-cfg.frame_len // cfg.hop) - 1
-        self._carry = np.empty((0, cfg.frame_len))
+        self._sums = OverlapAdd(self._window * self._window, cfg.hop)
         self._pushed = 0
 
     def push(self, bins: np.ndarray) -> np.ndarray:
         cfg = self.cfg
-        frames = np.fft.irfft(bins.T, n=cfg.frame_len, axis=1)
-        if len(self._carry):
-            frames = np.concatenate([self._carry, frames])
-        base = (self._pushed - len(self._carry)) * cfg.hop   # where frames[0] starts
+        start = self._pushed * cfg.hop          # the first sample this push returns
         self._pushed += bins.shape[1]
-        out_len = (len(frames) - 1) * cfg.hop + cfg.frame_len
-        acc, env = ola_accumulate(frames, self._window, cfg.hop, out_len)
-        lo = len(self._carry) * cfg.hop
-        hi = out_len if self._pushed == self.n_frames else len(frames) * cfg.hop
+        frames = np.fft.irfft(bins.T, n=cfg.frame_len, axis=1) * self._window
+        acc, env = self._sums.push(frames, last=self._pushed == self.n_frames)
         if cfg.hop <= cfg.frame_len // 2 and self.n_frames > 1:
-            interior = env[max(lo, cfg.frame_len - base):
-                           min(hi, (self.n_frames - 1) * cfg.hop - base)]
+            interior = env[max(cfg.frame_len - start, 0):(self.n_frames - 1) * cfg.hop - start]
             if interior.size and np.min(interior) <= _ENVELOPE_EPS:
                 raise ValueError("overlap-add envelope vanishes inside the signal")
-        self._carry = frames[len(frames) - min(self._overlap, len(frames)):]
-        samples = np.divide(acc[lo:hi], env[lo:hi], out=np.zeros(hi - lo),
-                            where=env[lo:hi] > _ENVELOPE_EPS)
-        return samples[:max(self.original_len - base - lo, 0)]
+        samples = np.divide(acc, env, out=np.zeros(len(acc)), where=env > _ENVELOPE_EPS)
+        return samples[:max(self.original_len - start, 0)]
 
 
 def istft(spec: ComplexSpectrogram) -> AudioBuffer:

@@ -1,5 +1,7 @@
 """Stable helpers, init, forward pass, backprop, SGD training, model files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,28 @@ def test_sigmoid_equals_where_form_bit_for_bit(rng):
     got, expect = sigmoid_stable(z), _sigmoid_with_where(z)
     assert np.array_equal(got, expect, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+def test_sigmoid_into_its_input_equals_a_new_array(rng):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 1e308, -1e308])
+    z = np.concatenate([special, rng.standard_normal(20000) * 30])
+    inplace = z.copy()
+    assert sigmoid_stable(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, sigmoid_stable(z), equal_nan=True)
+
+
+def test_forward_batch_last_layer_holds_two_blocks(rng):
+    # the last layer's pre-activation becomes its output, so beside it only
+    # the sigmoid's exponentials are a block in size
+    model = init_model([2570, 128, 2570], seed=1)
+    X = rng.uniform(0, 1, (512, 2570))
+    tracemalloc.start()
+    try:
+        out = forward_batch(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes, (peak, out.nbytes)
 
 
 def test_forward_batch_equals_out_of_place_bias(rng):

@@ -11,9 +11,9 @@ from maskforge.patching import (
     extract_patches,
     normalize_unit_scale,
     patch_offsets,
-    repack_accumulate,
     repack_mean,
 )
+from maskforge.stft import OverlapAdd
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,13 @@ def test_patch_config_validation():
         PatchConfig(width=0)
     with pytest.raises(ValueError):
         PatchConfig(width=4, train_stride=0)
+
+
+def test_train_stride_defaults_to_width():
+    # windows that tile the song, whatever the width
+    assert PatchConfig(width=7).train_stride == 7
+    assert PatchConfig() == PatchConfig(width=20, train_stride=20)
+    assert PatchConfig(width=7, train_stride=3).train_stride == 3
 
 
 def test_prediction_patchset_bounds_checked():
@@ -225,19 +232,35 @@ def test_normalize_unit_scale(rng):
 
 
 def test_repack_accumulate_counts():
+    # the repack's accumulation: three windows of two frames at stride 1,
+    # summed frame-major with one count per frame
     patches = np.ones((3, 2, 2))
-    offsets = np.array([0, 1, 2], dtype=np.int64)
-    acc, counts = np.zeros((2, 4)), np.zeros(4, dtype=np.int64)
-    repack_accumulate(patches, offsets, acc, counts)
+    acc, counts = OverlapAdd(np.ones(2, dtype=np.int64), 1).push(
+        patches.transpose(0, 2, 1), last=True)
     assert counts.tolist() == [1, 2, 2, 1]
-    assert acc[0].tolist() == [1.0, 2.0, 2.0, 1.0]
+    assert acc[:, 0].tolist() == [1.0, 2.0, 2.0, 1.0]
+
+
+def _predictions(offsets, total_frames, shape=(2, 2)):
+    return PatchSet(np.full((len(offsets), *shape), 0.5), np.array(offsets), total_frames,
+                    kind=KIND_PREDICTION)
 
 
 @pytest.mark.parametrize("offsets", [[0, 1, 3], [0, 2, 3], [2, 1, 0], [1, 1, 1]])
 def test_repack_accumulate_rejects_uneven_offsets(offsets):
-    acc, counts = np.zeros((2, 8)), np.zeros(8, dtype=np.int64)
-    with pytest.raises(ValueError, match="evenly spaced"):
-        repack_accumulate(np.ones((3, 2, 2)), np.array(offsets), acc, counts)
+    with pytest.raises(ValueError, match="do not evenly cover"):
+        repack_mean(_predictions(offsets, 4))
+
+
+@pytest.mark.parametrize("offsets, total_frames", [
+    ([2, 3, 4], 7),        # frames 0-1 before the first window
+    ([0, 5, 10], 14),      # frames 4 and 9 between windows
+    ([0, 1, 2], 20),       # frames 6-19 after the last window
+])
+def test_repack_rejects_uncovered_frames(offsets, total_frames):
+    # a 2 x 4 prediction set; each case once gave NaN or a numpy error
+    with pytest.raises(ValueError, match="do not evenly cover"):
+        repack_mean(_predictions(offsets, total_frames, shape=(2, 4)))
 
 
 def test_repack_counts_is_a_read_only_view(rng):

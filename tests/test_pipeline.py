@@ -25,7 +25,6 @@ from maskforge.patching import (
     PatchConfig,
     extract_patches,
     normalize_unit_scale,
-    repack_accumulate,
     repack_mean,
 )
 from maskforge.pipeline import (
@@ -54,7 +53,7 @@ from maskforge.pipeline import (
     train_dnn,
     train_nmf,
 )
-from maskforge.stft import StftConfig, hann_window, istft, magnitude, ola_accumulate, stft
+from maskforge.stft import StftConfig, hann_window, istft, magnitude, overlap_add, stft
 from maskforge.audio_io import pool_and_mix
 from maskforge.synth import SynthConfig, generate_corpus
 
@@ -392,7 +391,7 @@ def _whole_song_reference(mix, model, alpha, cfg, seed):
     F, N = norm.shape
     T, block = cfg.patch.width, pipeline._WINDOW_BLOCK
     n_windows = max(N - T + 1, 1)
-    acc = np.zeros((n_windows - 1 + T, F)).T
+    acc = np.zeros((n_windows - 1 + T, F))      # frame-major, like the window rows
     counts = np.zeros(n_windows - 1 + T, dtype=np.int64)
     if isinstance(model, NmfModel):
         rank = model.rank_vocal + model.rank_nonvocal
@@ -407,13 +406,17 @@ def _whole_song_reference(mix, model, alpha, cfg, seed):
             preds = windows.predictions(share.T)
         else:
             preds = predict_masks(model, windows)
-        repack_accumulate(preds.patches, preds.offsets + first, acc, counts)
-    mean = acc[:, :N] / counts[:N]
+        overlap_add(preds.patches.transpose(0, 2, 1), 1, acc[first:])
+        overlap_add(np.ones((preds.n_patches, T), dtype=np.int64), 1, counts[first:])
+    mean = (acc[:N] / counts[:N, None]).T
     fl, hop = cfg.stft.frame_len, cfg.stft.hop
+    window = hann_window(fl)
     outputs = []
     for keep in (mean > alpha, mean < 1.0 - alpha):
         frames = np.fft.irfft((spec.bins * keep.astype(np.float64)).T, n=fl, axis=1)
-        sums, env = ola_accumulate(frames, hann_window(fl), hop, (N - 1) * hop + fl)
+        sums, env = np.zeros((N - 1) * hop + fl), np.zeros((N - 1) * hop + fl)
+        overlap_add(frames * window, hop, sums)
+        overlap_add(np.broadcast_to(window * window, frames.shape), hop, env)
         outputs.append(np.where(env > 1e-12, sums / np.maximum(env, 1e-12), 0.0)[:len(mix)])
     return outputs
 

@@ -1,6 +1,7 @@
 """Analysis/synthesis transform: window, COLA, round trips, magnitude."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from maskforge.audio_io import AudioBuffer
 from maskforge.stft import (
     ComplexSpectrogram,
     InverseStft,
+    OverlapAdd,
     StftConfig,
     hann_window,
     istft,
     magnitude,
     n_frames_for,
-    ola_accumulate,
     overlap_add,
     stft,
     strided_frames,
@@ -205,24 +206,23 @@ def test_istft_single_frame_signal():
 def test_istft_rejects_vanishing_envelope(monkeypatch):
     cfg = StftConfig(frame_len=32, hop=8)
     spec = stft(_buf(np.linspace(-1, 1, 200)), cfg)
-
-    def zero_envelope(frames, window, hop, out_len):
-        return np.zeros(out_len), np.zeros(out_len)
-
-    # the package re-exports the function stft, which hides the module's name
-    monkeypatch.setattr(importlib.import_module("maskforge.stft"), "ola_accumulate",
-                        zero_envelope)
+    # a zero synthesis window gives a zero envelope; the package re-exports
+    # the function stft, which hides the module's name
+    monkeypatch.setattr(importlib.import_module("maskforge.stft"), "hann_window", np.zeros)
     with pytest.raises(ValueError, match="envelope vanishes"):
         istft(spec)
 
 
 def _whole_istft(spec):
     """The inverse as one whole-grid computation: every frame transformed,
-    overlap-added and divided at once (np.where in place of np.divide)."""
+    added frame by frame and divided at once (np.where in place of np.divide)."""
     cfg = spec.config
     frames = np.fft.irfft(spec.bins.T, n=cfg.frame_len, axis=1)
+    window = hann_window(cfg.frame_len)
     out_len = (spec.n_frames - 1) * cfg.hop + cfg.frame_len
-    acc, env = ola_accumulate(frames, hann_window(cfg.frame_len), cfg.hop, out_len)
+    acc, env = np.zeros(out_len), np.zeros(out_len)
+    _brute_overlap_add(frames * window, cfg.hop, acc)
+    _brute_overlap_add(np.broadcast_to(window * window, frames.shape), cfg.hop, env)
     samples = np.where(env > 1e-12, acc / np.maximum(env, 1e-12), 0.0)
     return samples[:spec.original_len]
 
@@ -283,7 +283,7 @@ def test_spectrogram_validation():
 def test_ola_single_frame():
     frames = np.array([[1.0, 2.0, 3.0, 4.0]])
     window = np.array([0.0, 0.5, 1.0, 0.5])
-    acc, env = ola_accumulate(frames, window, hop=1, out_len=4)
+    acc, env = OverlapAdd(window ** 2, hop=1).push(frames * window, last=True)
     assert np.array_equal(acc, frames[0] * window)
     assert np.array_equal(env, window ** 2)
 
@@ -291,7 +291,7 @@ def test_ola_single_frame():
 def test_ola_two_overlapping_frames():
     frames = np.ones((2, 4))
     window = np.array([0.0, 0.5, 1.0, 0.5])
-    acc, env = ola_accumulate(frames, window, hop=2, out_len=6)
+    acc, env = OverlapAdd(window ** 2, hop=2).push(frames * window, last=True)
     expect_acc = np.zeros(6)
     expect_acc[:4] += window
     expect_acc[2:] += window
@@ -300,6 +300,34 @@ def test_ola_two_overlapping_frames():
     expect_env[:4] += window ** 2
     expect_env[2:] += window ** 2
     assert np.array_equal(env, expect_env)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("L, hop, trailing", [(5, 1, ()), (5, 2, (3,)), (4, 4, ()),
+                                               (6, 4, (2,))])
+def test_overlap_add_in_blocks_equals_one_push(rng, dtype, L, hop, trailing):
+    # hop 1 and hop > 1, a length equal to the hop (nothing carried), a
+    # trailing axis; magnitudes over 16 decades show any change of order
+    P = 6
+    shape = (P, L, *trailing)
+    segments = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    weight = (rng.integers(1, 4, L) if dtype is np.int64 else rng.random(L)).astype(dtype)
+    expect_sums = np.zeros(((P - 1) * hop + L, *trailing))
+    expect_weights = np.zeros((P - 1) * hop + L, dtype=dtype)
+    _brute_overlap_add(segments, hop, expect_sums)
+    _brute_overlap_add(np.broadcast_to(weight, (P, L)), hop, expect_weights)
+    whole = OverlapAdd(weight, hop).push(segments, last=True)
+    assert np.array_equal(whole[0], expect_sums) and np.array_equal(whole[1], expect_weights)
+    assert whole[1].dtype == dtype
+    # every split into consecutive blocks: each subset of the cuts 1..P-1
+    for cuts in itertools.chain.from_iterable(
+            itertools.combinations(range(1, P), r) for r in range(P)):
+        ola, starts = OverlapAdd(weight, hop), [0, *cuts, P]
+        parts = [ola.push(segments[a:b], last=b == P) for a, b in zip(starts, starts[1:])]
+        for (sums, weights), a, b in zip(parts[:-1], starts, starts[1:]):
+            assert len(sums) == len(weights) == (b - a) * hop
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), whole[0]), cuts
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), whole[1]), cuts
 
 
 def _brute_overlap_add(segments, hop, out):
