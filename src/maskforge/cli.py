@@ -18,8 +18,9 @@ from .patching import PatchConfig
 from .pipeline import ExperimentConfig
 from .stft import StftConfig
 
-# Flags that set an ExperimentConfig field take their defaults from here.
+# Flags that set an ExperimentConfig or SynthConfig field take their defaults from here.
 _DEFAULTS = ExperimentConfig()
+_SYNTH_DEFAULTS = synth.SynthConfig()
 
 
 def parse_alphas(text: str) -> tuple[float, ...]:
@@ -146,7 +147,11 @@ def cmd_ideal_mask(args) -> int:
 
 def cmd_evaluate(args) -> int:
     paths = (args.est_vocal, args.est_accomp, args.ref_vocal, args.ref_accomp)
-    sources = pipeline.by_source(evaluate_pair(*(read_wav(p).samples for p in paths)))
+    buffers = [read_wav(p) for p in paths]
+    if len({b.sample_rate for b in buffers}) > 1:
+        raise ValueError("sample rates differ: " + ", ".join(
+            f"{p} {b.sample_rate} Hz" for p, b in zip(paths, buffers)))
+    sources = pipeline.by_source(evaluate_pair(*(b.samples for b in buffers)))
     for name, m in sources.items():
         print(f"{name}: sdr={m.sdr_db:.6f} dB  sir={m.sir_db:.6f} dB  "
               f"sar={m.sar_db:.6f} dB")
@@ -180,15 +185,6 @@ def cmd_sweep_alpha(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_stft_flags(p: argparse.ArgumentParser, with_width: bool = True) -> None:
-    p.add_argument("--frame", type=int, default=_DEFAULTS.stft.frame_len,
-                   help="frame length in samples")
-    p.add_argument("--hop", type=int, default=_DEFAULTS.stft.hop, help="hop in samples")
-    if with_width:
-        p.add_argument("--width", type=int, default=_DEFAULTS.patch.width,
-                       help="patch width in frames")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maskforge",
@@ -198,13 +194,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(train_stride=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each flag that sets an ExperimentConfig field is declared once, here
+    stft, training, inference = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    stft.add_argument("--frame", type=int, default=_DEFAULTS.stft.frame_len,
+                      help="frame length in samples")
+    stft.add_argument("--hop", type=int, default=_DEFAULTS.stft.hop, help="hop in samples")
+    model = argparse.ArgumentParser(add_help=False, parents=[stft])
+    model.add_argument("--width", type=int, default=_DEFAULTS.patch.width,
+                       help="patch width in frames")
+    model.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    training.add_argument("--manifest", required=True)
+    training.add_argument("--out", required=True, help="model file to write")
+    training.add_argument("--train-stride", type=int, default=None,
+                          help="training window stride (default: --width)")
+    inference.add_argument("--nmf-iterations", type=int, default=_DEFAULTS.nmf_infer_iters)
+
     p = sub.add_parser("make-corpus", help="generate a synthetic stem corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--train", type=int, default=20)
     p.add_argument("--test", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--sample-rate", type=int, default=22050)
-    p.add_argument("--duration", type=float, default=1.8)
+    p.add_argument("--seed", type=int, default=_SYNTH_DEFAULTS.seed)
+    p.add_argument("--sample-rate", type=int, default=_SYNTH_DEFAULTS.sample_rate)
+    p.add_argument("--duration", type=float, default=_SYNTH_DEFAULTS.duration)
     p.set_defaults(func=cmd_make_corpus)
 
     p = sub.add_parser("mix", help="pool stems into vocal/accompaniment/full mixes")
@@ -213,48 +224,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("train-dnn", help="train the mask-prediction network")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="model file to write")
-    _add_stft_flags(p)
-    p.add_argument("--train-stride", type=int, default=None,
-                   help="training window stride (default: --width)")
+    p = sub.add_parser("train-dnn", parents=[training, model],
+                       help="train the mask-prediction network")
     p.add_argument("--hidden", default=",".join(map(str, _DEFAULTS.hidden)),
                    help="comma list of hidden sizes")
     p.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
     p.add_argument("--lr", type=float, default=_DEFAULTS.learning_rate)
     p.add_argument("--loss", choices=[mlp.LOSS_CROSS_ENTROPY, mlp.LOSS_MSE],
                    default=_DEFAULTS.loss)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.set_defaults(func=cmd_train_dnn)
 
-    p = sub.add_parser("train-nmf", help="train per-class dictionaries")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_stft_flags(p)
-    p.add_argument("--train-stride", type=int, default=None)
+    p = sub.add_parser("train-nmf", parents=[training, model],
+                       help="train per-class dictionaries")
     p.add_argument("--rank", type=int, default=_DEFAULTS.nmf_rank)
     p.add_argument("--iterations", type=int, default=_DEFAULTS.nmf_train_iters)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.set_defaults(func=cmd_train_nmf)
 
-    p = sub.add_parser("separate", help="separate one mixture file")
+    p = sub.add_parser("separate", parents=[model, inference],
+                       help="separate one mixture file")
     p.add_argument("--model", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out-vocal", required=True)
     p.add_argument("--out-accomp", required=True)
-    _add_stft_flags(p)
-    p.add_argument("--nmf-iterations", type=int, default=_DEFAULTS.nmf_infer_iters)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.set_defaults(func=cmd_separate)
 
-    p = sub.add_parser("ideal-mask", help="oracle-mask separation from true stems")
+    p = sub.add_parser("ideal-mask", parents=[stft],
+                       help="oracle-mask separation from true stems")
     p.add_argument("--manifest", required=True)
     p.add_argument("--song", default=None)
     p.add_argument("--out-vocal", required=True)
     p.add_argument("--out-accomp", required=True)
-    _add_stft_flags(p, with_width=False)
     p.set_defaults(func=cmd_ideal_mask)
 
     p = sub.add_parser("evaluate", help="score estimates against references")
@@ -268,18 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep-alpha", help="evaluate across a confidence grid")
+    p = sub.add_parser("sweep-alpha", parents=[model, inference],
+                       help="evaluate across a confidence grid")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", action="append", required=True,
                    help="model file; repeat for dnn + nmf")
-    p.add_argument("--alphas", default="0.1:0.9:0.1",
+    p.add_argument("--alphas", default=",".join(map(str, _DEFAULTS.alphas)),
                    help="start:stop:step or comma list")
     p.add_argument("--csv", required=True, help="metric-vs-alpha CSV")
     p.add_argument("--fig3-csv", default=None, help="SAR-vs-SIR CSV")
     p.add_argument("--per-song-csv", default=None)
-    _add_stft_flags(p)
-    p.add_argument("--nmf-iterations", type=int, default=_DEFAULTS.nmf_infer_iters)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.set_defaults(func=cmd_sweep_alpha)
 
     return parser

@@ -6,9 +6,10 @@ the stacked dictionaries and fits activations to the mixture windows; each
 element's vocal share of the per-class reconstructions (`vocal_share`),
 averaged over the windows covering it, is its confidence.
 
-Each fit forms its products, floors and ratios in one reused buffer.
-`nmf_factorize` and `infer_activations` score the divergence after every
-iteration by default; training and separation skip it, leaving the trace None.
+Each fit is one loop of update steps through one reused buffer; a step ends
+by forming the floored product that the next step divides by, and a scored
+step reads the divergence off it. `nmf_factorize` and `infer_activations`
+score every step by default; training and separation skip it (trace None).
 """
 
 from __future__ import annotations
@@ -117,31 +118,29 @@ def _kl_floored(V, V_hat, c_V):
 
 
 def _fit(V, W, H, iterations, update_w, score):
-    """Update H (then W, if update_w) in place through one (F, N) buffer;
-    returns the divergence trace, or None unless `score`. The divergence
-    after update k is scored from the floored product that update k+1 forms
-    for its ratio; one more product scores the last update. Unscored, H and
-    W (if updated) are checked for finiteness instead."""
+    """`iterations` steps on H (and on W, if update_w) in place; returns the
+    divergence trace, or None unless `score`. Each step updates H, then W,
+    forms the next step's floored product (the last unscored step has none),
+    scores the divergence from it if `score`, else checks H and W finite."""
     buf = np.empty(V.shape)
+    np.maximum(np.matmul(W, H, out=buf), KL_EPS, out=buf)
     trace = np.empty(iterations) if score else None
     c_V = _kl_constant(V) if score else 0.0
-    for done in range(iterations + 1):
-        if done < iterations or score:
-            np.maximum(np.matmul(W, H, out=buf), KL_EPS, out=buf)
-        if done:
-            if score:
-                trace[done - 1] = _kl_floored(V, buf, c_V)
-                finite = np.isfinite(trace[done - 1])
-            else:
-                finite = np.isfinite(H).all() and (not update_w or np.isfinite(W).all())
-            if not finite:
-                raise FloatingPointError(f"divergence became non-finite at iteration {done - 1}")
-        if done == iterations:
-            return trace
+    for k in range(iterations):
         H *= (W.T @ np.divide(V, buf, out=buf)) / np.maximum(W.sum(axis=0)[:, None], KL_EPS)
         if update_w:
             np.maximum(np.matmul(W, H, out=buf), KL_EPS, out=buf)
             W *= (np.divide(V, buf, out=buf) @ H.T) / np.maximum(H.sum(axis=1)[None, :], KL_EPS)
+        if score or k + 1 < iterations:
+            np.maximum(np.matmul(W, H, out=buf), KL_EPS, out=buf)
+        if score:
+            trace[k] = _kl_floored(V, buf, c_V)
+            finite = np.isfinite(trace[k])
+        else:
+            finite = np.isfinite(H).all() and (not update_w or np.isfinite(W).all())
+        if not finite:
+            raise FloatingPointError(f"divergence became non-finite at iteration {k}")
+    return trace
 
 
 def _checked_v(V, iterations):

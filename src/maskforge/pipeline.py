@@ -1,15 +1,16 @@
 """End-to-end orchestration: corpus -> training sets -> models -> sweep CSVs.
 
-Training matrices are filled in place, one preallocated array each, sized
-from the stems' WAV headers. Separation is one block engine with two passes
-over the mixture: pass one finds the magnitude peak from block STFTs, and
-pass two cuts, predicts and averages the stride-1 windows a block at a time
-and yields runs of finished frames (`_mean_blocks`). `separate_file` streams
-those runs through the masks and the inverse STFT into two WAV writers. Both
-the window average and the inverse are one `stft.OverlapAdd`, which carries
-only the sums the next block still adds to, so separation's memory does not
-grow with the mixture's length; `separate_song` and `confidence_grid` gather
-the same runs in memory.
+Training matrices are filled in place: each song's windows go straight into
+its slice of one preallocated array (`_song_slices`, from the WAV headers),
+mixture rows before mask rows. Separation is one block engine with two
+passes over the mixture: pass one finds the magnitude peak from block STFTs,
+and pass two cuts, predicts and averages the stride-1 windows a block at a
+time and yields runs of finished frames (`_mean_blocks`). `separate_file`
+streams those runs through the masks and the inverse STFT into two WAV
+writers. Both the window average and the inverse are one `stft.OverlapAdd`,
+which carries only the sums the next block still adds to, so separation's
+memory does not grow with the mixture's length; `separate_song` and
+`confidence_grid` gather the same runs in memory.
 
 The alpha sweep evaluates every requested separation method on every test
 song across a confidence grid. Thresholding is cheap next to model inference,
@@ -22,6 +23,7 @@ same seeds byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -128,35 +130,27 @@ def _training_rows(grid: np.ndarray, patch_cfg: PatchConfig) -> np.ndarray:
     return extract_patches(grid, patch_cfg, patch_cfg.train_stride).rows
 
 
-def song_training_pairs(stems: StemSet, stft_cfg: StftConfig,
-                        patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(mixture window, oracle mask window) vector pairs for one song."""
-    ibm, spec = _oracle_mask_and_mixture(pool_and_mix(stems), stft_cfg)
-    return (_training_rows(normalize_unit_scale(magnitude(spec)), patch_cfg),
-            _training_rows(ibm.values, patch_cfg))
-
-
-def _song_windows(songs: list[ManifestSong], stft_cfg: StftConfig,
-                  patch_cfg: PatchConfig) -> list[int]:
-    """Each song's window count at the training stride, from its WAV headers."""
+def _song_slices(songs: list[ManifestSong], stft_cfg: StftConfig,
+                 patch_cfg: PatchConfig) -> list[slice]:
+    """Each song's slice of the stacked training windows, from its WAV headers."""
     if not songs:
         raise ValueError("empty manifest")
-    return [len(patch_offsets(n_frames_for(song_length(song), stft_cfg),
-                              patch_cfg.width, patch_cfg.train_stride)) for song in songs]
+    ends = list(accumulate(len(patch_offsets(n_frames_for(song_length(song), stft_cfg),
+                                             patch_cfg.width, patch_cfg.train_stride))
+                           for song in songs))
+    return [slice(a, b) for a, b in zip([0, *ends], ends)]
 
 
 def build_training_set(songs: list[ManifestSong], stft_cfg: StftConfig,
                        patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Training pairs of every manifest song, stacked in one preallocated
-    C-ordered (P, d) pair, so no song's pieces and their stack coexist."""
-    counts = _song_windows(songs, stft_cfg, patch_cfg)
-    d = stft_cfg.n_bins * patch_cfg.width
-    X, Y = np.empty((sum(counts), d)), np.empty((sum(counts), d))
-    row = 0
-    for song, count in zip(songs, counts):
-        X[row:row + count], Y[row:row + count] = song_training_pairs(
-            load_song(song), stft_cfg, patch_cfg)
-        row += count
+    """(mixture window, oracle mask window) row pairs of every manifest song,
+    filled song by song into one preallocated C-ordered (P, d) pair."""
+    slices = _song_slices(songs, stft_cfg, patch_cfg)
+    X, Y = (np.empty((slices[-1].stop, stft_cfg.n_bins * patch_cfg.width)) for _ in range(2))
+    for song, rows in zip(songs, slices):
+        ibm, spec = _oracle_mask_and_mixture(pool_and_mix(load_song(song)), stft_cfg)
+        X[rows] = _training_rows(normalize_unit_scale(magnitude(spec)), patch_cfg)
+        Y[rows] = _training_rows(ibm.values, patch_cfg)
     return X, Y
 
 
@@ -164,21 +158,13 @@ def build_class_matrix(songs: list[ManifestSong], label: str, stft_cfg: StftConf
                        patch_cfg: PatchConfig) -> np.ndarray:
     """One class's column-stacked source windows for dictionary training, in
     one preallocated C-ordered (d, P) matrix, which the fit uses as it is."""
-    counts = _song_windows(songs, stft_cfg, patch_cfg)
-    V = np.empty((stft_cfg.n_bins * patch_cfg.width, sum(counts)))
-    col = 0
-    for song, count in zip(songs, counts):
+    slices = _song_slices(songs, stft_cfg, patch_cfg)
+    V = np.empty((stft_cfg.n_bins * patch_cfg.width, slices[-1].stop))
+    for song, cols in zip(songs, slices):
         mix = pool_and_mix(load_song(song))[LABELS.index(label)]
         norm = normalize_unit_scale(magnitude(stft(mix, stft_cfg)))
-        V[:, col:col + count] = _training_rows(norm, patch_cfg).T
-        col += count
+        V[:, cols] = _training_rows(norm, patch_cfg).T
     return V
-
-
-def build_class_matrices(songs: list[ManifestSong], stft_cfg: StftConfig,
-                         patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The vocal and the non-vocal class matrix (`build_class_matrix`)."""
-    return tuple(build_class_matrix(songs, label, stft_cfg, patch_cfg) for label in LABELS)
 
 
 def train_dnn(songs: list[ManifestSong], cfg: ExperimentConfig) -> tuple[MlpModel, np.ndarray]:

@@ -77,9 +77,8 @@ def n_frames_for(length: int, cfg: StftConfig) -> int:
     return int(np.ceil((length - cfg.frame_len) / cfg.hop)) + 1
 
 
-def stft(buffer: AudioBuffer, cfg: StftConfig | None = None) -> ComplexSpectrogram:
+def stft(buffer: AudioBuffer, cfg: StftConfig) -> ComplexSpectrogram:
     """Forward transform; the final partial frame is zero-padded."""
-    cfg = cfg or StftConfig()
     n = len(buffer.samples)
     frames = n_frames_for(n, cfg)
     x = np.pad(buffer.samples, (0, (frames - 1) * cfg.hop + cfg.frame_len - n))

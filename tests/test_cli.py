@@ -27,6 +27,7 @@ from maskforge.pipeline import (
     load_any_model,
 )
 from maskforge.stft import StftConfig
+from maskforge.synth import SynthConfig
 
 
 def _run(capsys, argv):
@@ -72,6 +73,9 @@ def test_parser_defaults():
     args = parser.parse_args(["make-corpus", "--out-dir", "x"])
     assert (args.train, args.test, args.seed) == (20, 5, 1234)
     assert (args.sample_rate, args.duration) == (22050, 1.8)
+    synth_cfg = SynthConfig()
+    assert (args.seed, args.sample_rate, args.duration) == (
+        synth_cfg.seed, synth_cfg.sample_rate, synth_cfg.duration)
     args = parser.parse_args(["train-dnn", "--manifest", "m", "--out", "o"])
     assert (args.frame, args.hop, args.width) == (512, 128, 10)
     assert args.hidden == "1024"
@@ -80,7 +84,8 @@ def test_parser_defaults():
     assert (args.rank, args.iterations) == (40, 200)
     args = parser.parse_args(
         ["sweep-alpha", "--manifest", "m", "--model", "x", "--csv", "c"])
-    assert args.alphas == "0.1:0.9:0.1"
+    assert cli.parse_alphas(args.alphas) == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    assert cli.parse_alphas(args.alphas) == ExperimentConfig().alphas
 
 
 def test_bad_usage_exits_two():
@@ -568,6 +573,25 @@ def test_evaluate_scores_silent_estimate_as_minus_inf(tmp_path, capsys, rng):
     assert lines[1] == "s1,m,0.5,vocal,-inf,-inf,-inf"
     assert lines[2].startswith("s1,m,0.5,non_vocal,")
     assert all(np.isfinite(float(v)) for v in lines[2].split(",")[4:])
+
+
+def test_evaluate_rejects_mixed_sample_rates(tmp_path, capsys, rng):
+    rates = {"est_v": 44100, "est_a": 8000, "ref_v": 22050, "ref_a": 22050}
+    for name, rate in rates.items():
+        write_wav(tmp_path / f"{name}.wav", AudioBuffer(rng.uniform(-0.5, 0.5, 2048), rate))
+    eval_csv = tmp_path / "eval.csv"
+    code, out, err = _run(capsys, [
+        "evaluate", "--est-vocal", str(tmp_path / "est_v.wav"),
+        "--est-accomp", str(tmp_path / "est_a.wav"),
+        "--ref-vocal", str(tmp_path / "ref_v.wav"),
+        "--ref-accomp", str(tmp_path / "ref_a.wav"), "--csv", str(eval_csv),
+    ])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: sample rates differ")
+    for name, rate in rates.items():
+        assert f"{tmp_path / name}.wav {rate} Hz" in err
+    assert not eval_csv.exists()
 
 
 # ---------------------------------------------------------------------------

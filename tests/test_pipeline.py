@@ -9,11 +9,13 @@ from maskforge.audio_io import (
     NON_VOCAL,
     VOCAL,
     AudioBuffer,
+    ManifestSong,
     StemSet,
     WavFormatError,
     load_manifest,
     load_song,
     read_wav,
+    write_manifest,
     write_wav,
 )
 from maskforge.masking import ideal_binary_mask
@@ -37,7 +39,7 @@ from maskforge.pipeline import (
     PER_SONG_HEADER,
     ExperimentConfig,
     _mean_and_ci,
-    build_class_matrices,
+    build_class_matrix,
     build_training_set,
     confidence_grid,
     fig2_rows,
@@ -47,7 +49,6 @@ from maskforge.pipeline import (
     run_sweep_to_csv,
     separate_file,
     separate_song,
-    song_training_pairs,
     sweep_alpha,
     threshold_and_invert,
     train_dnn,
@@ -108,13 +109,29 @@ def test_config_alpha_validation():
 # training-set construction
 # ---------------------------------------------------------------------------
 
-def test_song_training_pairs_tiling():
+def _one_song_manifest(tmp_path, stems):
+    """The stems written as WAVs under tmp_path, in a one-song manifest."""
+    paths = []
+    for i, (buf, label) in enumerate(stems.stems):
+        write_wav(tmp_path / f"{label}{i}.wav", buf)
+        paths.append((tmp_path / f"{label}{i}.wav", label))
+    write_manifest(tmp_path / "one_song.json", [ManifestSong(stems.song_id, paths)])
+    return load_manifest(tmp_path / "one_song.json")
+
+
+def _class_matrices(songs, stft_cfg, patch_cfg):
+    """The vocal and the non-vocal class matrix, one build_class_matrix call each."""
+    return tuple(build_class_matrix(songs, label, stft_cfg, patch_cfg)
+                 for label in (VOCAL, NON_VOCAL))
+
+
+def test_song_training_pairs_tiling(tmp_path):
     # 2944 samples at frame 512 / hop 128 -> exactly 20 frames, so a
     # 10-frame window at stride 10 cuts exactly two pairs
-    stems = _toy_stems(n=2944)
+    songs = _one_song_manifest(tmp_path, _toy_stems(n=2944))
     stft_cfg = StftConfig(frame_len=512, hop=128)
     patch_cfg = PatchConfig(width=10, train_stride=10)
-    X, Y = song_training_pairs(stems, stft_cfg, patch_cfg)
+    X, Y = build_training_set(songs, stft_cfg, patch_cfg)
     assert X.shape == (2, 2570)
     assert Y.shape == (2, 2570)
     assert np.all((Y == 0.0) | (Y == 1.0))
@@ -122,12 +139,12 @@ def test_song_training_pairs_tiling():
     assert X.max() == 1.0  # peak-normalized mixture magnitudes
 
 
-def test_song_training_pairs_target_is_oracle_mask():
-    stems = _toy_stems(n=2944, seed=3)
+def test_song_training_pairs_target_is_oracle_mask(tmp_path):
+    songs = _one_song_manifest(tmp_path, _toy_stems(n=2944, seed=3))
     stft_cfg = StftConfig(frame_len=512, hop=128)
     patch_cfg = PatchConfig(width=20, train_stride=20)
-    X, Y = song_training_pairs(stems, stft_cfg, patch_cfg)
-    vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
+    X, Y = build_training_set(songs, stft_cfg, patch_cfg)
+    vocal_mix, nonvocal_mix, full_mix = pool_and_mix(load_song(songs[0]))
     mag_v = magnitude(stft(vocal_mix, stft_cfg))
     mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
     ibm = ideal_binary_mask(mag_v, mag_nv)
@@ -137,52 +154,68 @@ def test_song_training_pairs_target_is_oracle_mask():
     assert np.array_equal(X[0], (mag_mix / mag_mix.max()).reshape(-1, order="F"))
 
 
+def _windows_by_hand(grid, patch_cfg):
+    """An (F, N) grid cut at the training stride with a zero-padded tail; one
+    frame-major column per window."""
+    T, S = patch_cfg.width, patch_cfg.train_stride
+    n = grid.shape[1]
+    starts = range(0, n - T + S, S) if n > T else [0]
+    padded = np.pad(grid, ((0, 0), (0, starts[-1] + T - n)))
+    return np.stack([padded[:, s:s + T].reshape(-1, order="F") for s in starts], axis=1)
+
+
+def _unit_windows_by_hand(buffer, stft_cfg, patch_cfg):
+    """The buffer's magnitudes over their own peak, cut by `_windows_by_hand`."""
+    mag = np.abs(stft(buffer, stft_cfg).bins)
+    return _windows_by_hand(mag / mag.max(), patch_cfg)
+
+
+def _training_set_by_hand(songs, stft_cfg, patch_cfg):
+    """build_training_set's (X, Y) by hand: each song's full-mix magnitudes
+    over their own peak, and the ideal binary mask of its two submixes, cut
+    by hand and stacked song after song."""
+    xs, ys = [], []
+    for song in songs:
+        vocal_mix, nonvocal_mix, full_mix = pool_and_mix(load_song(song))
+        xs.append(_unit_windows_by_hand(full_mix, stft_cfg, patch_cfg))
+        ibm = (np.abs(stft(vocal_mix, stft_cfg).bins)
+               > np.abs(stft(nonvocal_mix, stft_cfg).bins)).astype(np.float64)
+        ys.append(_windows_by_hand(ibm, patch_cfg))
+    return np.concatenate(xs, axis=1).T, np.concatenate(ys, axis=1).T
+
+
 def test_build_training_set_stacks_songs(tiny_corpus):
     stft_cfg = StftConfig(frame_len=256, hop=64)
     patch_cfg = PatchConfig(width=5, train_stride=5)
     X, Y = build_training_set(tiny_corpus["train_songs"], stft_cfg, patch_cfg)
-    x0, y0 = song_training_pairs(load_song(tiny_corpus["train_songs"][0]),
-                                 stft_cfg, patch_cfg)
-    x1, y1 = song_training_pairs(load_song(tiny_corpus["train_songs"][1]),
-                                 stft_cfg, patch_cfg)
-    assert np.array_equal(X, np.concatenate([x0, x1]))
-    assert np.array_equal(Y, np.concatenate([y0, y1]))
+    x, y = _training_set_by_hand(tiny_corpus["train_songs"], stft_cfg, patch_cfg)
+    assert np.array_equal(X, x)
+    assert np.array_equal(Y, y)
 
 
 def test_build_training_set_rejects_empty():
     with pytest.raises(ValueError, match="empty manifest"):
         build_training_set([], StftConfig(256, 64), PatchConfig(5, 5))
-    with pytest.raises(ValueError, match="empty manifest"):
-        build_class_matrices([], StftConfig(256, 64), PatchConfig(5, 5))
+    for label in (VOCAL, NON_VOCAL):
+        with pytest.raises(ValueError, match="empty manifest"):
+            build_class_matrix([], label, StftConfig(256, 64), PatchConfig(5, 5))
 
 
 def test_build_class_matrices_shapes(tiny_corpus):
     stft_cfg = StftConfig(frame_len=256, hop=64)
     patch_cfg = PatchConfig(width=5, train_stride=5)
-    V_v, V_nv = build_class_matrices(tiny_corpus["train_songs"], stft_cfg, patch_cfg)
+    V_v, V_nv = _class_matrices(tiny_corpus["train_songs"], stft_cfg, patch_cfg)
     d = stft_cfg.n_bins * patch_cfg.width
     assert V_v.shape[0] == d and V_nv.shape[0] == d
     assert V_v.shape[1] == V_nv.shape[1] > 0
     assert V_v.min() >= 0.0
 
 
-def _unit_windows_by_hand(buffer, stft_cfg, patch_cfg):
-    """The buffer's magnitudes over their own peak, cut at the training stride
-    with a zero-padded tail; one frame-major column per window."""
-    mag = np.abs(stft(buffer, stft_cfg).bins)
-    mag = mag / mag.max()
-    T, S = patch_cfg.width, patch_cfg.train_stride
-    n = mag.shape[1]
-    starts = range(0, n - T + S, S) if n > T else [0]
-    padded = np.pad(mag, ((0, 0), (0, starts[-1] + T - n)))
-    return np.stack([padded[:, s:s + T].reshape(-1, order="F") for s in starts], axis=1)
-
-
 def test_build_class_matrices_columns_are_own_peak_windows(tiny_corpus):
     stft_cfg = StftConfig(frame_len=256, hop=64)
     patch_cfg = PatchConfig(width=5, train_stride=4)
     songs = tiny_corpus["train_songs"]
-    V_v, V_nv = build_class_matrices(songs, stft_cfg, patch_cfg)
+    V_v, V_nv = _class_matrices(songs, stft_cfg, patch_cfg)
     expect_v, expect_nv = [], []
     for song in songs:
         vocal_mix, nonvocal_mix, _ = pool_and_mix(load_song(song))
@@ -233,7 +266,8 @@ def _traced_peak(fn):
     return result, peak
 
 
-@pytest.mark.parametrize("build", [build_training_set, build_class_matrices])
+@pytest.mark.parametrize("build", [
+    build_training_set, pytest.param(_class_matrices, id="build_class_matrix")])
 def test_training_matrices_are_built_in_place(window_corpus, build):
     # at the training stride of the window width, each song's windows are a
     # view of an array as large as themselves, so stacking the songs' pieces
@@ -249,13 +283,12 @@ def test_training_matrices_are_built_in_place(window_corpus, build):
 def test_training_matrices_equal_stacked_songs(window_corpus):
     stft_cfg, patch_cfg = StftConfig(64, 16), PatchConfig(width=8, train_stride=3)
     X, Y = build_training_set(window_corpus, stft_cfg, patch_cfg)
-    pairs = [song_training_pairs(load_song(s), stft_cfg, patch_cfg) for s in window_corpus]
-    assert np.array_equal(X, np.concatenate([x for x, _ in pairs]))
-    assert np.array_equal(Y, np.concatenate([y for _, y in pairs]))
-    V_v, V_nv = build_class_matrices(window_corpus, stft_cfg, patch_cfg)
+    x, y = _training_set_by_hand(window_corpus, stft_cfg, patch_cfg)
+    assert np.array_equal(X, x)
+    assert np.array_equal(Y, y)
+    V_v, V_nv = _class_matrices(window_corpus, stft_cfg, patch_cfg)
     for V, mix_index in ((V_v, 0), (V_nv, 1)):
-        cols = [extract_patches(normalize_unit_scale(magnitude(stft(
-                    pool_and_mix(load_song(s))[mix_index], stft_cfg))), patch_cfg, 3).rows.T
+        cols = [_unit_windows_by_hand(pool_and_mix(load_song(s))[mix_index], stft_cfg, patch_cfg)
                 for s in window_corpus]
         assert np.array_equal(V, np.concatenate(cols, axis=1))
 

@@ -15,6 +15,7 @@ REMOVED = {
     "patching": ["flatten", "unflatten", "KIND_TARGET"],
     "mlp": ["forward"],
     "nmf": ["soft_mask_patches", "mean_prediction_from_soft"],
+    "pipeline": ["song_training_pairs", "build_class_matrices"],
 }
 
 
@@ -36,6 +37,8 @@ def test_one_value_knobs_are_gone():
         "width", "train_stride"]
     assert [f.name for f in dataclasses.fields(maskforge.StftConfig)] == ["frame_len", "hop"]
     assert list(inspect.signature(maskforge.write_wav).parameters) == ["path", "buffer"]
+    cfg = inspect.signature(maskforge.stft).parameters["cfg"]
+    assert cfg.default is inspect.Parameter.empty
 
 
 def test_binary_mask_holds_only_its_values():
