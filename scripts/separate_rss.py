@@ -3,8 +3,8 @@
 For each input length, writes a noise mixture, then runs one `separate` per
 model in its own child process and prints the child's peak RSS (ru_maxrss)
 and wall time. The models are an untrained [2570, 128, 2570] network and
-random rank-40 dictionaries for the default 512/128 STFT and 10-frame
-windows, inferred at 25 NMF iterations.
+random rank-40 dictionaries, both for 22050 Hz audio, the default 512/128
+STFT and 10-frame windows, the NMF inferred at 25 iterations.
 
     PYTHONPATH=src python3 scripts/separate_rss.py 10 60 240
 
@@ -20,9 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from maskforge import AudioBuffer, NmfModel, init_model, save_model, save_nmf, write_wav
+from maskforge import (AudioBuffer, FrontEnd, NmfModel, init_model, save_model, save_nmf,
+                       write_wav)
 
 SAMPLE_RATE = 22050
+FRONT_END = FrontEnd(SAMPLE_RATE, frame_len=512, hop=128, width=10)
 
 
 def child_peak_mb(argv: list[str]) -> tuple[float, float]:
@@ -39,11 +41,11 @@ def child_peak_mb(argv: list[str]) -> tuple[float, float]:
 def main(lengths: list[float]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        d = 257 * 10
-        save_model(init_model([d, 128, d], seed=0), root / "dnn.mfg")
+        d = FRONT_END.window_size
+        save_model(init_model([d, 128, d], seed=0, front_end=FRONT_END), root / "dnn.mfg")
         rng = np.random.default_rng(0)
         save_nmf(NmfModel(rng.uniform(0.1, 1, (d, 40)), rng.uniform(0.1, 1, (d, 40)),
-                          n_bins=257, width=10), root / "nmf.mfg")
+                          FRONT_END), root / "nmf.mfg")
         for seconds in lengths:
             mix = root / "mix.wav"
             samples = rng.uniform(-0.8, 0.8, int(seconds * SAMPLE_RATE))

@@ -28,6 +28,7 @@ from .masking import (
     vocal_mask_from_confidence,
 )
 from .mlp import MlpModel, TrainConfig, init_model, load_model, save_model, train_sgd
+from .model_file import FrontEnd
 from .nmf import NmfModel, load_nmf, nmf_factorize, nmf_separate, save_nmf
 from .patching import PatchConfig, PatchSet, extract_patches, repack_mean
 from .pipeline import (
@@ -51,7 +52,7 @@ __all__ = [
     "PatchConfig", "PatchSet", "extract_patches", "repack_mean",
     "BinaryMask", "ideal_binary_mask", "apply_mask",
     "vocal_mask_from_confidence", "nonvocal_mask_from_confidence",
-    "MlpModel", "TrainConfig", "init_model", "train_sgd",
+    "FrontEnd", "MlpModel", "TrainConfig", "init_model", "train_sgd",
     "save_model", "load_model",
     "NmfModel", "nmf_factorize", "nmf_separate", "save_nmf", "load_nmf",
     "SeparationMetrics", "evaluate_pair",

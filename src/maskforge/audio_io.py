@@ -334,21 +334,31 @@ def load_manifest(path: str | Path) -> list[ManifestSong]:
     return list(songs.values())
 
 
+def _check_rates(song: ManifestSong, rates: list[int]) -> None:
+    """Raise unless the song's stems, at `rates` in stem order, share one rate."""
+    if len(set(rates)) > 1:
+        raise ValueError(f"song {song.song_id!r} has stems at different sample rates: "
+                         + ", ".join(f"{p} {r} Hz" for (p, _), r in zip(song.stems, rates)))
+
+
 def load_song(song: ManifestSong) -> StemSet:
     """Load all stems of one manifest entry from disk."""
-    return StemSet(
-        stems=[(read_wav(p), label) for p, label in song.stems],
-        song_id=song.song_id,
-    )
+    buffers = [read_wav(p) for p, _ in song.stems]
+    _check_rates(song, [b.sample_rate for b in buffers])
+    return StemSet([(b, label) for b, (_, label) in zip(buffers, song.stems)], song.song_id)
 
 
-def song_length(song: ManifestSong) -> int:
-    """Samples in the song's mixes, its longest stem's, from the WAV headers."""
-    lengths = []
+def song_header(song: ManifestSong) -> tuple[int, int]:
+    """(samples in the song's mixes, its longest stem's; its stems' sample
+    rate), from the WAV headers."""
+    if not song.stems:
+        raise ValueError(f"song {song.song_id!r} has no stems")
+    headers = []
     for path, _ in song.stems:
         with WavReader(path) as reader:
-            lengths.append(reader.n_samples)
-    return max(lengths, default=0)
+            headers.append((reader.n_samples, reader.sample_rate))
+    _check_rates(song, [rate for _, rate in headers])
+    return max(n for n, _ in headers), headers[0][1]
 
 
 def write_manifest(path: str | Path, songs: list[ManifestSong]) -> None:

@@ -14,6 +14,7 @@ from pathlib import Path
 from . import mlp, nmf, pipeline, synth
 from .audio_io import ManifestSong, load_manifest, load_song, pool_and_mix, read_wav, write_wav
 from .bss_eval import evaluate_pair
+from .model_file import FrontEnd, FrontEndMismatch
 from .patching import PatchConfig
 from .pipeline import ExperimentConfig
 from .stft import StftConfig
@@ -52,13 +53,20 @@ def parse_alphas(text: str) -> tuple[float, ...]:
 
 
 def _experiment_config(args, **fields) -> ExperimentConfig:
-    """The STFT, patch and seed flags every model subcommand has, plus `fields`."""
+    """The STFT, patch and seed flags of the training subcommands, plus `fields`."""
     return ExperimentConfig(
         stft=StftConfig(frame_len=args.frame, hop=args.hop),
         patch=PatchConfig(width=args.width, train_stride=args.train_stride),
         seed=args.seed,
         **fields,
     )
+
+
+def _model_config(args, front_end: FrontEnd, **fields) -> ExperimentConfig:
+    """A model's STFT and window width, the --seed and --nmf-iterations flags,
+    and `fields`."""
+    return ExperimentConfig(stft=front_end.stft, patch=PatchConfig(width=front_end.width),
+                            seed=args.seed, nmf_infer_iters=args.nmf_iterations, **fields)
 
 
 def _songs(args) -> list[ManifestSong]:
@@ -121,9 +129,8 @@ def cmd_train_nmf(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    cfg = _experiment_config(args, alphas=(args.alpha,),
-                             nmf_infer_iters=args.nmf_iterations)
-    _, model = pipeline.load_any_model(args.model, cfg)
+    _, model = pipeline.load_any_model(args.model)
+    cfg = _model_config(args, model.front_end, alphas=(args.alpha,))
     pipeline.separate_file(args.input, args.out_vocal, args.out_accomp, model,
                            args.alpha, cfg, infer_seed=args.seed)
     print(f"wrote {args.out_vocal} and {args.out_accomp}")
@@ -166,13 +173,16 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     songs = load_manifest(args.manifest)
     alphas = parse_alphas(args.alphas)
-    cfg = _experiment_config(args, alphas=alphas, nmf_infer_iters=args.nmf_iterations)
     models: dict[str, pipeline.Model] = {}
     for path in args.model:
-        method, model = pipeline.load_any_model(path, cfg)
+        method, model = pipeline.load_any_model(path)
         if method in models:
             raise ValueError(f"two {method} models given; pass one per kind")
         models[method] = model
+    if len({m.front_end for m in models.values()}) > 1:
+        raise FrontEndMismatch("the models' front ends differ: " + ", ".join(
+            f"{path} {m.front_end}" for path, m in zip(args.model, models.values())))
+    cfg = _model_config(args, model.front_end, alphas=alphas)
     pipeline.run_sweep_to_csv(songs, models, cfg, args.csv,
                               fig3_path=args.fig3_csv,
                               per_song_path=args.per_song_csv)
@@ -190,19 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maskforge",
         description="Vocal/accompaniment separation with learned binary masks.",
     )
-    # only the training subcommands set a stride; the rest keep PatchConfig's
-    parser.set_defaults(train_stride=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each flag that sets an ExperimentConfig field is declared once, here
-    stft, training, inference = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    # each flag that sets an ExperimentConfig field is declared once, here;
+    # separate and sweep-alpha take the STFT and width from the model
+    stft, width, seed, training, inference = (argparse.ArgumentParser(add_help=False)
+                                              for _ in range(5))
     stft.add_argument("--frame", type=int, default=_DEFAULTS.stft.frame_len,
                       help="frame length in samples")
     stft.add_argument("--hop", type=int, default=_DEFAULTS.stft.hop, help="hop in samples")
-    model = argparse.ArgumentParser(add_help=False, parents=[stft])
-    model.add_argument("--width", type=int, default=_DEFAULTS.patch.width,
+    width.add_argument("--width", type=int, default=_DEFAULTS.patch.width,
                        help="patch width in frames")
-    model.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    seed.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     training.add_argument("--manifest", required=True)
     training.add_argument("--out", required=True, help="model file to write")
     training.add_argument("--train-stride", type=int, default=None,
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("train-dnn", parents=[training, model],
+    p = sub.add_parser("train-dnn", parents=[training, stft, width, seed],
                        help="train the mask-prediction network")
     p.add_argument("--hidden", default=",".join(map(str, _DEFAULTS.hidden)),
                    help="comma list of hidden sizes")
@@ -234,13 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_DEFAULTS.loss)
     p.set_defaults(func=cmd_train_dnn)
 
-    p = sub.add_parser("train-nmf", parents=[training, model],
+    p = sub.add_parser("train-nmf", parents=[training, stft, width, seed],
                        help="train per-class dictionaries")
     p.add_argument("--rank", type=int, default=_DEFAULTS.nmf_rank)
     p.add_argument("--iterations", type=int, default=_DEFAULTS.nmf_train_iters)
     p.set_defaults(func=cmd_train_nmf)
 
-    p = sub.add_parser("separate", parents=[model, inference],
+    p = sub.add_parser("separate", parents=[seed, inference],
                        help="separate one mixture file")
     p.add_argument("--model", required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -268,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep-alpha", parents=[model, inference],
+    p = sub.add_parser("sweep-alpha", parents=[seed, inference],
                        help="evaluate across a confidence grid")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", action="append", required=True,

@@ -9,15 +9,14 @@ blocks of examples, which changes only the rounding.
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .model_file import DNN, FrontEnd, read_model, write_model
 from .patching import PatchSet
-
-MAGIC = b"MFG1"
 
 LOSS_CROSS_ENTROPY = "cross_entropy"
 LOSS_MSE = "mse"
@@ -46,7 +45,7 @@ class MlpModel:
     layer_sizes: list[int]
     weights: list[np.ndarray]       # weights[l]: (sizes[l+1], sizes[l])
     biases: list[np.ndarray]        # biases[l]: (sizes[l+1],); last stays zero
-    seed: int = 0
+    front_end: FrontEnd | None = None   # None: a bare network, which no file holds
 
     def __post_init__(self):
         sizes = [int(s) for s in self.layer_sizes]
@@ -65,6 +64,10 @@ class MlpModel:
                 raise ValueError(f"layer {l}: bias shape {b.shape}")
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l}: non-finite parameters")
+        fe = self.front_end
+        if fe is not None and not sizes[0] == sizes[-1] == fe.window_size:
+            raise ValueError(f"a network of {sizes[0]} inputs and {sizes[-1]} outputs does "
+                             f"not fit the front end's {fe.window_size}-element windows")
         self.layer_sizes = sizes
 
     @property
@@ -79,13 +82,6 @@ class MlpModel:
     def output_size(self) -> int:
         return self.layer_sizes[-1]
 
-    def check_patch_shape(self, n_bins: int, width: int) -> None:
-        if self.input_size != n_bins * width:
-            raise ValueError(
-                f"model expects {self.input_size} inputs but frame/width give "
-                f"{n_bins * width}; pass matching --frame/--width"
-            )
-
     def predictor(self, n_windows: int, iterations: int, seed: int):
         """Block predictor for one mixture's windows: each window's predicted
         vocal probabilities. The forward pass is deterministic and rows are
@@ -97,7 +93,7 @@ class MlpModel:
             list(self.layer_sizes),
             [W.copy() for W in self.weights],
             [b.copy() for b in self.biases],
-            seed=self.seed,
+            self.front_end,
         )
 
 
@@ -117,12 +113,11 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {sorted(_LOSSES)}")
 
 
-def init_model(layer_sizes: list[int], seed: int = 0) -> MlpModel:
+def init_model(layer_sizes: list[int], seed: int = 0,
+               front_end: FrontEnd | None = None) -> MlpModel:
     """Uniform(-a, a) weights with a = sqrt(6/(fan_in+fan_out)), zero biases."""
     sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2:
-        raise ValueError("need at least input and output layers")
-    if any(s < 1 for s in sizes):
+    if any(s < 1 for s in sizes):       # MlpModel checks the rest, but after the draw
         raise ValueError("layer sizes must be positive")
     rng = np.random.default_rng(seed)
     weights = []
@@ -131,7 +126,7 @@ def init_model(layer_sizes: list[int], seed: int = 0) -> MlpModel:
         a = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-a, a, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(sizes, weights, biases, seed=seed)
+    return MlpModel(sizes, weights, biases, front_end)
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -237,7 +232,8 @@ def sgd_epoch(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray
     product; within a block each step sees the earlier steps' updates through
     a low-rank correction. This is per-example SGD up to rounding. Biases are
     updated after every example; the output layer's is not updated. Returns
-    the mean per-example loss measured at visit time.
+    the mean per-example loss measured at visit time, or the running sum as
+    soon as it is not finite.
     """
     total = 0.0
     for start in range(0, order.shape[0], _BLOCK):
@@ -246,6 +242,8 @@ def sgd_epoch(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray
         for i, r in enumerate(rows):
             value, _ = _step(weights, biases, p, i, Y[r], lr, loss)
             total += value
+            if not math.isfinite(total):
+                return total
             for b, G in zip(biases[:-1], p.G):
                 b -= G[i]
         for W, G, A in zip(weights, p.G, p.A):
@@ -290,47 +288,17 @@ def predict_masks(model: MlpModel, patches: PatchSet) -> PatchSet:
     return patches.predictions(forward_batch(model, patches.rows))
 
 
-# ---------------------------------------------------------------------------
-# model file: MAGIC, u32 layer count, u32 sizes, i64 seed, then per
-# layer the row-major float64 weights followed by the bias vector, all
-# little-endian
-# ---------------------------------------------------------------------------
+# model file (model_file.py): dims are the layer sizes, and the arrays each
+# layer's weights, then its biases
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    parts = [MAGIC, struct.pack("<I", len(model.layer_sizes))]
-    parts.append(struct.pack(f"<{len(model.layer_sizes)}I", *model.layer_sizes))
-    parts.append(struct.pack("<q", model.seed))
-    for W, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_model(path, DNN, model.front_end, model.layer_sizes,
+                [a for layer in zip(model.weights, model.biases) for a in layer])
+
+
+def from_file(front_end: FrontEnd, sizes: list[int], arrays: list[np.ndarray]) -> MlpModel:
+    return MlpModel(sizes, arrays[0::2], arrays[1::2], front_end)
 
 
 def load_model(path: str | Path) -> MlpModel:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a model file (bad magic)")
-    (n_sizes,) = struct.unpack_from("<I", raw, 4)
-    off = 8
-    if len(raw) < off + 4 * n_sizes + 8:
-        raise ValueError(f"{path}: truncated header")
-    sizes = list(struct.unpack_from(f"<{n_sizes}I", raw, off))
-    off += 4 * n_sizes
-    (seed,) = struct.unpack_from("<q", raw, off)
-    off += 8
-    expected = sum(
-        8 * (o * i + o) for i, o in zip(sizes[:-1], sizes[1:])
-    )
-    if len(raw) != off + expected:
-        raise ValueError(f"{path}: parameter payload size mismatch")
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        n = fan_out * fan_in
-        W = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(fan_out, fan_in)
-        off += 8 * n
-        b = np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off)
-        off += 8 * fan_out
-        weights.append(W.astype(np.float64))
-        biases.append(b.astype(np.float64))
-    return MlpModel(sizes, weights, biases, seed=seed)
+    return from_file(*read_model(path, DNN)[1:])

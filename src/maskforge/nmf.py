@@ -14,31 +14,28 @@ score every step by default; training and separation skip it (trace None).
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .model_file import NMF, FrontEnd, read_model, write_model
 from .patching import PatchSet
-
-MAGIC = b"MFGN"
 
 KL_EPS = 1e-12
 
 
 @dataclass
 class NmfModel:
-    w_vocal: np.ndarray        # (F*T, r_v)
-    w_nonvocal: np.ndarray     # (F*T, r_nv)
-    n_bins: int
-    width: int
+    w_vocal: np.ndarray        # (window elements, r_v)
+    w_nonvocal: np.ndarray     # (window elements, r_nv)
+    front_end: FrontEnd
 
     def __post_init__(self):
         self.w_vocal = np.asarray(self.w_vocal, dtype=np.float64)
         self.w_nonvocal = np.asarray(self.w_nonvocal, dtype=np.float64)
-        d = self.n_bins * self.width
+        d = self.front_end.window_size
         for name, W in (("vocal", self.w_vocal), ("non-vocal", self.w_nonvocal)):
             if W.ndim != 2 or W.shape[0] != d:
                 raise ValueError(f"{name} dictionary must be ({d}, r), got {W.shape}")
@@ -58,13 +55,6 @@ class NmfModel:
     @property
     def rank_nonvocal(self) -> int:
         return self.w_nonvocal.shape[1]
-
-    def check_patch_shape(self, n_bins: int, width: int) -> None:
-        if self.n_bins != n_bins or self.width != width:
-            raise ValueError(
-                f"dictionary was trained for {self.n_bins} bins x {self.width} "
-                f"frames, flags give {n_bins} x {width}"
-            )
 
     def predictor(self, n_windows: int, iterations: int, seed: int):
         """Block predictor for one mixture's `n_windows` windows: each window's
@@ -227,32 +217,17 @@ def nmf_separate(V_u: np.ndarray, model: NmfModel, iterations: int = 200,
     return V_v_hat, V_nv_hat
 
 
-# ---------------------------------------------------------------------------
-# dictionary file: MAGIC, u32 F, T, r_v, r_nv, then W_v and W_nv as
-# little-endian float64 in column order
-# ---------------------------------------------------------------------------
+# model file (model_file.py): dims are the two ranks, and the arrays the two
+# dictionaries transposed, so that they read back in column order
 
 def save_nmf(model: NmfModel, path: str | Path) -> None:
-    header = MAGIC + struct.pack(
-        "<IIII", model.n_bins, model.width, model.rank_vocal, model.rank_nonvocal
-    )
-    body = (
-        np.asfortranarray(model.w_vocal, dtype="<f8").tobytes(order="F")
-        + np.asfortranarray(model.w_nonvocal, dtype="<f8").tobytes(order="F")
-    )
-    Path(path).write_bytes(header + body)
+    write_model(path, NMF, model.front_end, [model.rank_vocal, model.rank_nonvocal],
+                [model.w_vocal.T, model.w_nonvocal.T])
+
+
+def from_file(front_end: FrontEnd, ranks: list[int], arrays: list[np.ndarray]) -> NmfModel:
+    return NmfModel(arrays[0].T, arrays[1].T, front_end)
 
 
 def load_nmf(path: str | Path) -> NmfModel:
-    raw = Path(path).read_bytes()
-    if len(raw) < 20 or raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a dictionary file (bad magic)")
-    F, T, r_v, r_nv = struct.unpack_from("<IIII", raw, 4)
-    d = F * T
-    expected = 20 + 8 * d * (r_v + r_nv)
-    if len(raw) != expected:
-        raise ValueError(f"{path}: payload size mismatch")
-    flat = np.frombuffer(raw, dtype="<f8", offset=20)
-    w_v = flat[: d * r_v].reshape(d, r_v, order="F").astype(np.float64)
-    w_nv = flat[d * r_v:].reshape(d, r_nv, order="F").astype(np.float64)
-    return NmfModel(w_v, w_nv, n_bins=F, width=T)
+    return from_file(*read_model(path, NMF)[1:])

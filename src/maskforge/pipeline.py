@@ -2,7 +2,9 @@
 
 Training matrices are filled in place: each song's windows go straight into
 its slice of one preallocated array (`_song_slices`, from the WAV headers),
-mixture rows before mask rows. Separation is one block engine with two
+mixture rows before mask rows; the headers also give the songs' one sample
+rate, the trained model's front end with the STFT and width (`model_file`).
+Separation refuses audio at another rate, and is one block engine with two
 passes over the mixture: pass one finds the magnitude peak from block STFTs,
 and pass two cuts, predicts and averages the stride-1 windows a block at a
 time and yields runs of finished frames (`_mean_blocks`). `separate_file`
@@ -40,7 +42,7 @@ from .audio_io import (
     WavWriter,
     load_song,
     pool_and_mix,
-    song_length,
+    song_header,
 )
 from .bss_eval import PairMetrics, SeparationMetrics, evaluate_pair
 from .masking import (
@@ -51,6 +53,7 @@ from .masking import (
     vocal_mask_from_confidence,
 )
 from .mlp import MlpModel, TrainConfig, init_model, train_sgd
+from .model_file import DNN, NMF, FrontEnd, FrontEndMismatch, read_model
 from .nmf import NmfModel, nmf_train_class
 from .patching import (
     MeanPrediction,
@@ -62,15 +65,13 @@ from .patching import (
 from .stft import (ComplexSpectrogram, InverseStft, OverlapAdd, StftConfig, istft, magnitude,
                    n_frames_for, stft)
 
-METHOD_DNN = "dnn"
-METHOD_NMF = "nmf"
+METHOD_DNN = DNN       # a model file's kind is its model's method name
+METHOD_NMF = NMF
 METHOD_IDEAL = "ideal"
 METHOD_MIXTURE = "mixture"
 
-# Each model kind owns its file format, patch-shape check and block predictor.
+# Each model kind owns its block predictor and records its front end.
 Model = MlpModel | NmfModel
-_MODEL_FILES = {mlp.MAGIC: (METHOD_DNN, mlp.load_model),
-                nmf.MAGIC: (METHOD_NMF, nmf.load_nmf)}
 
 _SOURCE_ORDER = (VOCAL, NON_VOCAL, "mean")
 
@@ -131,45 +132,53 @@ def _training_rows(grid: np.ndarray, patch_cfg: PatchConfig) -> np.ndarray:
 
 
 def _song_slices(songs: list[ManifestSong], stft_cfg: StftConfig,
-                 patch_cfg: PatchConfig) -> list[slice]:
-    """Each song's slice of the stacked training windows, from its WAV headers."""
+                 patch_cfg: PatchConfig) -> tuple[list[slice], FrontEnd]:
+    """Each song's slice of the stacked training windows, and the front end
+    they are cut on, from the WAV headers; the songs must share one rate."""
     if not songs:
         raise ValueError("empty manifest")
-    ends = list(accumulate(len(patch_offsets(n_frames_for(song_length(song), stft_cfg),
-                                             patch_cfg.width, patch_cfg.train_stride))
-                           for song in songs))
-    return [slice(a, b) for a, b in zip([0, *ends], ends)]
+    headers = [song_header(song) for song in songs]
+    rates = {rate: song.song_id for song, (_, rate) in zip(songs, headers)}
+    if len(rates) > 1:
+        raise FrontEndMismatch("training songs differ in sample rate: " + ", ".join(
+            f"{song_id} {rate} Hz" for rate, song_id in rates.items()))
+    ends = list(accumulate(len(patch_offsets(n_frames_for(n, stft_cfg), patch_cfg.width,
+                                             patch_cfg.train_stride)) for n, _ in headers))
+    front_end = FrontEnd(headers[0][1], stft_cfg.frame_len, stft_cfg.hop, patch_cfg.width)
+    return [slice(a, b) for a, b in zip([0, *ends], ends)], front_end
 
 
-def build_training_set(songs: list[ManifestSong], stft_cfg: StftConfig,
-                       patch_cfg: PatchConfig) -> tuple[np.ndarray, np.ndarray]:
+def build_training_set(songs: list[ManifestSong], stft_cfg: StftConfig, patch_cfg: PatchConfig
+                       ) -> tuple[np.ndarray, np.ndarray, FrontEnd]:
     """(mixture window, oracle mask window) row pairs of every manifest song,
-    filled song by song into one preallocated C-ordered (P, d) pair."""
-    slices = _song_slices(songs, stft_cfg, patch_cfg)
-    X, Y = (np.empty((slices[-1].stop, stft_cfg.n_bins * patch_cfg.width)) for _ in range(2))
+    filled song by song into one preallocated C-ordered (P, d) pair, and the
+    front end they are cut on."""
+    slices, front_end = _song_slices(songs, stft_cfg, patch_cfg)
+    X, Y = (np.empty((slices[-1].stop, front_end.window_size)) for _ in range(2))
     for song, rows in zip(songs, slices):
         ibm, spec = _oracle_mask_and_mixture(pool_and_mix(load_song(song)), stft_cfg)
         X[rows] = _training_rows(normalize_unit_scale(magnitude(spec)), patch_cfg)
         Y[rows] = _training_rows(ibm.values, patch_cfg)
-    return X, Y
+    return X, Y, front_end
 
 
 def build_class_matrix(songs: list[ManifestSong], label: str, stft_cfg: StftConfig,
-                       patch_cfg: PatchConfig) -> np.ndarray:
+                       patch_cfg: PatchConfig) -> tuple[np.ndarray, FrontEnd]:
     """One class's column-stacked source windows for dictionary training, in
-    one preallocated C-ordered (d, P) matrix, which the fit uses as it is."""
-    slices = _song_slices(songs, stft_cfg, patch_cfg)
-    V = np.empty((stft_cfg.n_bins * patch_cfg.width, slices[-1].stop))
+    one preallocated C-ordered (d, P) matrix, which the fit uses as it is,
+    and the front end they are cut on."""
+    slices, front_end = _song_slices(songs, stft_cfg, patch_cfg)
+    V = np.empty((front_end.window_size, slices[-1].stop))
     for song, cols in zip(songs, slices):
         mix = pool_and_mix(load_song(song))[LABELS.index(label)]
         norm = normalize_unit_scale(magnitude(stft(mix, stft_cfg)))
         V[:, cols] = _training_rows(norm, patch_cfg).T
-    return V
+    return V, front_end
 
 
 def train_dnn(songs: list[ManifestSong], cfg: ExperimentConfig) -> tuple[MlpModel, np.ndarray]:
-    X, Y = build_training_set(songs, cfg.stft, cfg.patch)
-    model = init_model(cfg.layer_sizes, seed=cfg.seed)
+    X, Y, front_end = build_training_set(songs, cfg.stft, cfg.patch)
+    model = init_model(cfg.layer_sizes, seed=cfg.seed, front_end=front_end)
     train_cfg = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
                             loss=cfg.loss, shuffle_seed=cfg.seed)
     return train_sgd(model, X, Y, train_cfg)
@@ -177,24 +186,26 @@ def train_dnn(songs: list[ManifestSong], cfg: ExperimentConfig) -> tuple[MlpMode
 
 def train_nmf(songs: list[ManifestSong], cfg: ExperimentConfig) -> NmfModel:
     """Per-class dictionaries, each class's matrix built and fitted in turn."""
-    w_v = nmf_train_class(build_class_matrix(songs, VOCAL, cfg.stft, cfg.patch),
-                          cfg.nmf_rank, cfg.nmf_train_iters, seed=cfg.seed)
-    w_nv = nmf_train_class(build_class_matrix(songs, NON_VOCAL, cfg.stft, cfg.patch),
-                           cfg.nmf_rank, cfg.nmf_train_iters, seed=cfg.seed + 1)
-    return NmfModel(w_v, w_nv, n_bins=cfg.stft.n_bins, width=cfg.patch.width)
+    def fit(label: str, seed: int) -> tuple[np.ndarray, FrontEnd]:
+        V, front_end = build_class_matrix(songs, label, cfg.stft, cfg.patch)
+        return nmf_train_class(V, cfg.nmf_rank, cfg.nmf_train_iters, seed=seed), front_end
+
+    (w_v, front_end), (w_nv, _) = fit(VOCAL, cfg.seed), fit(NON_VOCAL, cfg.seed + 1)
+    return NmfModel(w_v, w_nv, front_end)
 
 
-def load_any_model(path: str | Path, cfg: ExperimentConfig) -> tuple[str, Model]:
-    """(method, model) from a model file, its decoder picked by magic bytes;
-    raises ValueError unless the model fits cfg's patch shape."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic not in _MODEL_FILES:
-        raise ValueError(f"{path}: unrecognized model file")
-    method, load = _MODEL_FILES[magic]
-    model = load(path)
-    model.check_patch_shape(cfg.stft.n_bins, cfg.patch.width)
-    return method, model
+def load_any_model(path: str | Path) -> tuple[str, Model]:
+    """(method, model) from a model file of either kind, read once."""
+    kind, *parts = read_model(path)
+    return kind, (mlp.from_file if kind == DNN else nmf.from_file)(*parts)
+
+
+def _check_rate(model: Model, sample_rate: int, what) -> None:
+    """Audio `what` must be at the model's rate; a bare network takes any."""
+    fe = model.front_end
+    if fe is not None and fe.sample_rate != sample_rate:
+        raise FrontEndMismatch(f"{what} is at {sample_rate} Hz, but the model was trained "
+                               f"at {fe.sample_rate} Hz")
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +337,7 @@ def separate_file(mixture: str | Path, out_vocal: str | Path, out_accomp: str | 
     if len(set(paths)) < 3:
         raise ValueError("the mixture and the two outputs must be three different files")
     with WavReader(mixture) as reader:
+        _check_rate(model, reader.sample_rate, mixture)
         chunks = _separation(reader.read, reader.n_samples, reader.sample_rate,
                              model, alpha, cfg, infer_seed)
         with WavWriter(out_vocal, reader.sample_rate) as vocal, \
@@ -377,6 +389,7 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model],
     out: dict[str, dict[float | None, PairMetrics]] = {}
 
     for method, model in models.items():
+        _check_rate(model, full_mix.sample_rate, f"test song {song.song_id!r}")
         mean, _ = confidence_grid(spec, model, cfg, infer_seed=cfg.seed + 7000 + song_index)
         per_alpha: dict[float | None, PairMetrics] = {}
         for alpha in cfg.alphas:

@@ -21,7 +21,7 @@ from maskforge.audio_io import (
     peak_normalize,
     pool_and_mix,
     read_wav,
-    song_length,
+    song_header,
     write_manifest,
     write_wav,
 )
@@ -235,7 +235,7 @@ def test_song_length_is_longest_stem_from_headers(tmp_path):
         write_wav(tmp_path / name, AudioBuffer(np.ones(n), 8000))
     song = ManifestSong("s", [(tmp_path / "a.wav", VOCAL), (tmp_path / "b.wav", NON_VOCAL),
                               (tmp_path / "c.wav", VOCAL)])
-    assert song_length(song) == 1200
+    assert song_header(song) == (1200, 8000)    # (samples, sample rate)
     assert len(pool_and_mix(load_song(song))[2]) == 1200
 
 

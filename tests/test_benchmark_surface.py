@@ -19,6 +19,7 @@ import workloads  # noqa: E402
 import maskforge  # noqa: E402
 from maskforge import mlp, nmf, patching, pipeline  # noqa: E402
 from maskforge.audio_io import AudioBuffer  # noqa: E402
+from maskforge.model_file import FrontEnd  # noqa: E402
 from maskforge.patching import PatchConfig  # noqa: E402
 from maskforge.stft import StftConfig  # noqa: E402
 
@@ -49,8 +50,9 @@ def _tiny_calls():
     predictions = mlp.predict_masks(dnn, windows)
     grid, _ = pipeline.confidence_grid(mix, dnn, CFG)
     d = CFG.layer_sizes[0]
+    front_end = FrontEnd(8000, CFG.stft.frame_len, CFG.stft.hop, CFG.patch.width)
     pipeline.confidence_grid(spec, nmf.NmfModel(rng.random((d, 2)), rng.random((d, 2)),
-                                                 n_bins=CFG.stft.n_bins, width=3), CFG)
+                                                 front_end), CFG)
     pipeline.threshold_and_invert(grid, spec, 0.5)
     _, trace = nmf.infer_activations(rng.random((d, 5)), rng.random((d, 2)), 4)
     return spec, windows, predictions, grid, trace

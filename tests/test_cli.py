@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskforge import cli
+from maskforge import cli, pipeline
 from maskforge.audio_io import AudioBuffer, load_manifest, read_wav, write_wav
 from maskforge.mlp import init_model, save_model
-from maskforge.nmf import MAGIC as NMF_MAGIC
+from maskforge.model_file import NMF, FrontEnd, write_model
 from maskforge.nmf import NmfModel, save_nmf
-from maskforge.patching import PatchConfig
 from maskforge.pipeline import (
     FIG2_HEADER,
     FIG3_HEADER,
@@ -26,7 +25,6 @@ from maskforge.pipeline import (
     ExperimentConfig,
     load_any_model,
 )
-from maskforge.stft import StftConfig
 from maskforge.synth import SynthConfig
 
 
@@ -105,6 +103,14 @@ def test_bad_usage_exits_two():
 # ---------------------------------------------------------------------------
 
 SMALL = ["--frame", "256", "--hop", "64", "--width", "5"]
+# the front end SMALL gives, at the rate of the WAVs these tests write by hand
+SMALL_FRONT_END = FrontEnd(8000, frame_len=256, hop=64, width=5)
+
+
+def _save_dnn(path, front_end=SMALL_FRONT_END):
+    """An untrained network for `front_end`, saved to `path`."""
+    d = front_end.window_size
+    save_model(init_model([d, 4, d], seed=0, front_end=front_end), path)
 
 
 def test_full_cli_flow(tmp_path, capsys):
@@ -125,7 +131,7 @@ def test_full_cli_flow(tmp_path, capsys):
         *SMALL, "--hidden", "16", "--epochs", "2", "--lr", "0.01",
     ])
     assert code == 0, err
-    assert model_path.read_bytes()[:4] == b"MFG1"
+    assert model_path.read_bytes()[:12] == b"MFGM\x01\x00\x00\x00dnn\x00"
     assert "loss" in out and "saved" in out
 
     dict_path = tmp_path / "dict.nmf"
@@ -134,7 +140,7 @@ def test_full_cli_flow(tmp_path, capsys):
         *SMALL, "--rank", "6", "--iterations", "25",
     ])
     assert code == 0, err
-    assert dict_path.read_bytes()[:4] == b"MFGN"
+    assert dict_path.read_bytes()[:12] == b"MFGM\x01\x00\x00\x00nmf\x00"
 
     mixes = tmp_path / "mixes"
     code, out, err = _run(capsys, [
@@ -157,7 +163,7 @@ def test_full_cli_flow(tmp_path, capsys):
     code, out, err = _run(capsys, [
         "separate", "--model", str(model_path), "--alpha", "0.5",
         "--input", str(mixture), "--out-vocal", str(est_v),
-        "--out-accomp", str(est_a), *SMALL,
+        "--out-accomp", str(est_a),
     ])
     assert code == 0, err
     assert est_v.exists() and est_a.exists()
@@ -166,7 +172,7 @@ def test_full_cli_flow(tmp_path, capsys):
     code, out, err = _run(capsys, [
         "separate", "--model", str(dict_path), "--alpha", "0.5",
         "--input", str(mixture), "--out-vocal", str(est_v),
-        "--out-accomp", str(est_a), *SMALL, "--nmf-iterations", "25",
+        "--out-accomp", str(est_a), "--nmf-iterations", "25",
     ])
     assert code == 0, err
 
@@ -200,7 +206,7 @@ def test_full_cli_flow(tmp_path, capsys):
         "--model", str(model_path), "--model", str(dict_path),
         "--alphas", "0.3,0.6", "--csv", str(fig2),
         "--fig3-csv", str(fig3), "--per-song-csv", str(per_song),
-        *SMALL, "--nmf-iterations", "25",
+        "--nmf-iterations", "25",
     ])
     assert code == 0, err
     # 2 alphas x (2 models + ideal + mixture) x 3 sources
@@ -233,22 +239,20 @@ def test_missing_manifest_exits_one(tmp_path, capsys):
 
 def test_missing_input_wav_exits_one(tmp_path, capsys):
     junk_model = tmp_path / "m.mlp"
-    from maskforge.mlp import init_model, save_model
-    save_model(init_model([645, 4, 645], seed=0), junk_model)  # 129 bins x 5
+    _save_dnn(junk_model)
     code, out, err = _run(capsys, [
         "separate", "--model", str(junk_model), "--alpha", "0.5",
         "--input", str(tmp_path / "missing.wav"),
         "--out-vocal", str(tmp_path / "v.wav"),
-        "--out-accomp", str(tmp_path / "a.wav"), *SMALL,
+        "--out-accomp", str(tmp_path / "a.wav"),
     ])
     assert code == 1
     assert "missing.wav" in err
 
 
 def test_truncated_fmt_chunk_exits_one(tmp_path, capsys):
-    from maskforge.mlp import init_model, save_model
     model_path = tmp_path / "m.mlp"
-    save_model(init_model([645, 4, 645], seed=0), model_path)  # 129 bins x 5
+    _save_dnn(model_path)
     wav = tmp_path / "short_fmt.wav"
     # RIFF/WAVE header, then a fmt chunk declaring 16 bytes that holds 8
     wav.write_bytes(b"RIFF\x14\x00\x00\x00WAVEfmt \x10\x00\x00\x00"
@@ -258,7 +262,7 @@ def test_truncated_fmt_chunk_exits_one(tmp_path, capsys):
         "separate", "--model", str(model_path), "--alpha", "0.5",
         "--input", str(wav),
         "--out-vocal", str(tmp_path / "v.wav"),
-        "--out-accomp", str(tmp_path / "a.wav"), *SMALL,
+        "--out-accomp", str(tmp_path / "a.wav"),
     ])
     assert code == 1
     assert err.count("\n") == 1
@@ -266,9 +270,8 @@ def test_truncated_fmt_chunk_exits_one(tmp_path, capsys):
 
 
 def test_partial_sample_data_chunk_exits_one(tmp_path, capsys):
-    from maskforge.mlp import init_model, save_model
     model_path = tmp_path / "m.mlp"
-    save_model(init_model([645, 4, 645], seed=0), model_path)  # 129 bins x 5
+    _save_dnn(model_path)
     wav = tmp_path / "partial.wav"
     # mono PCM16 whose data chunk holds 3 bytes, one and a half samples
     wav.write_bytes(b"RIFF\x28\x00\x00\x00WAVEfmt \x10\x00\x00\x00"
@@ -278,7 +281,7 @@ def test_partial_sample_data_chunk_exits_one(tmp_path, capsys):
         "separate", "--model", str(model_path), "--alpha", "0.5",
         "--input", str(wav),
         "--out-vocal", str(tmp_path / "v.wav"),
-        "--out-accomp", str(tmp_path / "a.wav"), *SMALL,
+        "--out-accomp", str(tmp_path / "a.wav"),
     ])
     assert code == 1
     assert err.count("\n") == 1
@@ -289,7 +292,7 @@ def test_partial_sample_data_chunk_exits_one(tmp_path, capsys):
 def test_non_finite_input_exits_one_before_any_output(tmp_path, capsys, bad):
     # the bad sample sits near the end, in the last block the first pass reads
     model_path = tmp_path / "m.mfg"
-    save_model(init_model([3, 2, 3], seed=0), model_path)
+    _save_dnn(model_path, FUZZ_FRONT_END)
     samples = np.linspace(-1, 1, 3000).astype("<f4")
     samples[-3] = bad
     wav = tmp_path / "bad.wav"
@@ -299,7 +302,7 @@ def test_non_finite_input_exits_one_before_any_output(tmp_path, capsys, bad):
     outputs = (tmp_path / "v.wav", tmp_path / "a.wav")
     code, out, err = _run(capsys, [
         "separate", "--model", str(model_path), "--alpha", "0.5", "--input", str(wav),
-        "--out-vocal", str(outputs[0]), "--out-accomp", str(outputs[1]), *FUZZ_FLAGS,
+        "--out-vocal", str(outputs[0]), "--out-accomp", str(outputs[1]),
     ])
     assert code == 1
     assert err.count("\n") == 1
@@ -310,7 +313,7 @@ def test_non_finite_input_exits_one_before_any_output(tmp_path, capsys, bad):
 def test_sample_rate_beyond_wav_header_exits_one(tmp_path, capsys):
     # a 2**30 Hz input decodes, but its byte rate does not fit the output header
     model_path = tmp_path / "m.mfg"
-    save_model(init_model([3, 2, 3], seed=0), model_path)
+    _save_dnn(model_path, FrontEnd(1 << 30, frame_len=4, hop=2, width=1))
     wav = tmp_path / "fast.wav"
     payload = np.linspace(-1, 1, 24).astype("<f4").tobytes()
     wav.write_bytes(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
@@ -319,7 +322,7 @@ def test_sample_rate_beyond_wav_header_exits_one(tmp_path, capsys):
     code, out, err = _run(capsys, [
         "separate", "--model", str(model_path), "--alpha", "0.5", "--input", str(wav),
         "--out-vocal", str(tmp_path / "v.wav"),
-        "--out-accomp", str(tmp_path / "a.wav"), *FUZZ_FLAGS,
+        "--out-accomp", str(tmp_path / "a.wav"),
     ])
     assert code == 1
     assert err.count("\n") == 1
@@ -327,14 +330,13 @@ def test_sample_rate_beyond_wav_header_exits_one(tmp_path, capsys):
 
 
 def test_manifest_entry_without_stems_exits_one(tmp_path, capsys):
-    from maskforge.mlp import init_model, save_model
     model_path = tmp_path / "m.mlp"
-    save_model(init_model([645, 4, 645], seed=0), model_path)
+    _save_dnn(model_path)
     manifest = tmp_path / "m.json"
     manifest.write_text('{"songs": [{"id": "x"}]}')
     code, out, err = _run(capsys, [
         "sweep-alpha", "--manifest", str(manifest), "--model", str(model_path),
-        "--csv", str(tmp_path / "o.csv"), *SMALL,
+        "--csv", str(tmp_path / "o.csv"),
     ])
     assert code == 1
     assert err.count("\n") == 1
@@ -494,36 +496,155 @@ def test_unrecognized_model_file_exits_one(tmp_path, capsys):
     assert "unrecognized model file" in err
 
 
-def test_model_dimension_mismatch_exits_one(tmp_path, capsys):
-    from maskforge.mlp import init_model, save_model
+def _noise_wav(path, sample_rate, n=2048, seed=0):
+    write_wav(path, AudioBuffer(np.random.default_rng(seed).uniform(-0.5, 0.5, n), sample_rate))
+
+
+def _separate_at_wrong_rate(tmp_path, capsys, model_path):
+    """`separate` on an 8000 Hz mixture with a 22050 Hz model."""
+    mixture = tmp_path / "x.wav"
+    _noise_wav(mixture, 8000)
+    outputs = (tmp_path / "v.wav", tmp_path / "a.wav")
+    code, out, err = _run(capsys, [
+        "separate", "--model", str(model_path), "--alpha", "0.5", "--input", str(mixture),
+        "--out-vocal", str(outputs[0]), "--out-accomp", str(outputs[1]),
+    ])
+    assert code == 1
+    assert err == (f"error: {mixture} is at 8000 Hz, but the model was trained "
+                   "at 22050 Hz\n")
+    assert not any(p.exists() for p in outputs)
+
+
+def test_dnn_sample_rate_mismatch_exits_one(tmp_path, capsys):
     model_path = tmp_path / "m.mlp"
-    save_model(init_model([645, 4, 645], seed=0), model_path)  # 129 bins x 5
-    code, out, err = _run(capsys, [
-        "separate", "--model", str(model_path), "--alpha", "0.5",
-        "--input", str(tmp_path / "x.wav"),
-        "--out-vocal", str(tmp_path / "v.wav"),
-        "--out-accomp", str(tmp_path / "a.wav"),
-        "--frame", "512", "--hop", "128", "--width", "5",
-    ])
-    assert code == 1
-    assert "pass matching --frame/--width" in err
+    _save_dnn(model_path, FrontEnd(22050, frame_len=256, hop=64, width=5))
+    _separate_at_wrong_rate(tmp_path, capsys, model_path)
 
 
-def test_nmf_dimension_mismatch_exits_one(tmp_path, capsys, rng):
-    from maskforge.nmf import NmfModel, save_nmf
+def test_nmf_sample_rate_mismatch_exits_one(tmp_path, capsys, rng):
     dict_path = tmp_path / "d.nmf"
-    model = NmfModel(rng.uniform(0.1, 1, (645, 2)), rng.uniform(0.1, 1, (645, 2)),
-                     n_bins=129, width=5)
-    save_nmf(model, dict_path)
+    front_end = FrontEnd(22050, frame_len=256, hop=64, width=5)
+    save_nmf(NmfModel(rng.uniform(0.1, 1, (645, 2)), rng.uniform(0.1, 1, (645, 2)),
+                      front_end), dict_path)
+    _separate_at_wrong_rate(tmp_path, capsys, dict_path)
+
+
+def _two_stem_manifest(root, song_rates, name="m.json"):
+    """A manifest of noise songs: {song id: (vocal rate, accompaniment rate)}."""
+    songs = []
+    for k, (song_id, rates) in enumerate(song_rates.items()):
+        stems = []
+        for label, rate in zip(("vocal", "non_vocal"), rates):
+            _noise_wav(root / f"{song_id}_{label}.wav", rate, n=4096, seed=k)
+            stems.append({"path": f"{song_id}_{label}.wav", "label": label})
+        songs.append({"id": song_id, "stems": stems})
+    (root / name).write_text(json.dumps({"songs": songs}))
+    return root / name
+
+
+def test_sweep_rejects_test_songs_at_another_rate(tmp_path, capsys, rng):
+    front_end = FrontEnd(22050, frame_len=256, hop=64, width=5)
+    _save_dnn(tmp_path / "dnn.mfg", front_end)
+    save_nmf(NmfModel(rng.uniform(0.1, 1, (645, 2)), rng.uniform(0.1, 1, (645, 2)),
+                      front_end), tmp_path / "nmf.mfg")
+    manifest = _two_stem_manifest(tmp_path, {"slow_song": (8000, 8000)})
+    csvs = [tmp_path / name for name in ("fig2.csv", "fig3.csv", "per_song.csv")]
     code, out, err = _run(capsys, [
-        "separate", "--model", str(dict_path), "--alpha", "0.5",
-        "--input", str(tmp_path / "x.wav"),
-        "--out-vocal", str(tmp_path / "v.wav"),
-        "--out-accomp", str(tmp_path / "a.wav"),
-        "--frame", "512", "--hop", "128", "--width", "5",
+        "sweep-alpha", "--manifest", str(manifest), "--model", str(tmp_path / "dnn.mfg"),
+        "--model", str(tmp_path / "nmf.mfg"), "--csv", str(csvs[0]),
+        "--fig3-csv", str(csvs[1]), "--per-song-csv", str(csvs[2]),
     ])
     assert code == 1
-    assert "dictionary was trained for 129 bins x 5" in err
+    assert err == ("error: test song 'slow_song' is at 8000 Hz, but the model was trained "
+                   "at 22050 Hz\n")
+    assert not any(p.exists() for p in csvs)
+
+
+def test_sweep_rejects_models_with_different_front_ends(tmp_path, capsys, rng):
+    _save_dnn(tmp_path / "dnn.mfg", FrontEnd(8000, frame_len=256, hop=128, width=5))
+    save_nmf(NmfModel(rng.uniform(0.1, 1, (645, 2)), rng.uniform(0.1, 1, (645, 2)),
+                      SMALL_FRONT_END), tmp_path / "nmf.mfg")
+    manifest = _two_stem_manifest(tmp_path, {"song": (8000, 8000)})
+    code, out, err = _run(capsys, [
+        "sweep-alpha", "--manifest", str(manifest), "--model", str(tmp_path / "dnn.mfg"),
+        "--model", str(tmp_path / "nmf.mfg"), "--csv", str(tmp_path / "fig2.csv"),
+    ])
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: the models' front ends differ: ")
+    assert "hop=128" in err and "hop=64" in err
+    assert not (tmp_path / "fig2.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train-dnn", "train-nmf"])
+def test_training_rejects_songs_at_different_rates(tmp_path, capsys, monkeypatch, command):
+    manifest = _two_stem_manifest(tmp_path, {"song_a": (22050, 22050),
+                                             "song_b": (8000, 8000)})
+    loaded = []
+    monkeypatch.setattr(pipeline, "load_song", lambda song: loaded.append(song))
+    code, out, err = _run(capsys, [
+        command, "--manifest", str(manifest), "--out", str(tmp_path / "m.mfg"), *SMALL,
+    ])
+    assert code == 1
+    assert err == ("error: training songs differ in sample rate: song_a 22050 Hz, "
+                   "song_b 8000 Hz\n")
+    assert loaded == []         # no song was cut into a training matrix
+    assert not (tmp_path / "m.mfg").exists()
+
+
+def test_mix_names_the_song_and_stems_at_different_rates(tmp_path, capsys):
+    manifest = _two_stem_manifest(tmp_path, {"torn_song": (8000, 22050)})
+    code, out, err = _run(capsys, [
+        "mix", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert err == (f"error: song 'torn_song' has stems at different sample rates: "
+                   f"{tmp_path / 'torn_song_vocal.wav'} 8000 Hz, "
+                   f"{tmp_path / 'torn_song_non_vocal.wav'} 22050 Hz\n")
+
+
+def test_separate_has_no_front_end_flags(tmp_path):
+    # a hop-128 model at --hop 512 is a usage error: the flag no longer exists
+    model_path = tmp_path / "m.mfg"
+    _save_dnn(model_path, FrontEnd(22050, frame_len=512, hop=128, width=2))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["separate", "--model", str(model_path), "--alpha", "0.5",
+                  "--input", "x.wav", "--out-vocal", "v.wav", "--out-accomp", "a.wav",
+                  "--hop", "512"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["separate", "--model", "m", "--alpha", "0.5", "--input", "x",
+      "--out-vocal", "v", "--out-accomp", "a"], ()),
+    (["sweep-alpha", "--manifest", "m", "--model", "x", "--csv", "c"], ()),
+    (["ideal-mask", "--manifest", "m", "--out-vocal", "v", "--out-accomp", "a"],
+     ("--frame", "--hop")),
+    (["train-dnn", "--manifest", "m", "--out", "o"], ("--frame", "--hop", "--width")),
+    (["train-nmf", "--manifest", "m", "--out", "o"], ("--frame", "--hop", "--width")),
+])
+def test_front_end_flags_belong_to_the_subcommands_without_a_model(capsys, argv, flags):
+    parser = cli.build_parser()
+    for flag in ("--frame", "--hop", "--width"):
+        if flag in flags:
+            parser.parse_args([*argv, flag, "8"])
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*argv, flag, "8"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("magic", [b"MFG1", b"MFGN"])
+def test_old_format_model_file_exits_one(tmp_path, capsys, magic):
+    old = tmp_path / "old.mfg"
+    old.write_bytes(magic + struct.pack("<IIII", 3, 2, 1, 1) + bytes(64))
+    code, out, err = _run(capsys, [
+        "separate", "--model", str(old), "--alpha", "0.5", "--input", str(tmp_path / "x.wav"),
+        "--out-vocal", str(tmp_path / "v.wav"), "--out-accomp", str(tmp_path / "a.wav"),
+    ])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {old}: an {magic.decode()} model file, the format before")
 
 
 @pytest.mark.parametrize("flaw, message", [
@@ -538,14 +659,13 @@ def test_unusable_nmf_dictionary_exits_one(tmp_path, capsys, rng, flaw, message)
     else:
         w_v = w_v[:, :0]
     dict_path = tmp_path / "d.nmf"
-    dict_path.write_bytes(NMF_MAGIC + struct.pack("<IIII", 129, 5, w_v.shape[1], 2)
-                          + w_v.astype("<f8").tobytes(order="F")
-                          + w_nv.astype("<f8").tobytes(order="F"))
+    # save_nmf cannot write these (the model refuses them), so write the arrays
+    write_model(dict_path, NMF, SMALL_FRONT_END, [w_v.shape[1], 2], [w_v.T, w_nv.T])
     code, out, err = _run(capsys, [
         "separate", "--model", str(dict_path), "--alpha", "0.5",
         "--input", str(tmp_path / "x.wav"),
         "--out-vocal", str(tmp_path / "v.wav"),
-        "--out-accomp", str(tmp_path / "a.wav"), *SMALL,
+        "--out-accomp", str(tmp_path / "a.wav"),
     ])
     assert code == 1
     assert err == f"error: {message}\n"
@@ -599,18 +719,18 @@ def test_evaluate_rejects_mixed_sample_rates(tmp_path, capsys, rng):
 # ---------------------------------------------------------------------------
 
 # frame 4 gives 3 bins; at width 1 a model sees 3-element windows
-FUZZ_FLAGS = ["--frame", "4", "--hop", "2", "--width", "1"]
-FUZZ_CONFIG = ExperimentConfig(stft=StftConfig(frame_len=4, hop=2),
-                               patch=PatchConfig(width=1, train_stride=1))
+FUZZ_FRONT_END = FrontEnd(8000, frame_len=4, hop=2, width=1)
+# the DNN seed's header: 32 bytes, then its 3 layer sizes
+MODEL_HEADER_BYTES = 44
 
 
 @functools.cache
 def _valid_model_files() -> tuple[bytes, bytes]:
     with tempfile.TemporaryDirectory() as root:
         mlp_path, nmf_path = Path(root, "m.mfg"), Path(root, "n.mfg")
-        save_model(init_model([3, 2, 3], seed=0), mlp_path)
-        save_nmf(NmfModel(np.full((3, 2), 0.5), np.full((3, 1), 0.25),
-                          n_bins=3, width=1), nmf_path)
+        save_model(init_model([3, 2, 3], seed=0, front_end=FUZZ_FRONT_END), mlp_path)
+        save_nmf(NmfModel(np.full((3, 2), 0.5), np.full((3, 1), 0.25), FUZZ_FRONT_END),
+                 nmf_path)
         return mlp_path.read_bytes(), nmf_path.read_bytes()
 
 
@@ -670,20 +790,20 @@ def _cli_fails_cleanly(argv: list[str], may_succeed: bool) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(raw=_mutated(_valid_model_files, head=24))
+@given(raw=_mutated(_valid_model_files, head=MODEL_HEADER_BYTES))
 def test_mutated_model_file_fails_cleanly(tmp_path_factory, raw):
     root = tmp_path_factory.getbasetemp()
     path = root / "fuzz.mfg"
     path.write_bytes(raw)
     try:
-        load_any_model(path, FUZZ_CONFIG)
+        load_any_model(path)
     except (ValueError, OSError):
         pass
     # the input WAV does not exist, so separate fails even on a valid model
     _cli_fails_cleanly(["separate", "--model", str(path), "--alpha", "0.5",
                         "--input", str(root / "missing.wav"),
                         "--out-vocal", str(root / "v.wav"),
-                        "--out-accomp", str(root / "a.wav"), *FUZZ_FLAGS],
+                        "--out-accomp", str(root / "a.wav")],
                        may_succeed=False)
 
 
@@ -701,7 +821,7 @@ def test_mutated_wav_fails_cleanly(tmp_path_factory, raw):
         decoded = False
     _cli_fails_cleanly(["separate", "--model", str(model), "--alpha", "0.5",
                         "--input", str(path), "--out-vocal", str(root / "v.wav"),
-                        "--out-accomp", str(root / "a.wav"), *FUZZ_FLAGS],
+                        "--out-accomp", str(root / "a.wav")],
                        may_succeed=decoded)
 
 
@@ -726,25 +846,22 @@ def test_mutated_manifest_fails_cleanly(tmp_path_factory, raw):
 
 
 def test_duplicate_model_kind_exits_one(tmp_path, capsys):
-    from maskforge.mlp import init_model, save_model
     model_path = tmp_path / "m.mlp"
-    save_model(init_model([1285, 4, 1285], seed=0), model_path)
+    _save_dnn(model_path)
     manifest = tmp_path / "m.json"
     manifest.write_text('{"songs": []}')
     code, out, err = _run(capsys, [
         "sweep-alpha", "--manifest", str(manifest),
         "--model", str(model_path), "--model", str(model_path),
-        "--csv", str(tmp_path / "o.csv"), "--frame", "512", "--hop", "128",
-        "--width", "5",
+        "--csv", str(tmp_path / "o.csv"),
     ])
     assert code == 1
     assert "two dnn models given" in err
 
 
 def test_bad_alpha_grammar_exits_one(tmp_path, capsys):
-    from maskforge.mlp import init_model, save_model
     model_path = tmp_path / "m.mlp"
-    save_model(init_model([1285, 4, 1285], seed=0), model_path)
+    _save_dnn(model_path)
     manifest = tmp_path / "m.json"
     manifest.write_text('{"songs": []}')
     code, out, err = _run(capsys, [

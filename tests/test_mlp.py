@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from maskforge import mlp
 from maskforge.mlp import (
     _BLOCK,
     LOSS_CROSS_ENTROPY,
@@ -22,6 +23,7 @@ from maskforge.mlp import (
     softplus_stable,
     train_sgd,
 )
+from maskforge.model_file import FrontEnd
 from maskforge.patching import KIND_PREDICTION, PatchConfig, extract_patches
 
 
@@ -446,6 +448,20 @@ def test_divergence_raises():
         train_sgd(model, X, Y, TrainConfig(epochs=1, learning_rate=0.1))
 
 
+def test_divergence_stops_at_the_first_non_finite_loss(monkeypatch):
+    # the first example's loss is already infinite: no later example runs
+    steps = []
+    step = mlp._step
+    monkeypatch.setattr(mlp, "_step", lambda *args: steps.append(1) or step(*args))
+    model = MlpModel([2, 2], [np.full((2, 2), 1e308)], [np.zeros(2)])
+    X = np.full((3 * _BLOCK, 2), 10.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError,
+                          match="^training diverged: non-finite loss at epoch 0$"):
+        train_sgd(model, X, np.zeros_like(X), TrainConfig(epochs=2, learning_rate=0.1))
+    assert len(steps) == 1
+
+
 def test_train_shape_validation(rng):
     model = init_model([3, 3], seed=0)
     with pytest.raises(ValueError, match="empty"):
@@ -483,12 +499,13 @@ def test_predict_masks_dimension_mismatch(rng):
 # ---------------------------------------------------------------------------
 
 def test_model_file_round_trip(tmp_path):
-    model = init_model([5, 7, 5], seed=123)
+    # frame 8 gives 5 bins; at width 1 a window has 5 elements
+    model = init_model([5, 7, 5], seed=123, front_end=FrontEnd(8000, 8, 4, 1))
     path = tmp_path / "m.mlp"
     save_model(model, path)
     back = load_model(path)
     assert back.layer_sizes == model.layer_sizes
-    assert back.seed == 123
+    assert back.front_end == model.front_end
     for W1, W2 in zip(model.weights, back.weights):
         assert np.array_equal(W1, W2)
     for b1, b2 in zip(model.biases, back.biases):
@@ -496,7 +513,7 @@ def test_model_file_round_trip(tmp_path):
 
 
 def test_model_file_errors(tmp_path):
-    model = init_model([3, 3], seed=0)
+    model = init_model([3, 3], seed=0, front_end=FrontEnd(8000, 4, 2, 1))
     path = tmp_path / "m.mlp"
     save_model(model, path)
     raw = path.read_bytes()

@@ -1,14 +1,12 @@
 """KL divergence, multiplicative updates, dictionaries, and the confidence grid."""
 
-import struct
-
 import numpy as np
 import pytest
 from scipy.special import xlogy
 
+from maskforge.model_file import NMF, FrontEnd, write_model
 from maskforge.nmf import (
     KL_EPS,
-    MAGIC,
     NmfModel,
     infer_activations,
     initial_activations,
@@ -20,6 +18,11 @@ from maskforge.nmf import (
     save_nmf,
 )
 from maskforge.patching import PatchConfig, extract_patches, repack_mean
+
+
+def _front_end(n_bins, width):
+    """A front end whose windows have n_bins x width elements."""
+    return FrontEnd(8000, frame_len=2 * (n_bins - 1), hop=1, width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +247,7 @@ def test_non_finite_v_names_iteration_zero(rng, bad):
         nmf_factorize(V, r=2, iterations=5, seed=0)
     with pytest.raises(FloatingPointError, match="at iteration 0$"):
         infer_activations(V, W, iterations=5, seed=0)
-    model = NmfModel(W[:, :1], W[:, 1:], n_bins=3, width=2)
+    model = NmfModel(W[:, :1], W[:, 1:], _front_end(3, 2))
     with pytest.raises(FloatingPointError, match="at iteration 0$"):
         nmf_separate(V, model, iterations=5, seed=0)
 
@@ -277,7 +280,7 @@ def test_training_and_separation_equal_the_public_fits(rng):
     fac = nmf_factorize(V, r=3, iterations=20, seed=4)
     W = nmf_train_class(V, r=3, iterations=20, seed=4)
     assert np.array_equal(W, fac.W / fac.W.sum(axis=0)[None, :])
-    model = NmfModel(W[:, :2], rng.uniform(0.1, 1.0, size=(24, 2)), n_bins=4, width=6)
+    model = NmfModel(W[:, :2], rng.uniform(0.1, 1.0, size=(24, 2)), _front_end(4, 6))
     H, _ = infer_activations(V, np.concatenate([model.w_vocal, model.w_nonvocal], axis=1),
                              iterations=20, seed=5)
     v, nv = nmf_separate(V, model, iterations=20, seed=5)
@@ -300,7 +303,7 @@ def test_block_of_initial_activations_is_slice_of_whole_draw(first, count):
 
 def test_predictor_draws_only_its_block(rng, monkeypatch):
     model = NmfModel(rng.uniform(0.1, 1, (12, 2)), rng.uniform(0.1, 1, (12, 3)),
-                     n_bins=4, width=3)
+                     _front_end(4, 3))
     shapes = []
 
     def recording(*args):
@@ -358,7 +361,7 @@ def test_separate_planted_sources(rng):
     W_v /= W_v.sum(axis=0)
     W_nv[d // 2:] *= 0.05
     W_nv /= W_nv.sum(axis=0)
-    model = NmfModel(W_v, W_nv, n_bins=F, width=T)
+    model = NmfModel(W_v, W_nv, _front_end(F, T))
     h = rng.uniform(0.5, 1.5, size=(r, 6))
     V_u = W_v @ h
     V_v_hat, V_nv_hat = nmf_separate(V_u, model, iterations=500, seed=0)
@@ -371,7 +374,7 @@ def test_separate_shapes(rng):
     F, T = 3, 2
     d = F * T
     model = NmfModel(rng.uniform(0.1, 1, (d, 2)), rng.uniform(0.1, 1, (d, 3)),
-                     n_bins=F, width=T)
+                     _front_end(F, T))
     V_u = rng.uniform(0.1, 1.0, size=(d, 5))
     V_v_hat, V_nv_hat = nmf_separate(V_u, model, iterations=30, seed=0)
     assert V_v_hat.shape == (d, 5)
@@ -381,13 +384,13 @@ def test_separate_shapes(rng):
 
 def test_model_validation(rng):
     with pytest.raises(ValueError, match="must be \\(6, r\\)"):
-        NmfModel(np.ones((5, 2)), np.ones((6, 2)), n_bins=3, width=2)
+        NmfModel(np.ones((5, 2)), np.ones((6, 2)), _front_end(3, 2))
     with pytest.raises(ValueError, match="negative"):
-        NmfModel(-np.ones((6, 2)), np.ones((6, 2)), n_bins=3, width=2)
+        NmfModel(-np.ones((6, 2)), np.ones((6, 2)), _front_end(3, 2))
     with pytest.raises(ValueError, match="all-zero column"):
         W = np.ones((6, 2))
         W[:, 1] = 0.0
-        NmfModel(W, np.ones((6, 2)), n_bins=3, width=2)
+        NmfModel(W, np.ones((6, 2)), _front_end(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +417,7 @@ def test_soft_mask_patches_layout(rng):
     owner = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     rows = owner.reshape(-1, order="F")
     eye = np.eye(F * T)
-    model = NmfModel(eye[:, rows == 1.0], eye[:, rows == 0.0], n_bins=F, width=T)
+    model = NmfModel(eye[:, rows == 1.0], eye[:, rows == 0.0], _front_end(F, T))
     patches = _windows(rng.uniform(0.1, 1.0, size=(F, N)), T)
     mp = _confidence(model, patches, iterations=5, seed=0)
     expect = np.zeros((F, N))
@@ -427,7 +430,7 @@ def test_soft_mask_patches_layout(rng):
 def test_soft_mask_patches_zero_total_is_half(rng):
     # silent windows are reconstructed as silence by both classes: 0/0 -> 0.5
     model = NmfModel(rng.uniform(0.1, 1, (4, 2)), rng.uniform(0.1, 1, (4, 3)),
-                     n_bins=2, width=2)
+                     _front_end(2, 2))
     mp = _confidence(model, _windows(np.zeros((2, 5)), 2), iterations=3, seed=0)
     assert np.all(mp.values == 0.5)
 
@@ -435,7 +438,7 @@ def test_soft_mask_patches_zero_total_is_half(rng):
 def test_repack_soft_mask_against_manual_average(rng):
     F, T, N = 2, 3, 5
     model = NmfModel(rng.uniform(0.1, 1, (F * T, 2)), rng.uniform(0.1, 1, (F * T, 3)),
-                     n_bins=F, width=T)
+                     _front_end(F, T))
     patches = _windows(rng.uniform(0.1, 1.0, size=(F, N)), T)
     offsets = patches.offsets
     assert offsets.tolist() == [0, 1, 2]
@@ -462,11 +465,11 @@ def test_nmf_file_round_trip(tmp_path, rng):
     F, T = 5, 4
     d = F * T
     model = NmfModel(rng.uniform(0.01, 1, (d, 3)), rng.uniform(0.01, 1, (d, 7)),
-                     n_bins=F, width=T)
+                     _front_end(F, T))
     path = tmp_path / "d.nmf"
     save_nmf(model, path)
     back = load_nmf(path)
-    assert (back.n_bins, back.width) == (F, T)
+    assert back.front_end == model.front_end
     assert (back.rank_vocal, back.rank_nonvocal) == (3, 7)
     assert np.array_equal(back.w_vocal, model.w_vocal)
     assert np.array_equal(back.w_nonvocal, model.w_nonvocal)
@@ -474,7 +477,7 @@ def test_nmf_file_round_trip(tmp_path, rng):
 
 def test_nmf_file_errors(tmp_path, rng):
     model = NmfModel(rng.uniform(0.01, 1, (4, 1)), rng.uniform(0.01, 1, (4, 1)),
-                     n_bins=2, width=2)
+                     _front_end(2, 2))
     path = tmp_path / "d.nmf"
     save_nmf(model, path)
     raw = path.read_bytes()
@@ -505,8 +508,6 @@ def test_load_nmf_rejects_unusable_dictionary(tmp_path, rng, flaw, message):
     else:
         w_nv = w_nv[:, :0]
     path = tmp_path / "d.nmf"
-    path.write_bytes(MAGIC + struct.pack("<IIII", 3, 2, w_v.shape[1], w_nv.shape[1])
-                     + w_v.astype("<f8").tobytes(order="F")
-                     + w_nv.astype("<f8").tobytes(order="F"))
+    write_model(path, NMF, _front_end(3, 2), [w_v.shape[1], w_nv.shape[1]], [w_v.T, w_nv.T])
     with pytest.raises(ValueError, match=f"^{message}$"):
         load_nmf(path)

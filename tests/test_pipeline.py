@@ -21,6 +21,7 @@ from maskforge.audio_io import (
 from maskforge.masking import ideal_binary_mask
 from maskforge import nmf, pipeline
 from maskforge.mlp import MlpModel, init_model, predict_masks
+from maskforge.model_file import FrontEnd
 from maskforge.nmf import NmfModel
 from maskforge.patching import (
     MeanPrediction,
@@ -121,8 +122,13 @@ def _one_song_manifest(tmp_path, stems):
 
 def _class_matrices(songs, stft_cfg, patch_cfg):
     """The vocal and the non-vocal class matrix, one build_class_matrix call each."""
-    return tuple(build_class_matrix(songs, label, stft_cfg, patch_cfg)
+    return tuple(build_class_matrix(songs, label, stft_cfg, patch_cfg)[0]
                  for label in (VOCAL, NON_VOCAL))
+
+
+def _training_set(songs, stft_cfg, patch_cfg):
+    """build_training_set's (X, Y), without the front end."""
+    return build_training_set(songs, stft_cfg, patch_cfg)[:2]
 
 
 def test_song_training_pairs_tiling(tmp_path):
@@ -131,7 +137,7 @@ def test_song_training_pairs_tiling(tmp_path):
     songs = _one_song_manifest(tmp_path, _toy_stems(n=2944))
     stft_cfg = StftConfig(frame_len=512, hop=128)
     patch_cfg = PatchConfig(width=10, train_stride=10)
-    X, Y = build_training_set(songs, stft_cfg, patch_cfg)
+    X, Y, _ = build_training_set(songs, stft_cfg, patch_cfg)
     assert X.shape == (2, 2570)
     assert Y.shape == (2, 2570)
     assert np.all((Y == 0.0) | (Y == 1.0))
@@ -143,7 +149,7 @@ def test_song_training_pairs_target_is_oracle_mask(tmp_path):
     songs = _one_song_manifest(tmp_path, _toy_stems(n=2944, seed=3))
     stft_cfg = StftConfig(frame_len=512, hop=128)
     patch_cfg = PatchConfig(width=20, train_stride=20)
-    X, Y = build_training_set(songs, stft_cfg, patch_cfg)
+    X, Y, _ = build_training_set(songs, stft_cfg, patch_cfg)
     vocal_mix, nonvocal_mix, full_mix = pool_and_mix(load_song(songs[0]))
     mag_v = magnitude(stft(vocal_mix, stft_cfg))
     mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
@@ -187,7 +193,7 @@ def _training_set_by_hand(songs, stft_cfg, patch_cfg):
 def test_build_training_set_stacks_songs(tiny_corpus):
     stft_cfg = StftConfig(frame_len=256, hop=64)
     patch_cfg = PatchConfig(width=5, train_stride=5)
-    X, Y = build_training_set(tiny_corpus["train_songs"], stft_cfg, patch_cfg)
+    X, Y, _ = build_training_set(tiny_corpus["train_songs"], stft_cfg, patch_cfg)
     x, y = _training_set_by_hand(tiny_corpus["train_songs"], stft_cfg, patch_cfg)
     assert np.array_equal(X, x)
     assert np.array_equal(Y, y)
@@ -233,6 +239,8 @@ def test_train_dnn_shapes_and_trace(tiny_corpus):
     cfg = _small_cfg()
     model, trace = train_dnn(tiny_corpus["train_songs"], cfg)
     assert model.layer_sizes == cfg.layer_sizes
+    assert model.front_end == FrontEnd(22050, cfg.stft.frame_len, cfg.stft.hop,
+                                       cfg.patch.width)
     assert trace.shape == (cfg.epochs,)
     assert np.all(np.isfinite(trace))
 
@@ -240,8 +248,8 @@ def test_train_dnn_shapes_and_trace(tiny_corpus):
 def test_train_nmf_dimensions(tiny_corpus):
     cfg = _small_cfg()
     model = train_nmf(tiny_corpus["train_songs"], cfg)
-    assert model.n_bins == cfg.stft.n_bins
-    assert model.width == cfg.patch.width
+    assert model.front_end == FrontEnd(22050, cfg.stft.frame_len, cfg.stft.hop,
+                                       cfg.patch.width)
     assert model.rank_vocal == cfg.nmf_rank
     assert model.rank_nonvocal == cfg.nmf_rank
     assert np.allclose(model.w_vocal.sum(axis=0), 1.0, rtol=0, atol=1e-12)
@@ -267,7 +275,8 @@ def _traced_peak(fn):
 
 
 @pytest.mark.parametrize("build", [
-    build_training_set, pytest.param(_class_matrices, id="build_class_matrix")])
+    pytest.param(_training_set, id="build_training_set"),
+    pytest.param(_class_matrices, id="build_class_matrix")])
 def test_training_matrices_are_built_in_place(window_corpus, build):
     # at the training stride of the window width, each song's windows are a
     # view of an array as large as themselves, so stacking the songs' pieces
@@ -282,7 +291,7 @@ def test_training_matrices_are_built_in_place(window_corpus, build):
 
 def test_training_matrices_equal_stacked_songs(window_corpus):
     stft_cfg, patch_cfg = StftConfig(64, 16), PatchConfig(width=8, train_stride=3)
-    X, Y = build_training_set(window_corpus, stft_cfg, patch_cfg)
+    X, Y, _ = build_training_set(window_corpus, stft_cfg, patch_cfg)
     x, y = _training_set_by_hand(window_corpus, stft_cfg, patch_cfg)
     assert np.array_equal(X, x)
     assert np.array_equal(Y, y)
@@ -347,7 +356,7 @@ def _untrained_model(method, cfg, seed=0):
         return init_model([d, 8, d], seed=seed)
     rng = np.random.default_rng(seed)
     return NmfModel(rng.uniform(0.1, 1, (d, 3)), rng.uniform(0.1, 1, (d, 4)),
-                    n_bins=cfg.stft.n_bins, width=cfg.patch.width)
+                    FrontEnd(22050, cfg.stft.frame_len, cfg.stft.hop, cfg.patch.width))
 
 
 def _mixture_with_windows(n_windows, cfg, seed=0):

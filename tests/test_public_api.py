@@ -8,15 +8,26 @@ import sys
 from pathlib import Path
 
 import maskforge
+from maskforge import pipeline
 
 REMOVED = {
     "masking": ["SoftMask", "soft_mask", "threshold_soft_mask", "vocal_share"],
     "stft": ["PhaseSpectrogram", "combine", "split", "MagnitudeSpectrogram"],
     "patching": ["flatten", "unflatten", "KIND_TARGET"],
-    "mlp": ["forward"],
-    "nmf": ["soft_mask_patches", "mean_prediction_from_soft"],
-    "pipeline": ["song_training_pairs", "build_class_matrices"],
+    "mlp": ["forward", "MAGIC"],
+    "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC"],
+    "pipeline": ["song_training_pairs", "build_class_matrices", "_MODEL_FILES"],
+    "audio_io": ["song_length"],
 }
+
+
+def test_model_kinds_share_one_file_format():
+    # the per-kind patch-shape checks went with the per-kind readers: a model
+    # records its front end, and load_any_model takes the file alone
+    for model in (maskforge.MlpModel, maskforge.NmfModel):
+        assert not hasattr(model, "check_patch_shape")
+    assert "seed" not in [f.name for f in dataclasses.fields(maskforge.MlpModel)]
+    assert list(inspect.signature(pipeline.load_any_model).parameters) == ["path"]
 
 
 def test_exported_names_resolve():
