@@ -14,7 +14,6 @@ from pathlib import Path
 from . import mlp, nmf, pipeline, synth
 from .audio_io import ManifestSong, load_manifest, load_song, pool_and_mix, read_wav, write_wav
 from .bss_eval import evaluate_pair
-from .model_file import FrontEnd, FrontEndMismatch
 from .patching import PatchConfig
 from .pipeline import ExperimentConfig
 from .stft import StftConfig
@@ -60,13 +59,6 @@ def _experiment_config(args, **fields) -> ExperimentConfig:
         seed=args.seed,
         **fields,
     )
-
-
-def _model_config(args, front_end: FrontEnd, **fields) -> ExperimentConfig:
-    """A model's STFT and window width, the --seed and --nmf-iterations flags,
-    and `fields`."""
-    return ExperimentConfig(stft=front_end.stft, patch=PatchConfig(width=front_end.width),
-                            seed=args.seed, nmf_infer_iters=args.nmf_iterations, **fields)
 
 
 def _songs(args) -> list[ManifestSong]:
@@ -130,7 +122,7 @@ def cmd_train_nmf(args) -> int:
 
 def cmd_separate(args) -> int:
     _, model = pipeline.load_any_model(args.model)
-    cfg = _model_config(args, model.front_end, alphas=(args.alpha,))
+    cfg = ExperimentConfig(alphas=(args.alpha,), nmf_infer_iters=args.nmf_iterations)
     pipeline.separate_file(args.input, args.out_vocal, args.out_accomp, model,
                            args.alpha, cfg, infer_seed=args.seed)
     print(f"wrote {args.out_vocal} and {args.out_accomp}")
@@ -179,10 +171,7 @@ def cmd_sweep_alpha(args) -> int:
         if method in models:
             raise ValueError(f"two {method} models given; pass one per kind")
         models[method] = model
-    if len({m.front_end for m in models.values()}) > 1:
-        raise FrontEndMismatch("the models' front ends differ: " + ", ".join(
-            f"{path} {m.front_end}" for path, m in zip(args.model, models.values())))
-    cfg = _model_config(args, model.front_end, alphas=alphas)
+    cfg = ExperimentConfig(alphas=alphas, nmf_infer_iters=args.nmf_iterations, seed=args.seed)
     pipeline.run_sweep_to_csv(songs, models, cfg, args.csv,
                               fig3_path=args.fig3_csv,
                               per_song_path=args.per_song_csv)

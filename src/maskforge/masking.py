@@ -10,7 +10,7 @@ alpha < 0.5 the masks overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,9 +62,4 @@ def apply_mask(mix: ComplexSpectrogram, mask: BinaryMask) -> ComplexSpectrogram:
         raise ValueError(
             f"mask shape {mask.values.shape} != spectrogram shape {mix.bins.shape}"
         )
-    return ComplexSpectrogram(
-        mix.bins * mask.values,
-        mix.config,
-        original_len=mix.original_len,
-        sample_rate=mix.sample_rate,
-    )
+    return replace(mix, bins=mix.bins * mask.values)

@@ -99,8 +99,8 @@ class MlpModel:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 100
-    learning_rate: float = 0.05
+    epochs: int
+    learning_rate: float
     loss: str = LOSS_CROSS_ENTROPY
     shuffle_seed: int = 0
 
@@ -270,8 +270,10 @@ def train_sgd(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
     trace = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
         order = rng.permutation(X.shape[0]).astype(np.int64)
-        mean_loss = sgd_epoch(trained.weights, trained.biases, X, Y, order,
-                              cfg.learning_rate, cfg.loss)
+        # a diverging run overflows on its way to the non-finite loss checked next
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_loss = sgd_epoch(trained.weights, trained.biases, X, Y, order,
+                                  cfg.learning_rate, cfg.loss)
         if not np.isfinite(mean_loss):
             raise FloatingPointError(
                 f"training diverged: non-finite loss at epoch {epoch}"

@@ -14,7 +14,6 @@ score every step by default; training and separation skip it (trace None).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,8 +150,6 @@ def nmf_factorize(V: np.ndarray, r: int, iterations: int = 200,
     V = _checked_v(V, iterations)
     if r < 1:
         raise ValueError("rank must be >= 1")
-    if r > min(V.shape):
-        warnings.warn(f"rank {r} exceeds min dimension {min(V.shape)}", stacklevel=2)
     rng = np.random.default_rng(seed)
     W = 1.0 - rng.random((V.shape[0], r))
     H = 1.0 - rng.random((r, V.shape[1]))

@@ -28,7 +28,7 @@ KIND_PREDICTION = "prediction"
 
 @dataclass(frozen=True)
 class PatchConfig:
-    width: int = 20
+    width: int
     train_stride: int | None = None     # None: the width, so windows tile the song
 
     def __post_init__(self):

@@ -4,15 +4,15 @@ Training matrices are filled in place: each song's windows go straight into
 its slice of one preallocated array (`_song_slices`, from the WAV headers),
 mixture rows before mask rows; the headers also give the songs' one sample
 rate, the trained model's front end with the STFT and width (`model_file`).
-Separation refuses audio at another rate, and is one block engine with two
-passes over the mixture: pass one finds the magnitude peak from block STFTs,
-and pass two cuts, predicts and averages the stride-1 windows a block at a
-time and yields runs of finished frames (`_mean_blocks`). `separate_file`
-streams those runs through the masks and the inverse STFT into two WAV
-writers. Both the window average and the inverse are one `stft.OverlapAdd`,
-which carries only the sums the next block still adds to, so separation's
-memory does not grow with the mixture's length; `separate_song` and
-`confidence_grid` gather the same runs in memory.
+Separation takes its grid from that front end alone, refuses audio at another
+rate, and is one block engine with two passes over the mixture: pass one finds
+the magnitude peak from block STFTs, and pass two cuts, predicts and averages
+the stride-1 windows a block at a time and yields runs of finished frames
+(`_mean_blocks`). `separate_file` streams those runs through the masks and the
+inverse STFT into two WAV writers. Both the window average and the inverse are
+one `stft.OverlapAdd`, which carries only the sums the next block still adds
+to, so separation's memory does not grow with the mixture's length;
+`separate_song` and `confidence_grid` gather the same runs in memory.
 
 The alpha sweep evaluates every requested separation method on every test
 song across a confidence grid. Thresholding is cheap next to model inference,
@@ -82,7 +82,9 @@ PER_SONG_HEADER = "song_id,method,alpha,source,sdr_db,sir_db,sar_db"
 
 @dataclass
 class ExperimentConfig:
-    """Desk-scale defaults, sized for minutes-long runs.
+    """Desk-scale defaults, sized for minutes-long runs. `stft` and `patch` are
+    training settings: separation takes its grid from the model and reads only
+    `nmf_infer_iters`, `alphas` and `seed`.
 
     The epoch/learning-rate pair is calibrated: longer or hotter training
     saturates predictions toward {0,1}, which flattens the confidence sweep
@@ -200,12 +202,15 @@ def load_any_model(path: str | Path) -> tuple[str, Model]:
     return kind, (mlp.from_file if kind == DNN else nmf.from_file)(*parts)
 
 
-def _check_rate(model: Model, sample_rate: int, what) -> None:
-    """Audio `what` must be at the model's rate; a bare network takes any."""
+def _front_end(model: Model, sample_rate: int, what) -> FrontEnd:
+    """The model's grid, whose rate audio `what` must be at; a bare network has none."""
     fe = model.front_end
-    if fe is not None and fe.sample_rate != sample_rate:
+    if fe is None:
+        raise ValueError("a bare network, which records no front end, cannot separate")
+    if fe.sample_rate != sample_rate:
         raise FrontEndMismatch(f"{what} is at {sample_rate} Hz, but the model was trained "
                                f"at {fe.sample_rate} Hz")
+    return fe
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +233,8 @@ def _peak_magnitude(frames, n_frames: int) -> float:
     return peak
 
 
-def _mean_blocks(frames, n_frames: int, peak: float, model: Model,
-                 cfg: ExperimentConfig, infer_seed: int):
+def _mean_blocks(frames, n_frames: int, peak: float, model: Model, iterations: int,
+                 infer_seed: int):
     """Pass two: yield (bins, mean) for consecutive runs of finished frames,
     their complex STFT bins and their mean vocal confidence.
 
@@ -239,14 +244,15 @@ def _mean_blocks(frames, n_frames: int, peak: float, model: Model,
     pushes them with a count of one per frame through one `OverlapAdd`, which
     carries the last T - 1 frames' sums into the next block.
     """
-    T = cfg.patch.width
+    T = model.front_end.width
+    patch = PatchConfig(T)
     n_windows = len(patch_offsets(n_frames, T, 1))
-    predict = model.predictor(n_windows, cfg.nmf_infer_iters, infer_seed)
+    predict = model.predictor(n_windows, iterations, infer_seed)
     sums = OverlapAdd(np.ones(T, dtype=np.int64), 1)
     for first in range(0, n_windows, _WINDOW_BLOCK):
         P = min(_WINDOW_BLOCK, n_windows - first)
         bins = frames(first, min(first + P + T - 1, n_frames))
-        preds = predict(extract_patches(np.abs(bins) / peak, cfg.patch, 1), first)
+        preds = predict(extract_patches(np.abs(bins) / peak, patch, 1), first)
         last = first + P == n_windows
         acc, counts = sums.push(preds.patches.transpose(0, 2, 1), last)
         done = n_frames - first if last else P
@@ -259,18 +265,21 @@ def confidence_grid(mix: AudioBuffer | ComplexSpectrogram, model: Model,
     """Mean per-element vocal confidence for a mixture, given as audio or as
     its STFT, plus that STFT.
 
-    All alpha thresholds derive from this one grid, so a sweep reuses it. The
-    grid is assembled from `_mean_blocks`, the blocks that streamed separation
-    thresholds one at a time.
+    The grid is the model's; `cfg` gives only `nmf_infer_iters`. All alpha
+    thresholds derive from this one grid, so a sweep reuses it. It is built
+    from `_mean_blocks`, the blocks that streamed separation thresholds.
     """
-    spec = mix if isinstance(mix, ComplexSpectrogram) else stft(mix, cfg.stft)
+    stft_cfg = _front_end(model, mix.sample_rate, "the mixture").stft
+    spec = mix if isinstance(mix, ComplexSpectrogram) else stft(mix, stft_cfg)
+    if spec.config != stft_cfg:
+        raise FrontEndMismatch(f"the mixture's {spec.config} is not the model's {stft_cfg}")
     N = spec.n_frames
     frames = lambda a, b: spec.bins[:, a:b]
     # frame-major, like the STFT's bins, so that masked bins keep their layout
-    values, counts = np.empty((N, cfg.stft.n_bins)).T, np.empty(N, dtype=np.int64)
+    values, counts = np.empty((N, stft_cfg.n_bins)).T, np.empty(N, dtype=np.int64)
     done = 0
-    for bins, mean in _mean_blocks(frames, N, _peak_magnitude(frames, N), model, cfg,
-                                   infer_seed):
+    for bins, mean in _mean_blocks(frames, N, _peak_magnitude(frames, N), model,
+                                   cfg.nmf_infer_iters, infer_seed):
         values[:, done:done + bins.shape[1]] = mean.values
         counts[done:done + bins.shape[1]] = mean.counts[0]
         done += bins.shape[1]
@@ -295,33 +304,35 @@ def _invert_block(bins: np.ndarray, mean: MeanPrediction, alpha: float,
     return inverses[0].push(bins * m_v.values), inverses[1].push(bins * m_nv.values)
 
 
-def _separation(read, n_samples: int, sample_rate: int, model: Model, alpha: float,
+def _separation(read, n_samples: int, sample_rate: int, what, model: Model, alpha: float,
                 cfg: ExperimentConfig, infer_seed: int):
-    """Separate a mixture whose samples a..b-1 read(a, b) returns, in two
-    passes over it. Pass one, which runs here, reads every sample and finds
-    the magnitude peak; the returned generator is pass two, which yields
-    consecutive (vocal, accompaniment) sample chunks. Each block's STFT is
-    taken from just the samples its frames cover, so the memory separation
-    takes does not grow with the mixture's length."""
-    hop, frame_len = cfg.stft.hop, cfg.stft.frame_len
+    """Separate a mixture `what` whose samples a..b-1 read(a, b) returns, in
+    two passes over it. Pass one, which runs here after the rate check, reads
+    every sample and finds the magnitude peak; the returned generator is pass
+    two, which yields consecutive (vocal, accompaniment) sample chunks. Each
+    block's STFT is taken from just the samples its frames cover, so the
+    memory separation takes does not grow with the mixture's length."""
+    stft_cfg = _front_end(model, sample_rate, what).stft
+    hop, frame_len = stft_cfg.hop, stft_cfg.frame_len
 
     def frames(a: int, b: int) -> np.ndarray:
         samples = read(a * hop, min(n_samples, (b - 1) * hop + frame_len))
-        return stft(AudioBuffer(samples, sample_rate), cfg.stft).bins
+        return stft(AudioBuffer(samples, sample_rate), stft_cfg).bins
 
-    n_frames = n_frames_for(n_samples, cfg.stft)
+    n_frames = n_frames_for(n_samples, stft_cfg)
     peak = _peak_magnitude(frames, n_frames)
-    inverses = tuple(InverseStft(cfg.stft, n_frames, n_samples) for _ in range(2))
+    inverses = tuple(InverseStft(stft_cfg, n_frames, n_samples) for _ in range(2))
     return (_invert_block(bins, mean, alpha, inverses) for bins, mean in
-            _mean_blocks(frames, n_frames, peak, model, cfg, infer_seed))
+            _mean_blocks(frames, n_frames, peak, model, cfg.nmf_infer_iters, infer_seed))
 
 
 def separate_song(mix: AudioBuffer, model: Model, alpha: float,
                   cfg: ExperimentConfig,
                   infer_seed: int = 0) -> tuple[AudioBuffer, AudioBuffer]:
-    """One mixture, one model, one alpha -> (vocal estimate, accompaniment)."""
+    """One mixture, one model, one alpha -> (vocal estimate, accompaniment),
+    on the model's STFT and width; of `cfg` only `nmf_infer_iters` is read."""
     chunks = list(_separation(lambda a, b: mix.samples[a:b], len(mix), mix.sample_rate,
-                              model, alpha, cfg, infer_seed))
+                              "the mixture", model, alpha, cfg, infer_seed))
     return tuple(AudioBuffer(np.concatenate(parts), mix.sample_rate)
                  for parts in zip(*chunks))
 
@@ -330,15 +341,15 @@ def separate_file(mixture: str | Path, out_vocal: str | Path, out_accomp: str | 
                   model: Model, alpha: float, cfg: ExperimentConfig,
                   infer_seed: int = 0) -> None:
     """`separate_song` from a WAV file to two WAV files, streamed: neither the
-    mixture nor either output is held whole. Pass one reads and checks every
-    sample, so a bad input fails before either output file is created, and a
-    failure after that removes both."""
+    mixture nor either output is held whole; the grid and `cfg` field read are
+    `separate_song`'s. The rate check and pass one, which reads and checks every
+    sample, come first, so a bad input fails before either output file is
+    created, and a failure after that removes both."""
     paths = [Path(p).resolve() for p in (mixture, out_vocal, out_accomp)]
     if len(set(paths)) < 3:
         raise ValueError("the mixture and the two outputs must be three different files")
     with WavReader(mixture) as reader:
-        _check_rate(model, reader.sample_rate, mixture)
-        chunks = _separation(reader.read, reader.n_samples, reader.sample_rate,
+        chunks = _separation(reader.read, reader.n_samples, reader.sample_rate, mixture,
                              model, alpha, cfg, infer_seed)
         with WavWriter(out_vocal, reader.sample_rate) as vocal, \
                 WavWriter(out_accomp, reader.sample_rate) as accomp:
@@ -385,11 +396,12 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model],
     mixes = pool_and_mix(load_song(song))
     vocal_mix, nonvocal_mix, full_mix = mixes
     ref_v, ref_nv = vocal_mix.samples, nonvocal_mix.samples
-    ibm, spec = _oracle_mask_and_mixture(mixes, cfg.stft)
+    grids = [_front_end(m, full_mix.sample_rate, f"test song {song.song_id!r}").stft
+             for m in models.values()]
+    ibm, spec = _oracle_mask_and_mixture(mixes, grids[0] if models else cfg.stft)
     out: dict[str, dict[float | None, PairMetrics]] = {}
 
     for method, model in models.items():
-        _check_rate(model, full_mix.sample_rate, f"test song {song.song_id!r}")
         mean, _ = confidence_grid(spec, model, cfg, infer_seed=cfg.seed + 7000 + song_index)
         per_alpha: dict[float | None, PairMetrics] = {}
         for alpha in cfg.alphas:
@@ -410,11 +422,16 @@ def sweep_alpha(songs: list[ManifestSong], models: dict[str, Model],
                 cfg: ExperimentConfig) -> SweepResult:
     """Evaluate every model on every test song across the alpha grid.
 
-    Songs run one after another; the large matrix products inside each song
-    are already spread over the cores by the BLAS library's own threads.
+    The grid is the models' one front end, or `cfg.stft` with no model; `cfg`
+    otherwise gives only `alphas`, `seed` and `nmf_infer_iters`. Songs run one
+    after another; the large matrix products inside each song are already
+    spread over the cores by the BLAS library's own threads.
     """
     if not songs:
         raise ValueError("no test songs")
+    if len({m.front_end for m in models.values()}) > 1:
+        raise FrontEndMismatch("the models' front ends differ: " + ", ".join(
+            f"{method} {m.front_end}" for method, m in models.items()))
     results = [_evaluate_song(song, models, cfg, i) for i, song in enumerate(songs)]
     methods = (*models.keys(), METHOD_IDEAL, METHOD_MIXTURE)
     return SweepResult(songs=results, alphas=cfg.alphas, methods=methods)

@@ -25,8 +25,8 @@ _ENVELOPE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class StftConfig:
-    frame_len: int = 2048
-    hop: int = 512
+    frame_len: int
+    hop: int
 
     def __post_init__(self):
         if self.frame_len < 2 or self.frame_len % 2 != 0:
@@ -46,7 +46,7 @@ class ComplexSpectrogram:
     bins: np.ndarray
     config: StftConfig
     original_len: int
-    sample_rate: int = 44100
+    sample_rate: int
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins, dtype=np.complex128)

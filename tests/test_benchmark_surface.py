@@ -46,11 +46,11 @@ def _tiny_calls():
     mix = AudioBuffer(rng.uniform(-0.5, 0.5, 200), 8000)
     spec = maskforge.stft(mix, CFG.stft)
     windows = maskforge.extract_patches(np.abs(spec.bins), CFG.patch, 1)
-    dnn = mlp.init_model(CFG.layer_sizes, seed=0)
+    front_end = FrontEnd(8000, CFG.stft.frame_len, CFG.stft.hop, CFG.patch.width)
+    dnn = mlp.init_model(CFG.layer_sizes, seed=0, front_end=front_end)
     predictions = mlp.predict_masks(dnn, windows)
     grid, _ = pipeline.confidence_grid(mix, dnn, CFG)
     d = CFG.layer_sizes[0]
-    front_end = FrontEnd(8000, CFG.stft.frame_len, CFG.stft.hop, CFG.patch.width)
     pipeline.confidence_grid(spec, nmf.NmfModel(rng.random((d, 2)), rng.random((d, 2)),
                                                  front_end), CFG)
     pipeline.threshold_and_invert(grid, spec, 0.5)

@@ -484,6 +484,28 @@ def test_train_stride_zero_exits_one(tiny_corpus, tmp_path, capsys, command):
     assert not model_path.exists()
 
 
+def test_overcomplete_nmf_rank_trains_quietly(tiny_corpus, tmp_path, capsys):
+    # 42 training windows: rank 70 is overcomplete, which KL-NMF allows
+    model_path = tmp_path / "m.mfg"
+    code, out, err = _run(capsys, [
+        "train-nmf", "--manifest", str(tiny_corpus["train_manifest"]),
+        "--out", str(model_path), "--rank", "70", "--iterations", "2",
+    ])
+    assert code == 0 and err == ""
+    assert load_any_model(model_path)[1].rank_vocal == 70
+
+
+def test_diverging_training_prints_one_line(tiny_corpus, tmp_path, capsys):
+    model_path = tmp_path / "m.mfg"
+    code, out, err = _run(capsys, [
+        "train-dnn", "--manifest", str(tiny_corpus["train_manifest"]),
+        "--out", str(model_path), "--lr", "1e308", "--hidden", "8", *SMALL,
+    ])
+    assert code == 1
+    assert err == "error: training diverged: non-finite loss at epoch 0\n"
+    assert not model_path.exists()
+
+
 def test_unrecognized_model_file_exits_one(tmp_path, capsys):
     bogus = tmp_path / "junk.bin"
     bogus.write_bytes(b"WHAT" + b"\x00" * 64)

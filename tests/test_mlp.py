@@ -279,7 +279,7 @@ def test_unknown_loss_rejected():
     with pytest.raises(ValueError, match="loss"):
         loss_and_gradient(model, np.zeros(2), np.zeros(2), loss="hinge")
     with pytest.raises(ValueError):
-        TrainConfig(loss="hinge")
+        TrainConfig(epochs=1, learning_rate=0.1, loss="hinge")
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +465,11 @@ def test_divergence_stops_at_the_first_non_finite_loss(monkeypatch):
 def test_train_shape_validation(rng):
     model = init_model([3, 3], seed=0)
     with pytest.raises(ValueError, match="empty"):
-        train_sgd(model, np.zeros((0, 3)), np.zeros((0, 3)), TrainConfig(epochs=1))
+        train_sgd(model, np.zeros((0, 3)), np.zeros((0, 3)),
+                  TrainConfig(epochs=1, learning_rate=0.1))
     with pytest.raises(ValueError, match="do not match model"):
-        train_sgd(model, np.zeros((2, 4)), np.zeros((2, 4)), TrainConfig(epochs=1))
+        train_sgd(model, np.zeros((2, 4)), np.zeros((2, 4)),
+                  TrainConfig(epochs=1, learning_rate=0.1))
 
 
 # ---------------------------------------------------------------------------

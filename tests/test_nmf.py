@@ -1,5 +1,7 @@
 """KL divergence, multiplicative updates, dictionaries, and the confidence grid."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
@@ -94,10 +96,13 @@ def test_factorize_full_rank_drives_divergence_down(rng):
     assert fac.trace[-1] < 1e-6
 
 
-def test_factorize_warns_on_overcomplete_rank(rng):
+def test_factorize_allows_overcomplete_rank(rng):
+    # a rank above min(V.shape) is a valid KL-NMF: the fit runs without a warning
     V = rng.uniform(0.1, 1.0, size=(10, 8))
-    with pytest.warns(UserWarning, match="exceeds min dimension"):
-        nmf_factorize(V, r=9, iterations=2, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fac = nmf_factorize(V, r=9, iterations=2, seed=1)
+    assert fac.W.shape == (10, 9) and fac.H.shape == (9, 8)
 
 
 def test_factorize_deterministic(rng):

@@ -89,7 +89,7 @@ def test_patch_config_validation():
 def test_train_stride_defaults_to_width():
     # windows that tile the song, whatever the width
     assert PatchConfig(width=7).train_stride == 7
-    assert PatchConfig() == PatchConfig(width=20, train_stride=20)
+    assert PatchConfig(20) == PatchConfig(width=20, train_stride=20)
     assert PatchConfig(width=7, train_stride=3).train_stride == 3
 
 

@@ -21,7 +21,7 @@ from maskforge.audio_io import (
 from maskforge.masking import ideal_binary_mask
 from maskforge import nmf, pipeline
 from maskforge.mlp import MlpModel, init_model, predict_masks
-from maskforge.model_file import FrontEnd
+from maskforge.model_file import FrontEnd, FrontEndMismatch
 from maskforge.nmf import NmfModel
 from maskforge.patching import (
     MeanPrediction,
@@ -350,13 +350,13 @@ def test_nmf_training_and_separation_reach_the_public_fits(tiny_corpus, monkeypa
 # ---------------------------------------------------------------------------
 
 def _untrained_model(method, cfg, seed=0):
-    """A small DNN or NMF model for cfg's window shape."""
-    d = cfg.stft.n_bins * cfg.patch.width
+    """A small DNN or NMF model for 22050 Hz audio on cfg's grid."""
+    front_end = FrontEnd(22050, cfg.stft.frame_len, cfg.stft.hop, cfg.patch.width)
+    d = front_end.window_size
     if method == METHOD_DNN:
-        return init_model([d, 8, d], seed=seed)
+        return init_model([d, 8, d], seed=seed, front_end=front_end)
     rng = np.random.default_rng(seed)
-    return NmfModel(rng.uniform(0.1, 1, (d, 3)), rng.uniform(0.1, 1, (d, 4)),
-                    FrontEnd(22050, cfg.stft.frame_len, cfg.stft.hop, cfg.patch.width))
+    return NmfModel(rng.uniform(0.1, 1, (d, 3)), rng.uniform(0.1, 1, (d, 4)), front_end)
 
 
 def _mixture_with_windows(n_windows, cfg, seed=0):
@@ -417,6 +417,86 @@ def test_confidence_grid_memory_stays_below_window_stack(method):
         tracemalloc.stop()
     assert mean.values.shape[1] == n_windows + cfg.patch.width - 1
     assert peak < stack_bytes, (peak, stack_bytes)
+
+
+# ---------------------------------------------------------------------------
+# the model's front end is separation's one grid
+# ---------------------------------------------------------------------------
+
+def _model_grid_cfg(**overrides):
+    """_small_cfg on the grid of the models below: 512/128 STFT, 10-frame windows."""
+    return _small_cfg(**{"stft": StftConfig(frame_len=512, hop=128),
+                         "patch": PatchConfig(width=10), "nmf_infer_iters": 5, **overrides})
+
+
+def _noise(n, sample_rate=22050, seed=5):
+    return AudioBuffer(np.random.default_rng(seed).uniform(-0.8, 0.8, n), sample_rate)
+
+
+@pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])
+def test_separation_ignores_the_grid_in_cfg(method):
+    # a cfg at hop 512 and width 5 changes nothing: the model's hop 128 and
+    # width 10 are the grid
+    model_cfg = _model_grid_cfg()
+    other = _model_grid_cfg(stft=StftConfig(frame_len=512, hop=512),
+                            patch=PatchConfig(width=5))
+    model = _untrained_model(method, model_cfg)
+    mix = _noise(6000)
+    want = separate_song(mix, model, 0.4, model_cfg, infer_seed=2)
+    for got, ref in zip(separate_song(mix, model, 0.4, other, infer_seed=2), want):
+        assert np.array_equal(got.samples, ref.samples)
+    (got, got_spec), (ref, ref_spec) = (confidence_grid(mix, model, cfg, infer_seed=2)
+                                        for cfg in (other, model_cfg))
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(got.counts, ref.counts) and got.counts.max() == 10
+    assert got_spec.config == StftConfig(frame_len=512, hop=128)
+    assert np.array_equal(got_spec.bins, ref_spec.bins)
+
+
+@pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])
+def test_separation_rejects_audio_at_another_rate(monkeypatch, method):
+    cfg = _model_grid_cfg()
+    model = _untrained_model(method, cfg)
+    monkeypatch.setattr(type(model), "predictor",
+                        lambda *args: pytest.fail("a window was predicted"))
+    message = "^the mixture is at 8000 Hz, but the model was trained at 22050 Hz$"
+    with pytest.raises(FrontEndMismatch, match=message):
+        separate_song(_noise(6000, 8000), model, 0.5, cfg)
+    with pytest.raises(FrontEndMismatch, match=message):
+        confidence_grid(_noise(6000, 8000), model, cfg)
+
+
+def test_confidence_grid_rejects_a_spectrogram_on_another_grid():
+    cfg = _model_grid_cfg()
+    model = _untrained_model(METHOD_DNN, cfg)
+    samples = _noise(6000).samples
+    with pytest.raises(FrontEndMismatch, match="hop=256.* is not the model's .*hop=128"):
+        confidence_grid(stft(AudioBuffer(samples, 22050), StftConfig(512, 256)), model, cfg)
+    with pytest.raises(FrontEndMismatch, match="is at 16000 Hz, but .* at 22050 Hz$"):
+        confidence_grid(stft(AudioBuffer(samples, 16000), cfg.stft), model, cfg)
+
+
+def test_bare_network_cannot_separate():
+    cfg = _model_grid_cfg()
+    bare = init_model(cfg.layer_sizes, seed=0)
+    with pytest.raises(ValueError, match="^a bare network, which records no front end, "
+                                         "cannot separate$"):
+        separate_song(_noise(6000), bare, 0.5, cfg)
+    with pytest.raises(ValueError, match="bare network"):
+        confidence_grid(_noise(6000), bare, cfg)
+
+
+def test_sweep_rejects_models_whose_front_ends_differ(tiny_corpus, tmp_path):
+    # the two grids differ only in hop, so the window sizes agree
+    cfg = _small_cfg()
+    models = {METHOD_DNN: _untrained_model(METHOD_DNN, cfg),
+              METHOD_NMF: _untrained_model(METHOD_NMF, _small_cfg(
+                  stft=StftConfig(frame_len=256, hop=128)))}
+    paths = [tmp_path / name for name in ("fig2.csv", "fig3.csv", "per_song.csv")]
+    with pytest.raises(FrontEndMismatch, match="^the models' front ends differ: "
+                                               "dnn .*hop=64.*, nmf .*hop=128"):
+        run_sweep_to_csv(tiny_corpus["test_songs"], models, cfg, *paths)
+    assert not any(p.exists() for p in paths)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +663,8 @@ def test_indifferent_predictions_give_silence_at_half():
     cfg = _small_cfg(stft=StftConfig(frame_len=512, hop=128),
                      patch=PatchConfig(width=10, train_stride=10))
     d = cfg.layer_sizes[0]
-    zero_model = MlpModel([d, d], [np.zeros((d, d))], [np.zeros(d)])
+    zero_model = MlpModel([d, d], [np.zeros((d, d))], [np.zeros(d)],
+                          FrontEnd(22050, frame_len=512, hop=128, width=10))
     _, _, full_mix = pool_and_mix(stems)
     est_v, est_nv = separate_song(full_mix, zero_model, 0.5, cfg)
     assert not np.any(est_v.samples)

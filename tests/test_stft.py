@@ -269,11 +269,11 @@ def test_magnitude_is_abs_of_bins(rng):
 def test_spectrogram_validation():
     cfg = StftConfig(frame_len=16, hop=4)
     with pytest.raises(ValueError):
-        ComplexSpectrogram(np.zeros((5, 3), dtype=complex), cfg, 40)
+        ComplexSpectrogram(np.zeros((5, 3), dtype=complex), cfg, 40, 8000)
     with pytest.raises(ValueError):
         bad = np.zeros((9, 3), dtype=complex)
         bad[0, 0] = np.nan
-        ComplexSpectrogram(bad, cfg, 40)
+        ComplexSpectrogram(bad, cfg, 40, 8000)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +391,6 @@ def test_istft_bit_identical_to_per_frame_loop(rng, hop):
     spec = stft(_buf(rng.standard_normal(3000)), cfg)
     # a random binary mask makes the grid an inconsistent STFT, as separation does
     masked = ComplexSpectrogram(spec.bins * (rng.random(spec.bins.shape) < 0.5), cfg,
-                                spec.original_len)
+                                spec.original_len, spec.sample_rate)
     for s in (spec, masked):
         assert np.array_equal(istft(s).samples, _reference_istft(s))
