@@ -8,6 +8,7 @@ success, 1 on runtime failure (diagnostic on stderr), 2 on bad usage.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -30,17 +31,12 @@ def parse_alphas(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError("alpha range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"alpha range {text!r} is not finite")
         if step <= 0:
             raise ValueError("alpha step must be positive")
-        values = []
-        k = 0
-        while True:
-            a = round(start + k * step, 10)
-            if a > stop + 1e-9:
-                break
-            values.append(a)
-            k += 1
-        alphas = tuple(values)
+        grid = (round(start + k * step, 10) for k in range(max(int((stop - start) / step), 0) + 2))
+        alphas = tuple(a for a in grid if a <= stop + 1e-9)
     else:
         alphas = tuple(float(p) for p in text.split(",") if p.strip())
     if not alphas:
@@ -163,8 +159,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    songs = load_manifest(args.manifest)
     alphas = parse_alphas(args.alphas)
+    songs = load_manifest(args.manifest)
     models: dict[str, pipeline.Model] = {}
     for path in args.model:
         method, model = pipeline.load_any_model(path)

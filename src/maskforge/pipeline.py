@@ -8,11 +8,12 @@ Separation takes its grid from that front end alone, refuses audio at another
 rate, and is one block engine with two passes over the mixture: pass one finds
 the magnitude peak from block STFTs, and pass two cuts, predicts and averages
 the stride-1 windows a block at a time and yields runs of finished frames
-(`_mean_blocks`). `separate_file` streams those runs through the masks and the
-inverse STFT into two WAV writers. Both the window average and the inverse are
-one `stft.OverlapAdd`, which carries only the sums the next block still adds
-to, so separation's memory does not grow with the mixture's length;
-`separate_song` and `confidence_grid` gather the same runs in memory.
+(`_mean_blocks`). `separate_file` streams those runs through the sweep's masks
+(`_confidence_masks`) and the inverse STFT into two WAV writers. Both the
+window average and the inverse are one `stft.OverlapAdd`, which carries only
+the sums the next block still adds to, so separation's memory does not grow
+with the mixture's length; `separate_song` and `confidence_grid` gather the
+same runs in memory.
 
 The alpha sweep evaluates every requested separation method on every test
 song across a confidence grid. Thresholding is cheap next to model inference,
@@ -179,10 +180,10 @@ def build_class_matrix(songs: list[ManifestSong], label: str, stft_cfg: StftConf
 
 
 def train_dnn(songs: list[ManifestSong], cfg: ExperimentConfig) -> tuple[MlpModel, np.ndarray]:
-    X, Y, front_end = build_training_set(songs, cfg.stft, cfg.patch)
-    model = init_model(cfg.layer_sizes, seed=cfg.seed, front_end=front_end)
     train_cfg = TrainConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
                             loss=cfg.loss, shuffle_seed=cfg.seed)
+    X, Y, front_end = build_training_set(songs, cfg.stft, cfg.patch)
+    model = init_model(cfg.layer_sizes, seed=cfg.seed, front_end=front_end)
     return train_sgd(model, X, Y, train_cfg)
 
 
@@ -286,22 +287,20 @@ def confidence_grid(mix: AudioBuffer | ComplexSpectrogram, model: Model,
     return MeanPrediction(values, np.broadcast_to(counts, values.shape)), spec
 
 
+def _confidence_masks(mean: MeanPrediction, alpha: float) -> tuple[BinaryMask, BinaryMask]:
+    """The vocal and the accompaniment mask of a confidence grid at alpha."""
+    return vocal_mask_from_confidence(mean, alpha), nonvocal_mask_from_confidence(mean, alpha)
+
+
+def _masked_inversions(spec: ComplexSpectrogram, masks) -> tuple[AudioBuffer, AudioBuffer]:
+    """The mixture's STFT under each mask of a (vocal, accompaniment) pair, inverted."""
+    return tuple(istft(apply_mask(spec, m)) for m in masks)
+
+
 def threshold_and_invert(mean: MeanPrediction, spec: ComplexSpectrogram,
                          alpha: float) -> tuple[AudioBuffer, AudioBuffer]:
     """Confidence grid -> two masks -> masked inversions."""
-    m_v = vocal_mask_from_confidence(mean, alpha)
-    m_nv = nonvocal_mask_from_confidence(mean, alpha)
-    return istft(apply_mask(spec, m_v)), istft(apply_mask(spec, m_nv))
-
-
-def _invert_block(bins: np.ndarray, mean: MeanPrediction, alpha: float,
-                  inverses: tuple[InverseStft, InverseStft]) -> tuple[np.ndarray, np.ndarray]:
-    """`threshold_and_invert` for one run of finished frames: the two masks'
-    bins are pushed through the vocal and the accompaniment inversion, which
-    carry their overlap into the next run; returns the samples each finishes."""
-    m_v = vocal_mask_from_confidence(mean, alpha)
-    m_nv = nonvocal_mask_from_confidence(mean, alpha)
-    return inverses[0].push(bins * m_v.values), inverses[1].push(bins * m_nv.values)
+    return _masked_inversions(spec, _confidence_masks(mean, alpha))
 
 
 def _separation(read, n_samples: int, sample_rate: int, what, model: Model, alpha: float,
@@ -322,7 +321,12 @@ def _separation(read, n_samples: int, sample_rate: int, what, model: Model, alph
     n_frames = n_frames_for(n_samples, stft_cfg)
     peak = _peak_magnitude(frames, n_frames)
     inverses = tuple(InverseStft(stft_cfg, n_frames, n_samples) for _ in range(2))
-    return (_invert_block(bins, mean, alpha, inverses) for bins, mean in
+
+    def invert(bins: np.ndarray, mean: MeanPrediction) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(inverse.push(bins * m.values)
+                     for inverse, m in zip(inverses, _confidence_masks(mean, alpha)))
+
+    return (invert(bins, mean) for bins, mean in
             _mean_blocks(frames, n_frames, peak, model, cfg.nmf_infer_iters, infer_seed))
 
 
@@ -361,12 +365,8 @@ def separate_file(mixture: str | Path, out_vocal: str | Path, out_accomp: str | 
 def ideal_mask_separate(stems: StemSet,
                         stft_cfg: StftConfig) -> tuple[AudioBuffer, AudioBuffer]:
     """Oracle separation: the true-source mask applied to the true mixture."""
-    return _oracle_separation(*_oracle_mask_and_mixture(pool_and_mix(stems), stft_cfg))
-
-
-def _oracle_separation(ibm: BinaryMask,
-                       spec: ComplexSpectrogram) -> tuple[AudioBuffer, AudioBuffer]:
-    return istft(apply_mask(spec, ibm)), istft(apply_mask(spec, BinaryMask(1.0 - ibm.values)))
+    ibm, spec = _oracle_mask_and_mixture(pool_and_mix(stems), stft_cfg)
+    return _masked_inversions(spec, (ibm, BinaryMask(1.0 - ibm.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,25 +396,22 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model],
     mixes = pool_and_mix(load_song(song))
     vocal_mix, nonvocal_mix, full_mix = mixes
     ref_v, ref_nv = vocal_mix.samples, nonvocal_mix.samples
-    grids = [_front_end(m, full_mix.sample_rate, f"test song {song.song_id!r}").stft
-             for m in models.values()]
-    ibm, spec = _oracle_mask_and_mixture(mixes, grids[0] if models else cfg.stft)
-    out: dict[str, dict[float | None, PairMetrics]] = {}
+    # the first model's grid: sweep_alpha has checked that the models share one
+    stft_cfg = next((_front_end(m, full_mix.sample_rate, f"test song {song.song_id!r}").stft
+                     for m in models.values()), cfg.stft)
+    ibm, spec = _oracle_mask_and_mixture(mixes, stft_cfg)
 
+    def score(est_v: AudioBuffer, est_nv: AudioBuffer) -> PairMetrics:
+        return evaluate_pair(est_v.samples, est_nv.samples, ref_v, ref_nv)
+
+    out: dict[str, dict[float | None, PairMetrics]] = {}
     for method, model in models.items():
         mean, _ = confidence_grid(spec, model, cfg, infer_seed=cfg.seed + 7000 + song_index)
-        per_alpha: dict[float | None, PairMetrics] = {}
-        for alpha in cfg.alphas:
-            est_v, est_nv = threshold_and_invert(mean, spec, alpha)
-            per_alpha[alpha] = evaluate_pair(est_v.samples, est_nv.samples,
-                                             ref_v, ref_nv)
-        out[method] = per_alpha
-
-    est_v, est_nv = _oracle_separation(ibm, spec)
-    out[METHOD_IDEAL] = {None: evaluate_pair(est_v.samples, est_nv.samples,
-                                             ref_v, ref_nv)}
-    out[METHOD_MIXTURE] = {None: evaluate_pair(full_mix.samples, full_mix.samples,
-                                               ref_v, ref_nv)}
+        out[method] = {alpha: score(*threshold_and_invert(mean, spec, alpha))
+                       for alpha in cfg.alphas}
+    ideal = _masked_inversions(spec, (ibm, BinaryMask(1.0 - ibm.values)))
+    out[METHOD_IDEAL] = {None: score(*ideal)}
+    out[METHOD_MIXTURE] = {None: score(full_mix, full_mix)}
     return SongResult(song.song_id, out)
 
 

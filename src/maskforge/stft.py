@@ -3,13 +3,13 @@
 Analysis uses the periodic (DFT-even) Hann window, which sums to a constant
 across hop-shifted copies and so keeps the synthesis envelope flat away from
 the signal edges. Synthesis divides by the accumulated squared-window
-envelope, which stays well behaved even for masked spectrograms that are no
-longer consistent STFTs. Frames are a strided view of the signal. One
-streamed overlap-add (`OverlapAdd`), which carries the sums that later
-segments still reach from block to block, inverts the STFT and averages the
-windows of `maskforge.patching`. The inverse takes its frames a block at a
-time (`InverseStft`), so a long signal is inverted without holding its whole
-grid; `istft` is one block.
+envelope, which the window alone sets, masked or not: for hop <= frame_len/2
+it is at least 0.25 away from the edges (`InverseStft`). Frames are a strided
+view of the signal. One streamed overlap-add (`OverlapAdd`), which carries the
+sums that later segments still reach from block to block, inverts the STFT and
+averages the windows of `maskforge.patching`. The inverse takes its frames a
+block at a time (`InverseStft`), so a long signal is inverted without holding
+its whole grid; `istft` is one block.
 """
 
 from __future__ import annotations
@@ -143,8 +143,10 @@ class InverseStft:
 
     Each frame is inverse transformed, windowed again, and summed with its
     squared window by one `OverlapAdd`, which carries the unfinished sums into
-    the next block; the sums are divided by that envelope wherever it is
-    nonzero (it is strictly positive on the interior whenever hop <= frame_len/2).
+    the next block; the sums are divided by that envelope where it exceeds
+    `_ENVELOPE_EPS`. Only the edges can fall below it when hop <= frame_len/2,
+    so there is no check: an interior sample's window offsets k + j*hop include
+    one within hop/2 of frame_len/2, where w^2 >= cos^4(pi/4) = 0.25.
     """
 
     def __init__(self, cfg: StftConfig, n_frames: int, original_len: int):
@@ -154,15 +156,10 @@ class InverseStft:
         self._pushed = 0
 
     def push(self, bins: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        start = self._pushed * cfg.hop          # the first sample this push returns
+        start = self._pushed * self.cfg.hop     # the first sample this push returns
         self._pushed += bins.shape[1]
-        frames = np.fft.irfft(bins.T, n=cfg.frame_len, axis=1) * self._window
+        frames = np.fft.irfft(bins.T, n=self.cfg.frame_len, axis=1) * self._window
         acc, env = self._sums.push(frames, last=self._pushed == self.n_frames)
-        if cfg.hop <= cfg.frame_len // 2 and self.n_frames > 1:
-            interior = env[max(cfg.frame_len - start, 0):(self.n_frames - 1) * cfg.hop - start]
-            if interior.size and np.min(interior) <= _ENVELOPE_EPS:
-                raise ValueError("overlap-add envelope vanishes inside the signal")
         samples = np.divide(acc, env, out=np.zeros(len(acc)), where=env > _ENVELOPE_EPS)
         return samples[:max(self.original_len - start, 0)]
 

@@ -5,6 +5,8 @@ import functools
 import io
 import json
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -60,6 +62,70 @@ def test_parse_alphas_errors():
         cli.parse_alphas("0.5,1.5")
     with pytest.raises(ValueError, match="outside"):
         cli.parse_alphas("0.0:0.5:0.5")
+
+
+def _loop_parse_alphas(text):
+    """The range grammar as a loop that appends until it passes stop, the
+    reference for parse_alphas on finite ranges."""
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError("alpha range must be start:stop:step")
+        start, stop, step = (float(p) for p in parts)
+        if step <= 0:
+            raise ValueError("alpha step must be positive")
+        values = []
+        k = 0
+        while True:
+            a = round(start + k * step, 10)
+            if a > stop + 1e-9:
+                break
+            values.append(a)
+            k += 1
+        alphas = tuple(values)
+    else:
+        alphas = tuple(float(p) for p in text.split(",") if p.strip())
+    if not alphas:
+        raise ValueError(f"no alpha values in {text!r}")
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"alpha {a} outside (0, 1)")
+    return alphas
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.one_of(st.floats(1e-3, 0.999), st.floats(-0.5, 1.5)),
+       stop=st.one_of(st.floats(-0.5, 0.999), st.floats(-0.5, 1.5)),
+       step=st.one_of(st.floats(1e-3, 2.0), st.sampled_from([0.1, 0.05, 0.25, 1 / 3, 0.0])))
+def test_parse_alphas_range_equals_the_loop(start, stop, step):
+    text = f"{start!r}:{stop!r}:{step!r}"
+    assert _outcome(cli.parse_alphas, text) == _outcome(_loop_parse_alphas, text)
+
+
+def _in_small_child(code: str) -> subprocess.CompletedProcess:
+    """Run `code` after `from maskforge import cli` in a child with 1 GB of
+    address space and 10 s, so that a call that never returns fails the test
+    instead of hanging it or filling the memory."""
+    src = str(Path(cli.__file__).parents[1])
+    prelude = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+               f"sys.path.insert(0, {src!r}); from maskforge import cli\n")
+    return subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
+                          text=True, timeout=10)
+
+
+@pytest.mark.parametrize("text", ["0.1:inf:0.1", "nan:0.9:0.1", "0.1:nan:0.1", "0.1:0.9:nan",
+                                  "-inf:0.9:0.1", "0.1:0.9:inf"])
+def test_parse_alphas_rejects_a_non_finite_range(text):
+    child = _in_small_child(f"try: cli.parse_alphas({text!r})\n"
+                            "except ValueError as exc: print(exc)")
+    assert (child.returncode, child.stdout) == (0, f"alpha range {text!r} is not finite\n")
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +561,25 @@ def test_overcomplete_nmf_rank_trains_quietly(tiny_corpus, tmp_path, capsys):
     assert load_any_model(model_path)[1].rank_vocal == 70
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--lr", "nan"], "learning rate must be non-negative"),
+    (["--lr", "-1"], "learning rate must be non-negative"),
+])
+def test_bad_training_settings_fail_before_any_song_is_read(tiny_corpus, tmp_path, capsys,
+                                                            monkeypatch, flags, message):
+    built = []
+    monkeypatch.setattr(pipeline, "build_training_set", lambda *a: built.append(a))
+    model_path = tmp_path / "m.mfg"
+    code, out, err = _run(capsys, [
+        "train-dnn", "--manifest", str(tiny_corpus["train_manifest"]),
+        "--out", str(model_path), *flags, *SMALL,
+    ])
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert built == [] and not model_path.exists()
+
+
 def test_diverging_training_prints_one_line(tiny_corpus, tmp_path, capsys):
     model_path = tmp_path / "m.mfg"
     code, out, err = _run(capsys, [
@@ -562,6 +647,18 @@ def _two_stem_manifest(root, song_rates, name="m.json"):
         songs.append({"id": song_id, "stems": stems})
     (root / name).write_text(json.dumps({"songs": songs}))
     return root / name
+
+
+def test_sweep_rejects_a_non_finite_alpha_range_before_reading_anything(tmp_path):
+    # neither the manifest nor the model exists, so reading either would fail
+    # with another message
+    csv = tmp_path / "fig2.csv"
+    argv = ["sweep-alpha", "--manifest", str(tmp_path / "m.json"), "--model",
+            str(tmp_path / "dnn.mfg"), "--csv", str(csv), "--alphas", "0.1:inf:0.1"]
+    child = _in_small_child(f"sys.exit(cli.main({argv!r}))")
+    assert child.returncode == 1
+    assert child.stderr == "error: alpha range '0.1:inf:0.1' is not finite\n"
+    assert not csv.exists()
 
 
 def test_sweep_rejects_test_songs_at_another_rate(tmp_path, capsys, rng):

@@ -18,6 +18,7 @@ from maskforge.audio_io import (
     write_manifest,
     write_wav,
 )
+from maskforge.bss_eval import evaluate_pair
 from maskforge.masking import ideal_binary_mask
 from maskforge import nmf, pipeline
 from maskforge.mlp import MlpModel, init_model, predict_masks
@@ -800,6 +801,23 @@ def test_run_sweep_to_csv_files_and_determinism(tiny_corpus, tmp_path):
     run_sweep_to_csv(songs, {}, cfg, paths["fig2"], paths["fig3"], paths["per"])
     for name, p in paths.items():
         assert p.read_bytes() == first[name]
+
+
+def test_sweep_scores_exactly_what_separation_gives(tiny_corpus):
+    # three test songs, so that each song's inference seed is checked too
+    cfg = _small_cfg(alphas=(0.3, 0.5, 0.7))
+    models = {METHOD_DNN: train_dnn(tiny_corpus["train_songs"], cfg)[0],
+              METHOD_NMF: train_nmf(tiny_corpus["train_songs"], cfg)}
+    songs = tiny_corpus["test_songs"] + tiny_corpus["train_songs"]
+    sweep = sweep_alpha(songs, models, cfg)
+    for i, song in enumerate(songs):
+        vocal_mix, nonvocal_mix, full_mix = pool_and_mix(load_song(song))
+        for method, model in models.items():
+            for alpha in cfg.alphas:
+                est_v, est_nv = separate_song(full_mix, model, alpha, cfg,
+                                              infer_seed=cfg.seed + 7000 + i)
+                assert sweep.songs[i].metrics[method][alpha] == evaluate_pair(
+                    est_v.samples, est_nv.samples, vocal_mix.samples, nonvocal_mix.samples)
 
 
 def test_sweep_with_models_covers_all_alphas(tiny_corpus):

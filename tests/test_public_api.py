@@ -16,7 +16,8 @@ REMOVED = {
     "patching": ["flatten", "unflatten", "KIND_TARGET"],
     "mlp": ["forward", "MAGIC"],
     "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC"],
-    "pipeline": ["song_training_pairs", "build_class_matrices", "_MODEL_FILES"],
+    "pipeline": ["song_training_pairs", "build_class_matrices", "_MODEL_FILES",
+                 "_invert_block", "_oracle_separation"],
     "audio_io": ["song_length"],
 }
 

@@ -1,6 +1,5 @@
 """Analysis/synthesis transform: window, COLA, round trips, magnitude."""
 
-import importlib
 import itertools
 
 import numpy as np
@@ -201,16 +200,6 @@ def test_istft_single_frame_signal():
     assert spec.bins.shape == (17, 1)
     y = istft(spec)
     assert len(y) == 10
-
-
-def test_istft_rejects_vanishing_envelope(monkeypatch):
-    cfg = StftConfig(frame_len=32, hop=8)
-    spec = stft(_buf(np.linspace(-1, 1, 200)), cfg)
-    # a zero synthesis window gives a zero envelope; the package re-exports
-    # the function stft, which hides the module's name
-    monkeypatch.setattr(importlib.import_module("maskforge.stft"), "hann_window", np.zeros)
-    with pytest.raises(ValueError, match="envelope vanishes"):
-        istft(spec)
 
 
 def _whole_istft(spec):
