@@ -22,6 +22,8 @@ from .stft import StftConfig
 # Flags that set an ExperimentConfig or SynthConfig field take their defaults from here.
 _DEFAULTS = ExperimentConfig()
 _SYNTH_DEFAULTS = synth.SynthConfig()
+# Steps an alpha range may span: a grid as fine as 1e-4 over (0, 1).
+_MAX_ALPHA_STEPS = 10_000
 
 
 def parse_alphas(text: str) -> tuple[float, ...]:
@@ -35,7 +37,10 @@ def parse_alphas(text: str) -> tuple[float, ...]:
             raise ValueError(f"alpha range {text!r} is not finite")
         if step <= 0:
             raise ValueError("alpha step must be positive")
-        grid = (round(start + k * step, 10) for k in range(max(int((stop - start) / step), 0) + 2))
+        steps = (stop - start) / step
+        if not math.isfinite(steps) or steps > _MAX_ALPHA_STEPS:
+            raise ValueError(f"alpha range {text!r} spans more than {_MAX_ALPHA_STEPS} steps")
+        grid = (round(start + k * step, 10) for k in range(max(int(steps), 0) + 2))
         alphas = tuple(a for a in grid if a <= stop + 1e-9)
     else:
         alphas = tuple(float(p) for p in text.split(",") if p.strip())
@@ -282,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, FloatingPointError) as exc:
+    except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

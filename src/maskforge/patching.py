@@ -1,7 +1,7 @@
 """Sliding-window patch extraction, the models' row layout, and repacking.
 
-A plain (F, N) grid, a peak-normalized magnitude spectrogram or an oracle
-mask, is cut into F x T windows along the time axis. Training uses
+A plain (F, N) grid (unit-peak magnitudes, which the pipeline scales, or an
+oracle mask) is cut into F x T windows along the time axis. Training uses
 non-overlapping windows (stride = T); at separation time the window slides one
 frame at a time, so every interior element receives T overlapping predictions
 whose arithmetic mean becomes the element's confidence value. The windows are
@@ -92,14 +92,6 @@ class MeanPrediction:
         """The mean of frame-major (N, F) window sums over their (N,) counts."""
         values = (sums / counts[:, None]).T
         return cls(values, np.broadcast_to(counts, values.shape))
-
-
-def normalize_unit_scale(mag: np.ndarray) -> np.ndarray:
-    """The magnitude grid divided by its largest element."""
-    peak = float(np.max(mag))
-    if peak == 0.0:
-        raise ValueError("all-zero spectrogram has no unit scale")
-    return mag / peak
 
 
 def patch_offsets(n_frames: int, width: int, stride: int) -> np.ndarray:

@@ -6,8 +6,9 @@ mixture rows before mask rows; the headers also give the songs' one sample
 rate, the trained model's front end with the STFT and width (`model_file`).
 Separation takes its grid from that front end alone, refuses audio at another
 rate, and is one block engine with two passes over the mixture: pass one finds
-the magnitude peak from block STFTs, and pass two cuts, predicts and averages
-the stride-1 windows a block at a time and yields runs of finished frames
+the magnitude peak from block STFTs (`_peak_magnitude`, which also gives
+training its unit scale), and pass two cuts, predicts and averages the
+stride-1 windows a block at a time and yields runs of finished frames
 (`_mean_blocks`). `separate_file` streams those runs through the sweep's masks
 (`_confidence_masks`) and the inverse STFT into two WAV writers. Both the
 window average and the inverse are one `stft.OverlapAdd`, which carries only
@@ -18,9 +19,9 @@ same runs in memory.
 The alpha sweep evaluates every requested separation method on every test
 song across a confidence grid. Thresholding is cheap next to model inference,
 so each song's mean-confidence grid is computed once per method and re-cut
-for every alpha. Rows are aggregated across songs with Student-t confidence
-intervals and written in a canonical sort order, making repeat runs with the
-same seeds byte-identical.
+for every alpha (`_confidence_masks`, then `_masked_inversions`). Rows are
+aggregated across songs with Student-t confidence intervals and written in a
+canonical sort order, making repeat runs with the same seeds byte-identical.
 """
 
 from __future__ import annotations
@@ -60,11 +61,9 @@ from .patching import (
     MeanPrediction,
     PatchConfig,
     extract_patches,
-    normalize_unit_scale,
     patch_offsets,
 )
-from .stft import (ComplexSpectrogram, InverseStft, OverlapAdd, StftConfig, istft, magnitude,
-                   n_frames_for, stft)
+from .stft import ComplexSpectrogram, InverseStft, OverlapAdd, StftConfig, istft, n_frames_for, stft
 
 METHOD_DNN = DNN       # a model file's kind is its model's method name
 METHOD_NMF = NMF
@@ -109,6 +108,13 @@ class ExperimentConfig:
             raise ValueError("need at least one alpha")
         if any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError("alphas must lie strictly inside (0, 1)")
+        # the models' own checks, made here before any song is read
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("layer sizes must be positive")
+        if self.nmf_rank < 1:
+            raise ValueError("rank must be >= 1")
+        if min(self.nmf_train_iters, self.nmf_infer_iters) < 1:
+            raise ValueError("need at least one iteration")
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -124,9 +130,15 @@ def _oracle_mask_and_mixture(mixes: tuple[AudioBuffer, AudioBuffer, AudioBuffer]
                              stft_cfg: StftConfig) -> tuple[BinaryMask, ComplexSpectrogram]:
     """A song's ideal binary vocal mask and full-mix STFT from pool_and_mix's mixes."""
     vocal_mix, nonvocal_mix, full_mix = mixes
-    ibm = ideal_binary_mask(magnitude(stft(vocal_mix, stft_cfg)),
-                            magnitude(stft(nonvocal_mix, stft_cfg)))
+    ibm = ideal_binary_mask(np.abs(stft(vocal_mix, stft_cfg).bins),
+                            np.abs(stft(nonvocal_mix, stft_cfg).bins))
     return ibm, stft(full_mix, stft_cfg)
+
+
+def _unit_scaled(spec: ComplexSpectrogram) -> np.ndarray:
+    """A spectrogram's magnitudes over their peak, which `_peak_magnitude` finds."""
+    mag = np.abs(spec.bins)
+    return mag / _peak_magnitude(lambda a, b: mag[:, a:b], spec.n_frames)
 
 
 def _training_rows(grid: np.ndarray, patch_cfg: PatchConfig) -> np.ndarray:
@@ -160,7 +172,7 @@ def build_training_set(songs: list[ManifestSong], stft_cfg: StftConfig, patch_cf
     X, Y = (np.empty((slices[-1].stop, front_end.window_size)) for _ in range(2))
     for song, rows in zip(songs, slices):
         ibm, spec = _oracle_mask_and_mixture(pool_and_mix(load_song(song)), stft_cfg)
-        X[rows] = _training_rows(normalize_unit_scale(magnitude(spec)), patch_cfg)
+        X[rows] = _training_rows(_unit_scaled(spec), patch_cfg)
         Y[rows] = _training_rows(ibm.values, patch_cfg)
     return X, Y, front_end
 
@@ -174,8 +186,7 @@ def build_class_matrix(songs: list[ManifestSong], label: str, stft_cfg: StftConf
     V = np.empty((front_end.window_size, slices[-1].stop))
     for song, cols in zip(songs, slices):
         mix = pool_and_mix(load_song(song))[LABELS.index(label)]
-        norm = normalize_unit_scale(magnitude(stft(mix, stft_cfg)))
-        V[:, cols] = _training_rows(norm, patch_cfg).T
+        V[:, cols] = _training_rows(_unit_scaled(stft(mix, stft_cfg)), patch_cfg).T
     return V, front_end
 
 
@@ -225,8 +236,8 @@ _WINDOW_BLOCK = 512
 
 
 def _peak_magnitude(frames, n_frames: int) -> float:
-    """Pass one: the largest magnitude of the frames that frames(a, b) gives,
-    a block at a time."""
+    """The largest magnitude of the frames that frames(a, b) gives, a block at
+    a time: separation's pass one, and training's unit scale (`_unit_scaled`)."""
     peak = max(float(np.max(np.abs(frames(a, min(a + _WINDOW_BLOCK, n_frames)))))
                for a in range(0, n_frames, _WINDOW_BLOCK))
     if peak == 0.0:
@@ -295,12 +306,6 @@ def _confidence_masks(mean: MeanPrediction, alpha: float) -> tuple[BinaryMask, B
 def _masked_inversions(spec: ComplexSpectrogram, masks) -> tuple[AudioBuffer, AudioBuffer]:
     """The mixture's STFT under each mask of a (vocal, accompaniment) pair, inverted."""
     return tuple(istft(apply_mask(spec, m)) for m in masks)
-
-
-def threshold_and_invert(mean: MeanPrediction, spec: ComplexSpectrogram,
-                         alpha: float) -> tuple[AudioBuffer, AudioBuffer]:
-    """Confidence grid -> two masks -> masked inversions."""
-    return _masked_inversions(spec, _confidence_masks(mean, alpha))
 
 
 def _separation(read, n_samples: int, sample_rate: int, what, model: Model, alpha: float,
@@ -407,7 +412,7 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model],
     out: dict[str, dict[float | None, PairMetrics]] = {}
     for method, model in models.items():
         mean, _ = confidence_grid(spec, model, cfg, infer_seed=cfg.seed + 7000 + song_index)
-        out[method] = {alpha: score(*threshold_and_invert(mean, spec, alpha))
+        out[method] = {alpha: score(*_masked_inversions(spec, _confidence_masks(mean, alpha)))
                        for alpha in cfg.alphas}
     ideal = _masked_inversions(spec, (ibm, BinaryMask(1.0 - ibm.values)))
     out[METHOD_IDEAL] = {None: score(*ideal)}

@@ -9,7 +9,8 @@ view of the signal. One streamed overlap-add (`OverlapAdd`), which carries the
 sums that later segments still reach from block to block, inverts the STFT and
 averages the windows of `maskforge.patching`. The inverse takes its frames a
 block at a time (`InverseStft`), so a long signal is inverted without holding
-its whole grid; `istft` is one block.
+its whole grid; `istft` is one block. A spectrogram holds only its complex
+bins, and callers take magnitudes as `np.abs(spec.bins)`.
 """
 
 from __future__ import annotations
@@ -169,8 +170,3 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
     original length."""
     inverse = InverseStft(spec.config, spec.n_frames, spec.original_len)
     return AudioBuffer(inverse.push(spec.bins), sample_rate=spec.sample_rate)
-
-
-def magnitude(spec: ComplexSpectrogram) -> np.ndarray:
-    """Elementwise |bins|, an (F, N) float64 grid."""
-    return np.abs(spec.bins)

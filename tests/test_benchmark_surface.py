@@ -18,7 +18,7 @@ import workloads  # noqa: E402
 
 import maskforge  # noqa: E402
 from maskforge import mlp, nmf, patching, pipeline  # noqa: E402
-from maskforge.audio_io import AudioBuffer  # noqa: E402
+from maskforge.audio_io import AudioBuffer, ManifestSong, write_wav  # noqa: E402
 from maskforge.model_file import FrontEnd  # noqa: E402
 from maskforge.patching import PatchConfig  # noqa: E402
 from maskforge.stft import StftConfig  # noqa: E402
@@ -53,7 +53,7 @@ def _tiny_calls():
     d = CFG.layer_sizes[0]
     pipeline.confidence_grid(spec, nmf.NmfModel(rng.random((d, 2)), rng.random((d, 2)),
                                                  front_end), CFG)
-    pipeline.threshold_and_invert(grid, spec, 0.5)
+    pipeline._masked_inversions(spec, pipeline._confidence_masks(grid, 0.5))
     _, trace = nmf.infer_activations(rng.random((d, 5)), rng.random((d, 2)), 4)
     return spec, windows, predictions, grid, trace
 
@@ -79,6 +79,35 @@ def test_tracer_wraps_every_target_and_restores():
     assert tracer.maxima["window_bytes"] == windows.patches.nbytes
     assert [tracer.calls(name) for name in ("confidence_grid", "vocal_mask",
                                             "nonvocal_mask", "istft")] == [2, 1, 1, 2]
+
+
+def test_sweep_calls_the_timed_functions_by_name(tmp_path):
+    # one 0.5 s test song, two models and three alphas: the calls and counts
+    # that the traced run reads from a sweep
+    rng = np.random.default_rng(3)
+    paths = []
+    for label in ("vocal", "non_vocal"):
+        write_wav(tmp_path / f"{label}.wav", AudioBuffer(rng.uniform(-0.5, 0.5, 4000), 8000))
+        paths.append((tmp_path / f"{label}.wav", label))
+    front_end = FrontEnd(8000, frame_len=64, hop=16, width=3)
+    d = front_end.window_size
+    models = {pipeline.METHOD_DNN: mlp.init_model([d, 4, d], seed=0, front_end=front_end),
+              pipeline.METHOD_NMF: nmf.NmfModel(rng.random((d, 2)), rng.random((d, 2)),
+                                                front_end)}
+    cfg = pipeline.ExperimentConfig(alphas=(0.3, 0.5, 0.7), nmf_infer_iters=3)
+    tracer = spans.Tracer()
+    tracer.install(workloads.TARGETS, callers=(workloads,))
+    try:
+        pipeline.sweep_alpha([ManifestSong("song", paths)], models, cfg)
+    finally:
+        tracer.restore()
+    calls = {"confidence_grid": 2, "vocal_mask": 6, "nonvocal_mask": 6, "istft": 14,
+             "evaluate_source": 14, "stft": 3, "extract_patches": 2, "predict_masks": 1,
+             "infer_activations": 1}
+    assert {name: tracer.calls(name) for name in calls} == calls
+    assert tracer.counts == {"frames": 741, "windows": 490, "forward_rows": 245,
+                             "infer_iters": 3,
+                             "read_bytes": sum(p.stat().st_size for p, _ in paths)}
 
 
 def test_result_shapes_the_benchmark_reads():

@@ -128,6 +128,20 @@ def test_parse_alphas_rejects_a_non_finite_range(text):
     assert (child.returncode, child.stdout) == (0, f"alpha range {text!r} is not finite\n")
 
 
+@pytest.mark.parametrize("text", ["0.1:0.9:1e-320", "-1e308:1e308:1", "0.1:0.9:1e-9"])
+def test_parse_alphas_rejects_a_range_of_too_many_steps(text):
+    # the first two once overflowed to a bare OverflowError; the third asked
+    # for about 8e8 values
+    child = _in_small_child(f"try: cli.parse_alphas({text!r})\n"
+                            "except ValueError as exc: print(exc)")
+    assert (child.returncode, child.stdout) == (
+        0, f"alpha range {text!r} spans more than 10000 steps\n")
+
+
+def test_parse_alphas_allows_a_grid_of_1e_4():
+    assert len(cli.parse_alphas("0.0001:0.9999:0.0001")) == 9999
+
+
 # ---------------------------------------------------------------------------
 # parser defaults
 # ---------------------------------------------------------------------------
@@ -659,6 +673,74 @@ def test_sweep_rejects_a_non_finite_alpha_range_before_reading_anything(tmp_path
     assert child.returncode == 1
     assert child.stderr == "error: alpha range '0.1:inf:0.1' is not finite\n"
     assert not csv.exists()
+
+
+def test_sweep_rejects_a_range_of_too_many_alphas_in_one_line(tmp_path):
+    csv = tmp_path / "fig2.csv"
+    argv = ["sweep-alpha", "--manifest", str(tmp_path / "m.json"), "--model",
+            str(tmp_path / "dnn.mfg"), "--csv", str(csv), "--alphas", "0.1:0.9:1e-320"]
+    child = _in_small_child(f"sys.exit(cli.main({argv!r}))")
+    assert child.returncode == 1
+    assert child.stderr == "error: alpha range '0.1:0.9:1e-320' spans more than 10000 steps\n"
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train-dnn", "--hidden", "0"], "layer sizes must be positive"),
+    (["train-nmf", "--rank", "0"], "rank must be >= 1"),
+    (["train-nmf", "--iterations", "0"], "need at least one iteration"),
+    (["separate", "--nmf-iterations", "0"], "need at least one iteration"),
+    (["sweep-alpha", "--nmf-iterations", "0"], "need at least one iteration"),
+])
+def test_zero_sizes_fail_before_any_song_or_mixture_is_read(tiny_corpus, tmp_path, capsys,
+                                                            monkeypatch, argv, message):
+    reads = []
+    for name in ("load_song", "song_header", "WavReader"):
+        monkeypatch.setattr(pipeline, name, lambda *a, name=name: reads.append(name))
+    model_path, mixture = tmp_path / "m.mfg", tmp_path / "x.wav"
+    _save_dnn(model_path)
+    _noise_wav(mixture, 8000)
+    outputs = [tmp_path / "out.mfg", tmp_path / "v.wav", tmp_path / "a.wav"]
+    manifest = str(tiny_corpus["train_manifest"])
+    rest = {"train-dnn": ["--manifest", manifest, "--out", str(outputs[0]), *SMALL],
+            "train-nmf": ["--manifest", manifest, "--out", str(outputs[0]), *SMALL],
+            "separate": ["--model", str(model_path), "--alpha", "0.5", "--input", str(mixture),
+                         "--out-vocal", str(outputs[1]), "--out-accomp", str(outputs[2])],
+            "sweep-alpha": ["--manifest", manifest, "--model", str(model_path),
+                            "--csv", str(outputs[1])]}[argv[0]]
+    code, out, err = _run(capsys, [*argv, *rest])
+    assert (code, err) == (1, f"error: {message}\n")
+    assert reads == [] and not any(p.exists() for p in outputs)
+
+
+@pytest.mark.parametrize("kind", ["dnn", "nmf"])
+def test_separate_refuses_a_silent_mixture_before_any_output(tmp_path, capsys, rng, kind):
+    model_path, mixture = tmp_path / "m.mfg", tmp_path / "x.wav"
+    if kind == "dnn":
+        _save_dnn(model_path)
+    else:
+        d = SMALL_FRONT_END.window_size
+        save_nmf(NmfModel(rng.uniform(0.1, 1, (d, 2)), rng.uniform(0.1, 1, (d, 2)),
+                          SMALL_FRONT_END), model_path)
+    write_wav(mixture, AudioBuffer(np.zeros(2048), 8000))
+    outputs = (tmp_path / "v.wav", tmp_path / "a.wav")
+    code, out, err = _run(capsys, [
+        "separate", "--model", str(model_path), "--alpha", "0.5", "--input", str(mixture),
+        "--out-vocal", str(outputs[0]), "--out-accomp", str(outputs[1]),
+    ])
+    assert (code, err) == (1, "error: all-zero spectrogram has no unit scale\n")
+    assert not any(p.exists() for p in outputs)
+
+
+def test_memory_error_exits_one_in_one_line(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+    monkeypatch.setattr(cli.synth, "generate_corpus", refuse)
+    code, out, err = _run(capsys, ["make-corpus", "--out-dir", str(tmp_path / "c")])
+    assert code == 1
+    assert err == ("error: Unable to allocate 74.5 GiB for an array with shape "
+                   "(10000000000,)\n")
 
 
 def test_sweep_rejects_test_songs_at_another_rate(tmp_path, capsys, rng):

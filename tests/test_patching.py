@@ -9,7 +9,6 @@ from maskforge.patching import (
     PatchConfig,
     PatchSet,
     extract_patches,
-    normalize_unit_scale,
     patch_offsets,
     repack_mean,
 )
@@ -215,20 +214,6 @@ def test_repack_drops_padded_frames(rng):
     mp = repack_mean(ps)
     assert mp.values.shape == (2, 25)
     assert np.allclose(mp.values, grid, rtol=0, atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# normalization and training-set files
-# ---------------------------------------------------------------------------
-
-def test_normalize_unit_scale(rng):
-    grid = rng.uniform(0, 3, size=(4, 6))
-    grid[2, 3] = 5.0
-    scaled = normalize_unit_scale(grid)
-    assert scaled.max() == 1.0
-    assert np.array_equal(scaled, grid / 5.0)
-    with pytest.raises(ValueError, match="all-zero"):
-        normalize_unit_scale(np.zeros((2, 2)))
 
 
 def test_repack_accumulate_counts():

@@ -28,7 +28,6 @@ from maskforge.patching import (
     MeanPrediction,
     PatchConfig,
     extract_patches,
-    normalize_unit_scale,
     repack_mean,
 )
 from maskforge.pipeline import (
@@ -52,11 +51,10 @@ from maskforge.pipeline import (
     separate_file,
     separate_song,
     sweep_alpha,
-    threshold_and_invert,
     train_dnn,
     train_nmf,
 )
-from maskforge.stft import StftConfig, hann_window, istft, magnitude, overlap_add, stft
+from maskforge.stft import StftConfig, hann_window, istft, overlap_add, stft
 from maskforge.audio_io import pool_and_mix
 from maskforge.synth import SynthConfig, generate_corpus
 
@@ -107,6 +105,18 @@ def test_config_alpha_validation():
         _small_cfg(alphas=(0.0, 0.5))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"hidden": (8, 0)}, "layer sizes must be positive"),
+    ({"nmf_rank": 0}, "rank must be >= 1"),
+    ({"nmf_train_iters": 0}, "need at least one iteration"),
+    ({"nmf_infer_iters": -1}, "need at least one iteration"),
+])
+def test_config_rejects_sizes_below_one(fields, message):
+    # the messages the network and the NMF fits give for the same values
+    with pytest.raises(ValueError, match=message):
+        _small_cfg(**fields)
+
+
 # ---------------------------------------------------------------------------
 # training-set construction
 # ---------------------------------------------------------------------------
@@ -152,8 +162,8 @@ def test_song_training_pairs_target_is_oracle_mask(tmp_path):
     patch_cfg = PatchConfig(width=20, train_stride=20)
     X, Y, _ = build_training_set(songs, stft_cfg, patch_cfg)
     vocal_mix, nonvocal_mix, full_mix = pool_and_mix(load_song(songs[0]))
-    mag_v = magnitude(stft(vocal_mix, stft_cfg))
-    mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
+    mag_v = np.abs(stft(vocal_mix, stft_cfg).bins)
+    mag_nv = np.abs(stft(nonvocal_mix, stft_cfg).bins)
     ibm = ideal_binary_mask(mag_v, mag_nv)
     assert np.array_equal(Y[0], ibm.values.reshape(-1, order="F"))
     # 20 frames and a 20-frame window: X[0] is the whole peak-normalized mixture
@@ -206,6 +216,18 @@ def test_build_training_set_rejects_empty():
     for label in (VOCAL, NON_VOCAL):
         with pytest.raises(ValueError, match="empty manifest"):
             build_class_matrix([], label, StftConfig(256, 64), PatchConfig(5, 5))
+
+
+def test_training_refuses_a_silent_mixture(tmp_path):
+    # each stem sounds, but the vocal and the accompaniment cancel in the mix,
+    # so the mixture's spectrogram has no peak to scale by
+    x = np.random.default_rng(4).uniform(-0.8, 0.8, 2944)
+    stems = StemSet(stems=[(AudioBuffer(x, 22050), VOCAL), (AudioBuffer(-x, 22050), NON_VOCAL)],
+                    song_id="hollow")
+    songs = _one_song_manifest(tmp_path, stems)
+    assert not np.any(pool_and_mix(load_song(songs[0]))[2].samples)
+    with pytest.raises(ValueError, match="^all-zero spectrogram has no unit scale$"):
+        build_training_set(songs, StftConfig(512, 128), PatchConfig(10))
 
 
 def test_build_class_matrices_shapes(tiny_corpus):
@@ -369,7 +391,8 @@ def _mixture_with_windows(n_windows, cfg, seed=0):
 
 def _whole_mixture_grid(mix, model, cfg, seed):
     """Every window of the mixture in one stack, predicted and averaged at once."""
-    windows = extract_patches(normalize_unit_scale(magnitude(stft(mix, cfg.stft))), cfg.patch, 1)
+    mag = np.abs(stft(mix, cfg.stft).bins)
+    windows = extract_patches(mag / mag.max(), cfg.patch, 1)
     predict = model.predictor(windows.n_patches, cfg.nmf_infer_iters, seed)
     return repack_mean(predict(windows, 0))
 
@@ -510,7 +533,7 @@ def _whole_song_reference(mix, model, alpha, cfg, seed):
     NMF activations, the windows predicted in blocks of _WINDOW_BLOCK, and the
     inverse STFT of each masked grid done in one piece."""
     spec = stft(mix, cfg.stft)
-    norm = normalize_unit_scale(magnitude(spec))
+    norm = np.abs(spec.bins) / np.abs(spec.bins).max()
     F, N = norm.shape
     T, block = cfg.patch.width, pipeline._WINDOW_BLOCK
     n_windows = max(N - T + 1, 1)
@@ -635,12 +658,12 @@ def test_oracle_confidence_reproduces_ideal_masking():
     stems = _toy_stems(n=2944, seed=8)
     stft_cfg = StftConfig(frame_len=512, hop=128)
     vocal_mix, nonvocal_mix, full_mix = pool_and_mix(stems)
-    mag_v = magnitude(stft(vocal_mix, stft_cfg))
-    mag_nv = magnitude(stft(nonvocal_mix, stft_cfg))
+    mag_v = np.abs(stft(vocal_mix, stft_cfg).bins)
+    mag_nv = np.abs(stft(nonvocal_mix, stft_cfg).bins)
     ibm = ideal_binary_mask(mag_v, mag_nv)
     spec = stft(full_mix, stft_cfg)
     mean = MeanPrediction(values=ibm.values, counts=np.ones_like(ibm.values))
-    est_v, est_nv = threshold_and_invert(mean, spec, 0.5)
+    est_v, est_nv = pipeline._masked_inversions(spec, pipeline._confidence_masks(mean, 0.5))
     oracle_v, oracle_nv = ideal_mask_separate(stems, stft_cfg)
     assert np.array_equal(est_v.samples, oracle_v.samples)
     assert np.array_equal(est_nv.samples, oracle_nv.samples)

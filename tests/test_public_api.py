@@ -12,12 +12,12 @@ from maskforge import pipeline
 
 REMOVED = {
     "masking": ["SoftMask", "soft_mask", "threshold_soft_mask", "vocal_share"],
-    "stft": ["PhaseSpectrogram", "combine", "split", "MagnitudeSpectrogram"],
-    "patching": ["flatten", "unflatten", "KIND_TARGET"],
+    "stft": ["PhaseSpectrogram", "combine", "split", "MagnitudeSpectrogram", "magnitude"],
+    "patching": ["flatten", "unflatten", "KIND_TARGET", "normalize_unit_scale"],
     "mlp": ["forward", "MAGIC"],
     "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC"],
     "pipeline": ["song_training_pairs", "build_class_matrices", "_MODEL_FILES",
-                 "_invert_block", "_oracle_separation"],
+                 "_invert_block", "_oracle_separation", "threshold_and_invert"],
     "audio_io": ["song_length"],
 }
 

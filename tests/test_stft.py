@@ -1,4 +1,4 @@
-"""Analysis/synthesis transform: window, COLA, round trips, magnitude."""
+"""Analysis/synthesis transform: window, COLA, round trips."""
 
 import itertools
 
@@ -13,7 +13,6 @@ from maskforge.stft import (
     StftConfig,
     hann_window,
     istft,
-    magnitude,
     n_frames_for,
     overlap_add,
     stft,
@@ -240,19 +239,6 @@ def test_block_stft_equals_whole_columns(rng):
     for a, b in [(0, 1), (0, N), (5, 17), (N - 3, N), (N - 1, N)]:
         part = stft(_buf(x[a * cfg.hop:min(len(x), (b - 1) * cfg.hop + cfg.frame_len)]), cfg)
         assert np.array_equal(part.bins, whole[:, a:b])
-
-
-# ---------------------------------------------------------------------------
-# magnitude
-# ---------------------------------------------------------------------------
-
-def test_magnitude_is_abs_of_bins(rng):
-    cfg = StftConfig(frame_len=64, hop=16)
-    spec = stft(_buf(rng.standard_normal(400)), cfg)
-    mag = magnitude(spec)
-    assert isinstance(mag, np.ndarray) and mag.dtype == np.float64
-    assert np.all(mag >= 0)
-    assert np.array_equal(mag, np.abs(spec.bins))
 
 
 def test_spectrogram_validation():
