@@ -27,14 +27,15 @@ from .masking import (
     nonvocal_mask_from_confidence,
     vocal_mask_from_confidence,
 )
-from .mlp import MlpModel, TrainConfig, init_model, load_model, save_model, train_sgd
+from .mlp import MlpModel, TrainConfig, init_model, save_model, train_sgd
 from .model_file import FrontEnd
-from .nmf import NmfModel, load_nmf, nmf_factorize, nmf_separate, save_nmf
+from .nmf import NmfModel, nmf_factorize, nmf_separate, save_nmf
 from .patching import PatchConfig, PatchSet, extract_patches, repack_mean
 from .pipeline import (
     ExperimentConfig,
     build_training_set,
     ideal_mask_separate,
+    load_any_model,
     separate_song,
     sweep_alpha,
     train_dnn,
@@ -53,11 +54,10 @@ __all__ = [
     "BinaryMask", "ideal_binary_mask", "apply_mask",
     "vocal_mask_from_confidence", "nonvocal_mask_from_confidence",
     "FrontEnd", "MlpModel", "TrainConfig", "init_model", "train_sgd",
-    "save_model", "load_model",
-    "NmfModel", "nmf_factorize", "nmf_separate", "save_nmf", "load_nmf",
+    "save_model", "NmfModel", "nmf_factorize", "nmf_separate", "save_nmf",
     "SeparationMetrics", "evaluate_pair",
     "ExperimentConfig", "build_training_set", "train_dnn", "train_nmf",
-    "separate_song", "ideal_mask_separate", "sweep_alpha",
+    "load_any_model", "separate_song", "ideal_mask_separate", "sweep_alpha",
     "SynthConfig", "generate_corpus", "disjoint_support_song",
     "__version__",
 ]

@@ -2,7 +2,9 @@
 
 WAV files are read and written a range of samples at a time (`WavReader`,
 `WavWriter`), so streamed separation holds neither its input nor its outputs
-whole; `read_wav` and `write_wav` are their whole-file uses.
+whole; `read_wav` and `write_wav` are their whole-file uses. Every output lands
+whole or not at all through `output_file`, and `check_outputs` refuses, before
+any work, one that would overwrite an input or another output.
 
 Stems labeled "vocal" / "non_vocal" are each peak normalized, summed by label
 into two submixes, the submixes peak normalized again, and their sum is the
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,7 +173,8 @@ class WavReader:
             vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
             samples = vals.astype(np.float64) / float(1 << 23)
         else:
-            samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+            with np.errstate(invalid="ignore"):     # a signalling NaN warns as it widens
+                samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
         if self._channels > 1:
             samples = samples.reshape(-1, self._channels).mean(axis=1)
         if not np.all(np.isfinite(samples)):
@@ -179,11 +183,7 @@ class WavReader:
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
-    """Read a RIFF/WAVE file (PCM 16/24-bit or float32) as a mono buffer.
-
-    Multichannel audio is averaged to mono. Raises FileNotFoundError,
-    WavFormatError (bad container) or UnsupportedWavError (unhandled codec).
-    """
+    """The whole of a WAV file that `WavReader` opens, as a mono buffer."""
     with WavReader(path) as reader:
         samples = np.empty(reader.n_samples)
         for start in range(0, reader.n_samples, _READ_CHUNK):
@@ -192,10 +192,39 @@ def read_wav(path: str | Path) -> AudioBuffer:
         return AudioBuffer(samples, reader.sample_rate)
 
 
+@contextmanager
+def output_file(path: str | Path):
+    """A binary file beside `path`, named for this process, that is renamed
+    over `path` on a clean exit and removed on an exception."""
+    part = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.part")
+    try:
+        with open(part, "wb") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def check_outputs(outputs: list, inputs: list | tuple = ()) -> None:
+    """Refuse an output that repeats an input or another output, or that
+    `output_file` cannot land: its directory is missing or not writable, or it
+    exists but is not a regular file."""
+    seen = {os.path.realpath(p) for p in inputs}
+    for out in map(Path, outputs):
+        if os.path.realpath(out) in seen:
+            raise ValueError(f"{out}: an output must differ from the inputs and other outputs")
+        seen.add(os.path.realpath(out))
+        if not (out.parent.is_dir() and os.access(out.parent, os.W_OK | os.X_OK)):
+            raise OSError(f"{out}: its directory is missing or not writable")
+        if out.exists() and not out.is_file():
+            raise ValueError(f"{out}: not a regular file, so it cannot be an output")
+
+
 class WavWriter:
-    """A mono 32-bit float WAV file written a chunk at a time. The header's
-    sizes are known only at the end, so `close` writes them last. Leaving the
-    `with` block on an exception removes the unfinished file."""
+    """A mono 32-bit float WAV file written a chunk at a time through
+    `output_file`. The header's sizes are known only at the end, so a clean
+    exit from the `with` block writes them last."""
 
     def __init__(self, path: str | Path, sample_rate: int):
         if sample_rate * 4 > 0xFFFFFFFF:
@@ -203,18 +232,21 @@ class WavWriter:
         self.path = Path(path)
         self.sample_rate = sample_rate
         self._payload_bytes = 0
-        self._fh = open(self.path, "wb")
-        self._fh.write(self._header())
 
     def __enter__(self) -> "WavWriter":
-        return self
+        self._output = self._open()
+        return self._output.__enter__()
 
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self._fh.close()
-            self.path.unlink(missing_ok=True)
+    def __exit__(self, *exc):
+        return self._output.__exit__(*exc)
+
+    @contextmanager
+    def _open(self):
+        with output_file(self.path) as self._fh:
+            self._fh.write(self._header())
+            yield self
+            self._fh.seek(0)
+            self._fh.write(self._header())
 
     def _header(self) -> bytes:
         return struct.pack(
@@ -234,16 +266,9 @@ class WavWriter:
         self._fh.write(payload)
         self._payload_bytes += len(payload)
 
-    def close(self) -> None:
-        self._fh.seek(0)
-        self._fh.write(self._header())
-        self._fh.close()
-
 
 def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
     """Write a mono 32-bit float WAV file."""
-    if not np.all(np.isfinite(buffer.samples)):
-        raise ValueError("cannot write non-finite samples")
     with WavWriter(path, buffer.sample_rate) as writer:
         writer.write(buffer.samples)
 
@@ -362,13 +387,7 @@ def song_header(song: ManifestSong) -> tuple[int, int]:
 
 
 def write_manifest(path: str | Path, songs: list[ManifestSong]) -> None:
-    doc = {
-        "songs": [
-            {
-                "id": s.song_id,
-                "stems": [{"path": str(p), "label": label} for p, label in s.stems],
-            }
-            for s in songs
-        ]
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    doc = {"songs": [{"id": s.song_id, "stems": [{"path": str(p), "label": label}
+                                                 for p, label in s.stems]} for s in songs]}
+    with output_file(path) as fh:
+        fh.write((json.dumps(doc, indent=2) + "\n").encode())

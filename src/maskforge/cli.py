@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from . import mlp, nmf, pipeline, synth
-from .audio_io import ManifestSong, load_manifest, load_song, pool_and_mix, read_wav, write_wav
+from .audio_io import (ManifestSong, check_outputs, load_manifest, load_song, pool_and_mix,
+                       read_wav, write_wav)
 from .bss_eval import evaluate_pair
 from .patching import PatchConfig
 from .pipeline import ExperimentConfig
@@ -73,6 +74,11 @@ def _songs(args) -> list[ManifestSong]:
     return songs
 
 
+def _reads(manifest, songs: list[ManifestSong]) -> list:
+    """The files a subcommand reads from a manifest: it and its songs' stems."""
+    return [manifest, *(path for song in songs for path, _ in song.stems)]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -90,17 +96,19 @@ def cmd_mix(args) -> int:
     songs = _songs(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    names = ("vocals", "accompaniment", "mixture")
+    check_outputs([out_dir / f"{s.song_id}_{n}.wav" for s in songs for n in names],
+                  _reads(args.manifest, songs))
     for song in songs:
-        vocal, nonvocal, full = pool_and_mix(load_song(song))
-        write_wav(out_dir / f"{song.song_id}_vocals.wav", vocal)
-        write_wav(out_dir / f"{song.song_id}_accompaniment.wav", nonvocal)
-        write_wav(out_dir / f"{song.song_id}_mixture.wav", full)
+        for name, mix in zip(names, pool_and_mix(load_song(song))):
+            write_wav(out_dir / f"{song.song_id}_{name}.wav", mix)
         print(f"{song.song_id}: wrote 3 files to {out_dir}")
     return 0
 
 
 def cmd_train_dnn(args) -> int:
     songs = load_manifest(args.manifest)
+    check_outputs([args.out], _reads(args.manifest, songs))
     hidden = tuple(int(h) for h in args.hidden.split(",") if h.strip())
     cfg = _experiment_config(args, hidden=hidden, epochs=args.epochs,
                              learning_rate=args.lr, loss=args.loss)
@@ -113,6 +121,7 @@ def cmd_train_dnn(args) -> int:
 
 def cmd_train_nmf(args) -> int:
     songs = load_manifest(args.manifest)
+    check_outputs([args.out], _reads(args.manifest, songs))
     cfg = _experiment_config(args, nmf_rank=args.rank, nmf_train_iters=args.iterations)
     model = pipeline.train_nmf(songs, cfg)
     nmf.save_nmf(model, args.out)
@@ -122,6 +131,7 @@ def cmd_train_nmf(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    check_outputs([args.out_vocal, args.out_accomp], [args.model, args.input])
     _, model = pipeline.load_any_model(args.model)
     cfg = ExperimentConfig(alphas=(args.alpha,), nmf_infer_iters=args.nmf_iterations)
     pipeline.separate_file(args.input, args.out_vocal, args.out_accomp, model,
@@ -136,6 +146,7 @@ def cmd_ideal_mask(args) -> int:
         raise ValueError("manifest has no songs")
     if args.song is None and len(songs) > 1:
         raise ValueError("manifest has multiple songs; pass --song")
+    check_outputs([args.out_vocal, args.out_accomp], _reads(args.manifest, songs))
     stems = load_song(songs[0])
     stft_cfg = StftConfig(frame_len=args.frame, hop=args.hop)
     vocal, accomp = pipeline.ideal_mask_separate(stems, stft_cfg)
@@ -147,6 +158,7 @@ def cmd_ideal_mask(args) -> int:
 
 def cmd_evaluate(args) -> int:
     paths = (args.est_vocal, args.est_accomp, args.ref_vocal, args.ref_accomp)
+    check_outputs([args.csv] if args.csv else [], paths)
     buffers = [read_wav(p) for p in paths]
     if len({b.sample_rate for b in buffers}) > 1:
         raise ValueError("sample rates differ: " + ", ".join(
@@ -156,9 +168,9 @@ def cmd_evaluate(args) -> int:
         print(f"{name}: sdr={m.sdr_db:.6f} dB  sir={m.sir_db:.6f} dB  "
               f"sar={m.sar_db:.6f} dB")
     if args.csv:
-        pipeline.write_csv(args.csv, [pipeline.PER_SONG_HEADER] + [
+        pipeline.write_csv((args.csv, [pipeline.PER_SONG_HEADER] + [
             pipeline.per_song_row(args.song_id, args.method, args.alpha, name, m)
-            for name, m in sources.items()])
+            for name, m in sources.items()]))
         print(f"wrote {args.csv}")
     return 0
 
@@ -166,6 +178,8 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     alphas = parse_alphas(args.alphas)
     songs = load_manifest(args.manifest)
+    check_outputs([p for p in (args.csv, args.fig3_csv, args.per_song_csv) if p is not None],
+                  [*_reads(args.manifest, songs), *args.model])
     models: dict[str, pipeline.Model] = {}
     for path in args.model:
         method, model = pipeline.load_any_model(path)

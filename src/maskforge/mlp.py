@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model_file import DNN, FrontEnd, read_model, write_model
+from .model_file import DNN, FrontEnd, write_model
 from .patching import PatchSet
 
 LOSS_CROSS_ENTROPY = "cross_entropy"
@@ -300,7 +300,3 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 def from_file(front_end: FrontEnd, sizes: list[int], arrays: list[np.ndarray]) -> MlpModel:
     return MlpModel(sizes, arrays[0::2], arrays[1::2], front_end)
-
-
-def load_model(path: str | Path) -> MlpModel:
-    return from_file(*read_model(path, DNN)[1:])

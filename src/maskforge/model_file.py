@@ -4,7 +4,8 @@ A model's masks mean something only on the spectrogram grid it was trained
 on (`FrontEnd`). A model file holds, little-endian: the magic b"MFGM", the
 u32 format version, the kind (b"dnn\\0" or b"nmf\\0"), the front end as four
 u32, a u32 count of u32 dims, the dims, and then the kind's float64 arrays
-in C order, whose shapes follow from the dims and the front end.
+in C order, whose shapes follow from the dims and the front end. `read_model`
+reads either kind, and `pipeline.load_any_model` makes the model from it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio_io import output_file
 from .stft import StftConfig
 
 DNN, NMF = "dnn", "nmf"
@@ -60,20 +62,19 @@ def write_model(path: str | Path, kind: str, front_end: FrontEnd | None,
                 dims: list[int], arrays: list[np.ndarray]) -> None:
     if front_end is None:
         raise ValueError("a bare network, which records no front end, cannot be saved")
-    with open(path, "wb") as fh:
+    with output_file(path) as fh:
         fh.write(_HEADER.pack(_MAGIC, VERSION, kind.encode(), *astuple(front_end), len(dims)))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
         for a in arrays:
             np.ascontiguousarray(a, dtype="<f8").tofile(fh)
 
 
-def read_model(path: str | Path, kind: str | None = None
-               ) -> tuple[str, FrontEnd, list[int], list[np.ndarray]]:
+def read_model(path: str | Path) -> tuple[str, FrontEnd, list[int], list[np.ndarray]]:
     """(kind, front end, dims, arrays) of a model file, read once, each array
     copied once out of it: for a network, dims of its layer sizes and each
     layer's weights (out, in) and biases; for NMF, dims of the two ranks and
     the dictionaries transposed, (rank, window). A malformed, truncated or old
-    file, or one of another `kind`, raises ModelFileError."""
+    file raises ModelFileError."""
     raw = Path(path).read_bytes()
     if raw[:4] in _OLD_FORMATS:
         raise ModelFileError(f"{path}: an {raw[:4].decode()} model file, the format before "
@@ -84,9 +85,9 @@ def read_model(path: str | Path, kind: str | None = None
         raise ModelFileError(f"{path}: truncated header")
     _, version, tag, *grid, n_dims = _HEADER.unpack_from(raw)
     found = tag.rstrip(b"\0").decode("latin-1")
-    if version != VERSION or found not in (DNN, NMF) or kind not in (None, found):
+    if version != VERSION or found not in (DNN, NMF):
         raise ModelFileError(f"{path}: a version {version} {found!r} model file, "
-                             f"not a version {VERSION} {kind or 'dnn or nmf'} one")
+                             f"not a version {VERSION} dnn or nmf one")
     try:
         front_end = FrontEnd(*grid)
     except ValueError as exc:

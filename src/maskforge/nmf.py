@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model_file import NMF, FrontEnd, read_model, write_model
+from .model_file import NMF, FrontEnd, write_model
 from .patching import PatchSet
 
 KL_EPS = 1e-12
@@ -224,7 +224,3 @@ def save_nmf(model: NmfModel, path: str | Path) -> None:
 
 def from_file(front_end: FrontEnd, ranks: list[int], arrays: list[np.ndarray]) -> NmfModel:
     return NmfModel(arrays[0].T, arrays[1].T, front_end)
-
-
-def load_nmf(path: str | Path) -> NmfModel:
-    return from_file(*read_model(path, NMF)[1:])

@@ -26,6 +26,7 @@ canonical sort order, making repeat runs with the same seeds byte-identical.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -42,7 +43,9 @@ from .audio_io import (
     StemSet,
     WavReader,
     WavWriter,
+    check_outputs,
     load_song,
+    output_file,
     pool_and_mix,
     song_header,
 )
@@ -351,12 +354,11 @@ def separate_file(mixture: str | Path, out_vocal: str | Path, out_accomp: str | 
                   infer_seed: int = 0) -> None:
     """`separate_song` from a WAV file to two WAV files, streamed: neither the
     mixture nor either output is held whole; the grid and `cfg` field read are
-    `separate_song`'s. The rate check and pass one, which reads and checks every
-    sample, come first, so a bad input fails before either output file is
-    created, and a failure after that removes both."""
-    paths = [Path(p).resolve() for p in (mixture, out_vocal, out_accomp)]
-    if len(set(paths)) < 3:
-        raise ValueError("the mixture and the two outputs must be three different files")
+    `separate_song`'s. The output check, the rate check and pass one, which
+    reads and checks every sample, come first, so a bad input fails before
+    either output is begun; both land whole at the end, and a failure before
+    then leaves both targets as they were."""
+    check_outputs([out_vocal, out_accomp], [mixture])
     with WavReader(mixture) as reader:
         chunks = _separation(reader.read, reader.n_samples, reader.sample_rate, mixture,
                              model, alpha, cfg, infer_seed)
@@ -508,8 +510,13 @@ def per_song_rows(sweep: SweepResult) -> list[str]:
     return lines
 
 
-def write_csv(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(*tables: tuple[str | Path, list[str]]) -> None:
+    """CSV files from (path, lines) pairs, all opened before any is written,
+    so that all of them land or none does."""
+    with ExitStack() as stack:
+        files = [(stack.enter_context(output_file(path)), lines) for path, lines in tables]
+        for fh, lines in files:
+            fh.write(("\n".join(lines) + "\n").encode())
 
 
 def run_sweep_to_csv(songs: list[ManifestSong],
@@ -518,9 +525,6 @@ def run_sweep_to_csv(songs: list[ManifestSong],
                      fig3_path: str | Path | None = None,
                      per_song_path: str | Path | None = None) -> SweepResult:
     sweep = sweep_alpha(songs, models, cfg)
-    write_csv(fig2_path, fig2_rows(sweep))
-    if fig3_path is not None:
-        write_csv(fig3_path, fig3_rows(sweep))
-    if per_song_path is not None:
-        write_csv(per_song_path, per_song_rows(sweep))
+    tables = ((fig2_path, fig2_rows), (fig3_path, fig3_rows), (per_song_path, per_song_rows))
+    write_csv(*((path, rows(sweep)) for path, rows in tables if path is not None))
     return sweep

@@ -1,11 +1,16 @@
-"""WAV round trips, peak normalization, stem pooling, and manifests."""
+"""WAV round trips, peak normalization, stem pooling, manifests, and the one
+output writer."""
 
+import errno
+import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maskforge import audio_io
 from maskforge.audio_io import (
     NON_VOCAL,
     VOCAL,
@@ -16,6 +21,7 @@ from maskforge.audio_io import (
     WavFormatError,
     WavReader,
     WavWriter,
+    check_outputs,
     load_manifest,
     load_song,
     peak_normalize,
@@ -25,6 +31,10 @@ from maskforge.audio_io import (
     write_manifest,
     write_wav,
 )
+from maskforge.mlp import init_model, save_model
+from maskforge.model_file import FrontEnd
+from maskforge.nmf import NmfModel, save_nmf
+from maskforge.pipeline import write_csv
 
 
 def _wav_bytes(audio_format: int, bits: int, channels: int, payload: bytes,
@@ -212,6 +222,17 @@ def test_reader_reports_non_finite_range(tmp_path):
             reader.read(60, 80)
 
 
+def test_reader_refuses_a_signalling_nan_without_a_warning(tmp_path):
+    # widening a float32 signalling NaN raises numpy's "invalid value" warning,
+    # which the test settings turn into an error
+    samples = np.zeros(100, dtype="<u4")
+    samples[70] = 0x7F809EDD
+    path = tmp_path / "snan.wav"
+    path.write_bytes(_wav_bytes(3, 32, 1, samples.tobytes()))
+    with pytest.raises(WavFormatError, match="non-finite"):
+        read_wav(path)
+
+
 def test_chunked_writer_matches_write_wav(tmp_path, rng):
     samples = rng.uniform(-1, 1, 1001)
     write_wav(tmp_path / "whole.wav", AudioBuffer(samples, 16000))
@@ -228,6 +249,119 @@ def test_writer_removes_unfinished_file(tmp_path):
             writer.write(np.zeros(10))
             writer.write(np.array([np.nan]))
     assert not path.exists()
+
+
+def _write_chunks(path):
+    with WavWriter(path, 8000) as writer:
+        for _ in range(3):
+            writer.write(np.linspace(-1, 1, 100))
+
+
+_FRONT_END = FrontEnd(8000, frame_len=8, hop=4, width=1)     # 5-element windows
+# each of the package's writers, writing a small valid file to a path
+WRITERS = {
+    "write_wav": lambda p: write_wav(p, AudioBuffer(np.linspace(-1, 1, 500), 8000)),
+    "WavWriter": _write_chunks,
+    "save_model": lambda p: save_model(init_model([5, 3, 5], seed=1, front_end=_FRONT_END), p),
+    "save_nmf": lambda p: save_nmf(NmfModel(np.full((5, 2), 0.5), np.full((5, 3), 0.25),
+                                            _FRONT_END), p),
+    "write_csv": lambda p: write_csv((p, ["a,b", "1,2"])),
+    "write_manifest": lambda p: write_manifest(p, [ManifestSong("s", [(Path("v.wav"), VOCAL)])]),
+}
+
+
+class _DiskFull(io.BufferedWriter):
+    """A file whose first write stores half its bytes and then fails."""
+
+    def write(self, data):
+        super().write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _open_on_a_full_disk(path, mode="r", *args, **kwargs):
+    if "w" in mode:
+        return _DiskFull(io.FileIO(path, "w"))
+    return open(path, mode, *args, **kwargs)
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_clean_write_leaves_only_the_target(tmp_path, name):
+    target = tmp_path / "out.bin"
+    WRITERS[name](target)
+    WRITERS[name](target)      # a second write replaces the first
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    assert target.stat().st_size > 0
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_failed_write_leaves_the_old_target(tmp_path, monkeypatch, name):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"the old contents")
+    monkeypatch.setattr(audio_io, "open", _open_on_a_full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        WRITERS[name](target)
+    assert target.read_bytes() == b"the old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    monkeypatch.undo()
+    with pytest.raises(OSError):   # a missing directory fails before any file is made
+        WRITERS[name](tmp_path / "missing" / "out.bin")
+
+
+def test_failed_wav_write_leaves_the_old_target(tmp_path):
+    target = tmp_path / "out.wav"
+    target.write_bytes(b"the old contents")
+    buffer = AudioBuffer(np.zeros(10), 8000)
+    buffer.samples[5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        write_wav(target, buffer)
+    with pytest.raises(ValueError, match="non-finite"):
+        with WavWriter(target, 8000) as writer:
+            writer.write(np.zeros(10))
+            writer.write(np.array([np.inf]))
+    assert target.read_bytes() == b"the old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.wav"]
+
+
+def test_csv_tables_land_together_or_not_at_all(tmp_path):
+    first, second = tmp_path / "1.csv", tmp_path / "2.csv"
+    second.write_text("old\n")
+    with pytest.raises(TypeError):
+        write_csv((first, ["a", "b"]), (second, ["c", None]))
+    assert [p.name for p in tmp_path.iterdir()] == ["2.csv"]
+    assert second.read_text() == "old\n"
+    write_csv((first, ["a", "b"]), (second, ["c"]))
+    assert (first.read_text(), second.read_text()) == ("a\nb\n", "c\n")
+
+
+def test_check_outputs_refusals(tmp_path):
+    src, out = tmp_path / "in.wav", tmp_path / "out.wav"
+    src.write_bytes(b"input")
+    check_outputs([out, tmp_path / "other.wav"], [src, src])    # inputs may repeat
+    with pytest.raises(ValueError, match=r"out\.wav: an output must differ"):
+        check_outputs([out, tmp_path / "." / "out.wav"])
+    with pytest.raises(ValueError, match="an output must differ"):
+        check_outputs([tmp_path / "sub" / ".." / "in.wav"], [src])
+    with pytest.raises(OSError, match="directory is missing or not writable"):
+        check_outputs([tmp_path / "missing" / "out.wav"])
+    with pytest.raises(OSError, match="directory is missing or not writable"):
+        check_outputs([src / "out.wav"])         # a file is no directory
+    with pytest.raises(ValueError, match="not a regular file"):
+        check_outputs([tmp_path])
+    assert [p.name for p in tmp_path.iterdir()] == ["in.wav"]
+
+
+def test_symlinked_target_is_replaced_by_a_regular_file(tmp_path):
+    kept, link, loop = tmp_path / "kept.wav", tmp_path / "link.wav", tmp_path / "loop.wav"
+    kept.write_bytes(b"kept")
+    link.symlink_to(kept)
+    loop.symlink_to(loop)
+    with pytest.raises(ValueError, match="an output must differ"):
+        check_outputs([link], [kept])
+    check_outputs([link, loop])
+    for target in (link, loop):
+        write_wav(target, AudioBuffer(np.zeros(4), 8000))
+        assert target.is_file() and not target.is_symlink()
+    assert kept.read_bytes() == b"kept"
 
 
 def test_song_length_is_longest_stem_from_headers(tmp_path):

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -1090,3 +1091,97 @@ def test_ideal_mask_requires_song_for_multisong_manifest(tiny_corpus, tmp_path, 
     ])
     assert code == 1
     assert "pass --song" in err
+
+
+# ---------------------------------------------------------------------------
+# every output is checked before any work
+# ---------------------------------------------------------------------------
+
+def _probe_argv(t, c):
+    """{probe: argv} against the corpus copy `c` in `t`: each output either
+    repeats another output or an input, or lies in a missing directory."""
+    s2 = c / "synth_002"
+    train = ["--manifest", str(c / "train.json"), *SMALL, "--hidden", "4", "--epochs", "1"]
+    sweep = ["sweep-alpha", "--manifest", str(c / "test.json"), "--model", str(t / "d2.mfg"),
+             "--alphas", "0.5", "--nmf-iterations", "2"]
+    ideal = ["ideal-mask", "--manifest", str(c / "test.json")]
+    return {
+        "ideal-mask-same-outputs": [*ideal, "--out-vocal", str(t / "same.wav"),
+                                    "--out-accomp", str(t / "same.wav")],
+        "ideal-mask-over-a-stem": [*ideal, "--out-vocal", str(s2 / "vocal.wav"),
+                                   "--out-accomp", str(t / "a.wav")],
+        "sweep-three-same-csvs": [*sweep, "--csv", str(t / "x.csv"), "--fig3-csv",
+                                  str(t / "x.csv"), "--per-song-csv", str(t / "x.csv")],
+        "evaluate-csv-over-an-estimate": [
+            "evaluate", "--est-vocal", str(s2 / "vocal.wav"), "--est-accomp",
+            str(s2 / "accomp.wav"), "--ref-vocal", str(s2 / "vocal.wav"), "--ref-accomp",
+            str(s2 / "accomp.wav"), "--csv", str(s2 / "vocal.wav")],
+        "separate-over-its-model": [
+            "separate", "--model", str(t / "d2.mfg"), "--alpha", "0.5",
+            "--input", str(s2 / "vocal.wav"), "--out-vocal", str(t / "d2.mfg"),
+            "--out-accomp", str(t / "a.wav")],
+        "train-dnn-over-its-manifest": ["train-dnn", *train, "--out", str(c / "train.json")],
+        "train-dnn-missing-dir": ["train-dnn", *train, "--out", str(t / "missing" / "m.mfg")],
+        "train-nmf-missing-dir": ["train-nmf", *train[:-4], "--rank", "2", "--iterations", "2",
+                                  "--out", str(t / "missing" / "m.mfg")],
+        "sweep-csv-missing-dir": [*sweep, "--csv", str(t / "missing" / "x.csv")],
+        "sweep-fig3-missing-dir": [*sweep, "--csv", str(t / "x.csv"),
+                                   "--fig3-csv", str(t / "missing" / "f.csv")],
+        "sweep-per-song-missing-dir": [*sweep, "--csv", str(t / "x.csv"),
+                                       "--per-song-csv", str(t / "missing" / "p.csv")],
+    }
+
+
+def _tree(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("probe", list(_probe_argv(Path("t"), Path("c"))))
+def test_outputs_are_refused_before_any_work(tiny_corpus, tmp_path, capsys, monkeypatch,
+                                             probe):
+    corpus = tmp_path / "c"
+    shutil.copytree(tiny_corpus["dir"], corpus)
+    _save_dnn(tmp_path / "d2.mfg", FrontEnd(22050, frame_len=256, hop=64, width=5))
+    ran = []
+    for module, name in [(pipeline, "train_dnn"), (pipeline, "train_nmf"),
+                         (pipeline, "sweep_alpha"), (pipeline, "separate_file"),
+                         (pipeline, "ideal_mask_separate"), (cli, "read_wav")]:
+        def spy(*args, name=name):
+            ran.append(name)
+            raise AssertionError(f"{name} ran")
+        monkeypatch.setattr(module, name, spy)
+    before = _tree(tmp_path)
+    code, out, err = _run(capsys, _probe_argv(tmp_path, corpus)[probe])
+    assert (code, ran) == (1, [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _tree(tmp_path) == before
+
+
+def test_separate_over_its_input_fails_in_one_line(tmp_path, capsys):
+    mixture = tmp_path / "x.wav"
+    _save_dnn(tmp_path / "m.mfg")
+    _noise_wav(mixture, 8000)
+    before = _tree(tmp_path)
+    code, out, err = _run(capsys, [
+        "separate", "--model", str(tmp_path / "m.mfg"), "--alpha", "0.5",
+        "--input", str(mixture), "--out-vocal", str(tmp_path / "v.wav"),
+        "--out-accomp", str(mixture)])
+    assert code == 1
+    assert err == f"error: {mixture}: an output must differ from the inputs and other outputs\n"
+    assert _tree(tmp_path) == before
+
+
+def test_mix_refuses_an_output_over_a_stem(tmp_path, capsys):
+    _noise_wav(tmp_path / "s_vocals.wav", 8000)
+    _noise_wav(tmp_path / "acc.wav", 8000, seed=1)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"songs": [{"id": "s", "stems": [
+        {"path": "s_vocals.wav", "label": "vocal"}, {"path": "acc.wav", "label": "non_vocal"}]}]}))
+    before = _tree(tmp_path)
+    code, out, err = _run(capsys, ["mix", "--manifest", str(manifest),
+                                   "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert err == (f"error: {tmp_path / 's_vocals.wav'}: an output must differ from the "
+                   "inputs and other outputs\n")
+    assert _tree(tmp_path) == before

@@ -14,7 +14,6 @@ from maskforge.mlp import (
     TrainConfig,
     forward_batch,
     init_model,
-    load_model,
     loss_and_gradient,
     predict_masks,
     save_model,
@@ -25,6 +24,7 @@ from maskforge.mlp import (
 )
 from maskforge.model_file import FrontEnd
 from maskforge.patching import KIND_PREDICTION, PatchConfig, extract_patches
+from maskforge.pipeline import load_any_model
 
 
 def _zero_model(sizes):
@@ -505,7 +505,7 @@ def test_model_file_round_trip(tmp_path):
     model = init_model([5, 7, 5], seed=123, front_end=FrontEnd(8000, 8, 4, 1))
     path = tmp_path / "m.mlp"
     save_model(model, path)
-    back = load_model(path)
+    back = load_any_model(path)[1]
     assert back.layer_sizes == model.layer_sizes
     assert back.front_end == model.front_end
     for W1, W2 in zip(model.weights, back.weights):
@@ -521,10 +521,10 @@ def test_model_file_errors(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(b"ZZZZ" + raw[4:])
     with pytest.raises(ValueError, match="bad magic"):
-        load_model(path)
+        load_any_model(path)[1]
     path.write_bytes(raw[:10])
     with pytest.raises(ValueError, match="truncated header"):
-        load_model(path)
+        load_any_model(path)[1]
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="payload size mismatch"):
-        load_model(path)
+        load_any_model(path)[1]

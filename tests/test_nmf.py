@@ -13,13 +13,13 @@ from maskforge.nmf import (
     infer_activations,
     initial_activations,
     kl_divergence,
-    load_nmf,
     nmf_factorize,
     nmf_separate,
     nmf_train_class,
     save_nmf,
 )
 from maskforge.patching import PatchConfig, extract_patches, repack_mean
+from maskforge.pipeline import load_any_model
 
 
 def _front_end(n_bins, width):
@@ -473,7 +473,7 @@ def test_nmf_file_round_trip(tmp_path, rng):
                      _front_end(F, T))
     path = tmp_path / "d.nmf"
     save_nmf(model, path)
-    back = load_nmf(path)
+    back = load_any_model(path)[1]
     assert back.front_end == model.front_end
     assert (back.rank_vocal, back.rank_nonvocal) == (3, 7)
     assert np.array_equal(back.w_vocal, model.w_vocal)
@@ -488,10 +488,10 @@ def test_nmf_file_errors(tmp_path, rng):
     raw = path.read_bytes()
     path.write_bytes(b"ABCD" + raw[4:])
     with pytest.raises(ValueError, match="bad magic"):
-        load_nmf(path)
+        load_any_model(path)[1]
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="size mismatch"):
-        load_nmf(path)
+        load_any_model(path)[1]
 
 
 @pytest.mark.parametrize("flaw, message", [
@@ -515,4 +515,4 @@ def test_load_nmf_rejects_unusable_dictionary(tmp_path, rng, flaw, message):
     path = tmp_path / "d.nmf"
     write_model(path, NMF, _front_end(3, 2), [w_v.shape[1], w_nv.shape[1]], [w_v.T, w_nv.T])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        load_nmf(path)
+        load_any_model(path)[1]

@@ -1,5 +1,7 @@
 """End-to-end pipeline: training sets, separation, sweep, CSV emission."""
 
+import contextlib
+import errno
 import tracemalloc
 
 import numpy as np
@@ -646,7 +648,7 @@ def test_separate_file_needs_three_different_files(tmp_path):
     write_wav(path, _mixture_with_windows(10, cfg))
     before = path.read_bytes()
     for outputs in ((path, tmp_path / "a.wav"), (tmp_path / "v.wav", tmp_path / "v.wav")):
-        with pytest.raises(ValueError, match="three different files"):
+        with pytest.raises(ValueError, match="must differ from the inputs and other outputs"):
             separate_file(path, *outputs, model, 0.5, cfg)
     assert path.read_bytes() == before
     assert not (tmp_path / "a.wav").exists() and not (tmp_path / "v.wav").exists()
@@ -824,6 +826,34 @@ def test_run_sweep_to_csv_files_and_determinism(tiny_corpus, tmp_path):
     run_sweep_to_csv(songs, {}, cfg, paths["fig2"], paths["fig3"], paths["per"])
     for name, p in paths.items():
         assert p.read_bytes() == first[name]
+
+
+class _FullDisk:
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_sweep_writes_all_its_csvs_or_none(tiny_corpus, tmp_path, monkeypatch, existing):
+    paths = [tmp_path / f"{name}.csv" for name in ("fig2", "fig3", "per")]
+    if existing:
+        for p in paths:
+            p.write_text(f"old {p.name}\n")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    opened = []
+    real = pipeline.output_file
+
+    @contextlib.contextmanager
+    def per_song_write_fails(path):
+        opened.append(path)
+        with real(path) as fh:
+            yield _FullDisk() if path == paths[2] else fh
+
+    monkeypatch.setattr(pipeline, "output_file", per_song_write_fails)
+    with pytest.raises(OSError, match="No space left"):
+        run_sweep_to_csv(tiny_corpus["test_songs"], {}, _small_cfg(), *paths)
+    assert opened == paths
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_sweep_scores_exactly_what_separation_gives(tiny_corpus):

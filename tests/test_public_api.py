@@ -1,5 +1,6 @@
 """The package's exported names: all resolve, and removed ones stay removed."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -8,14 +9,14 @@ import sys
 from pathlib import Path
 
 import maskforge
-from maskforge import pipeline
+from maskforge import model_file, pipeline
 
 REMOVED = {
     "masking": ["SoftMask", "soft_mask", "threshold_soft_mask", "vocal_share"],
     "stft": ["PhaseSpectrogram", "combine", "split", "MagnitudeSpectrogram", "magnitude"],
     "patching": ["flatten", "unflatten", "KIND_TARGET", "normalize_unit_scale"],
-    "mlp": ["forward", "MAGIC"],
-    "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC"],
+    "mlp": ["forward", "MAGIC", "load_model"],
+    "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC", "load_nmf"],
     "pipeline": ["song_training_pairs", "build_class_matrices", "_MODEL_FILES",
                  "_invert_block", "_oracle_separation", "threshold_and_invert"],
     "audio_io": ["song_length"],
@@ -29,6 +30,38 @@ def test_model_kinds_share_one_file_format():
         assert not hasattr(model, "check_patch_shape")
     assert "seed" not in [f.name for f in dataclasses.fields(maskforge.MlpModel)]
     assert list(inspect.signature(pipeline.load_any_model).parameters) == ["path"]
+    assert list(inspect.signature(model_file.read_model).parameters) == ["path"]
+    assert maskforge.load_any_model is pipeline.load_any_model
+
+
+def _writes(node: ast.AST) -> bool:
+    """Whether a call opens a file for writing: open( with a writing mode, or
+    write_text / write_bytes."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("write_text", "write_bytes")
+    if not (isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+               for m in modes)
+
+
+def test_only_output_file_opens_a_file_for_writing():
+    found = set()
+    for path in sorted(Path(maskforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}    # node -> the innermost function it sits in (walks go outside in)
+        for f in ast.walk(tree):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), f.name) for n in ast.walk(f))
+        found |= {(path.name, owner.get(id(n))) for n in ast.walk(tree) if _writes(n)}
+    assert found == {("audio_io.py", "output_file")}
+    # WavWriter writes through it and keeps no clean-up of its own
+    assert not hasattr(maskforge.audio_io.WavWriter, "close")
+    assert "unlink" not in inspect.getsource(maskforge.audio_io.WavWriter)
+    assert "isfinite" not in inspect.getsource(maskforge.write_wav)
 
 
 def test_exported_names_resolve():
