@@ -22,7 +22,6 @@ from .audio_io import (
 from .bss_eval import SeparationMetrics, evaluate_pair
 from .masking import (
     BinaryMask,
-    apply_mask,
     ideal_binary_mask,
     nonvocal_mask_from_confidence,
     vocal_mask_from_confidence,
@@ -51,7 +50,7 @@ __all__ = [
     "read_wav", "write_wav", "peak_normalize", "pool_and_mix", "load_manifest",
     "StftConfig", "stft", "istft",
     "PatchConfig", "PatchSet", "extract_patches", "repack_mean",
-    "BinaryMask", "ideal_binary_mask", "apply_mask",
+    "BinaryMask", "ideal_binary_mask",
     "vocal_mask_from_confidence", "nonvocal_mask_from_confidence",
     "FrontEnd", "MlpModel", "TrainConfig", "init_model", "train_sgd",
     "save_model", "NmfModel", "nmf_factorize", "nmf_separate", "save_nmf",

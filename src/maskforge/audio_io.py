@@ -19,6 +19,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +81,9 @@ _FMT_EXTENSIBLE = 0xFFFE
 _SAMPLE_BYTES = {(_FMT_PCM, 16): 2, (_FMT_PCM, 24): 3, (_FMT_FLOAT, 32): 4}
 
 
-# Samples that read_wav decodes at a time.
+# Samples that read_wav decodes at a time, and the numbers of output_file's temporaries.
 _READ_CHUNK = 1 << 16
+_PARTS = count()
 
 
 class WavReader:
@@ -194,9 +196,9 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
 @contextmanager
 def output_file(path: str | Path):
-    """A binary file beside `path`, named for this process, that is renamed
-    over `path` on a clean exit and removed on an exception."""
-    part = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.part")
+    """A binary file beside `path`, named by process and count so that any target
+    name fits, that is renamed over `path` on a clean exit and removed on an exception."""
+    part = Path(path).with_name(f".maskforge-{os.getpid()}-{next(_PARTS)}.part")
     try:
         with open(part, "wb") as fh:
             yield fh
@@ -327,10 +329,10 @@ class ManifestSong:
 
 
 def load_manifest(path: str | Path) -> list[ManifestSong]:
-    """Parse a corpus manifest; stem paths resolve relative to the manifest."""
+    """Parse a corpus manifest, UTF-8 JSON in any locale; stem paths resolve relative to it."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_bytes())
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or deep nesting
         raise ValueError(f"{path}: not a JSON manifest ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("songs"), list):

@@ -5,17 +5,17 @@ magnitude exceeds the accompaniment's). At separation time, mean network
 predictions are thresholded into two independent masks: the vocal mask keeps
 elements with mean confidence above alpha, the non-vocal mask keeps elements
 below 1 - alpha. For alpha > 0.5 some elements belong to neither mask; for
-alpha < 0.5 the masks overlap.
+alpha < 0.5 the masks overlap. A mask is applied by multiplying the mixture's
+complex STFT bins by its values, which `pipeline` does wherever it separates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .patching import MeanPrediction
-from .stft import ComplexSpectrogram
 
 
 @dataclass
@@ -54,12 +54,3 @@ def nonvocal_mask_from_confidence(mean_pred: MeanPrediction, alpha: float) -> Bi
     """Keep elements whose mean prediction is strictly below 1 - alpha."""
     alpha = _check_alpha(alpha)
     return BinaryMask((mean_pred.values < 1.0 - alpha).astype(np.float64))
-
-
-def apply_mask(mix: ComplexSpectrogram, mask: BinaryMask) -> ComplexSpectrogram:
-    """Elementwise product; the mixture's bins survive wherever the mask is 1."""
-    if mix.bins.shape != mask.values.shape:
-        raise ValueError(
-            f"mask shape {mask.values.shape} != spectrogram shape {mix.bins.shape}"
-        )
-    return replace(mix, bins=mix.bins * mask.values)

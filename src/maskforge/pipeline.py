@@ -19,15 +19,16 @@ same runs in memory.
 The alpha sweep evaluates every requested separation method on every test
 song across a confidence grid. Thresholding is cheap next to model inference,
 so each song's mean-confidence grid is computed once per method and re-cut
-for every alpha (`_confidence_masks`, then `_masked_inversions`). Rows are
-aggregated across songs with Student-t confidence intervals and written in a
-canonical sort order, making repeat runs with the same seeds byte-identical.
+for every alpha (`_confidence_masks`, then `_masked_inversions`, which multiplies
+the bins by each mask as streamed separation does). `figure_rows` aggregates each
+cell across songs once, with the SDR's Student-t interval, into both figure tables;
+all tables are in a canonical sort order, so same-seed reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -52,7 +53,6 @@ from .audio_io import (
 from .bss_eval import PairMetrics, SeparationMetrics, evaluate_pair
 from .masking import (
     BinaryMask,
-    apply_mask,
     ideal_binary_mask,
     nonvocal_mask_from_confidence,
     vocal_mask_from_confidence,
@@ -308,7 +308,7 @@ def _confidence_masks(mean: MeanPrediction, alpha: float) -> tuple[BinaryMask, B
 
 def _masked_inversions(spec: ComplexSpectrogram, masks) -> tuple[AudioBuffer, AudioBuffer]:
     """The mixture's STFT under each mask of a (vocal, accompaniment) pair, inverted."""
-    return tuple(istft(apply_mask(spec, m)) for m in masks)
+    return tuple(istft(replace(spec, bins=spec.bins * m.values)) for m in masks)
 
 
 def _separation(read, n_samples: int, sample_rate: int, what, model: Model, alpha: float,
@@ -469,34 +469,21 @@ def per_song_row(song_id: str, method: str, alpha: float, source: str,
                      _fmt(m.sdr_db), _fmt(m.sir_db), _fmt(m.sar_db)])
 
 
-def _cells(sweep: SweepResult):
-    """(alpha, method, source, per-song sdr, sir and sar columns) for each
-    aggregate row, in CSV order."""
+def figure_rows(sweep: SweepResult) -> tuple[list[str], list[str]]:
+    """The FIG2_HEADER rows (ci95 is the SDR CI) and the FIG3_HEADER rows of
+    the SAR-vs-SIR trajectory, in one pass over the cells in CSV order."""
+    fig2, fig3 = [FIG2_HEADER], [FIG3_HEADER]
     for alpha in sweep.alphas:
         for method in sorted(sweep.methods):
             for source in _SOURCE_ORDER:
-                yield alpha, method, source, zip(*(
-                    by_source(song.at(method, alpha))[source].as_tuple()
-                    for song in sweep.songs))
-
-
-def fig2_rows(sweep: SweepResult) -> list[str]:
-    """alpha,method,source,sdr_db,sir_db,sar_db,ci95 (ci95 is the SDR CI)."""
-    lines = [FIG2_HEADER]
-    for alpha, method, source, (sdr, sir, sar) in _cells(sweep):
-        sdr_mean, ci = _mean_and_ci(sdr)
-        lines.append(",".join(["%g" % alpha, method, source, _fmt(sdr_mean),
-                               _fmt(np.mean(sir)), _fmt(np.mean(sar)), ci]))
-    return lines
-
-
-def fig3_rows(sweep: SweepResult) -> list[str]:
-    """alpha,method,scope,sir_db,sar_db for the SAR-vs-SIR trajectory."""
-    lines = [FIG3_HEADER]
-    for alpha, method, scope, (_, sir, sar) in _cells(sweep):
-        lines.append(",".join(["%g" % alpha, method, scope,
-                               _fmt(np.mean(sir)), _fmt(np.mean(sar))]))
-    return lines
+                sdr, sir, sar = zip(*(by_source(song.at(method, alpha))[source].as_tuple()
+                                      for song in sweep.songs))
+                sdr_mean, ci = _mean_and_ci(sdr)
+                cell = ["%g" % alpha, method, source]
+                sir_sar = [_fmt(np.mean(sir)), _fmt(np.mean(sar))]
+                fig2.append(",".join([*cell, _fmt(sdr_mean), *sir_sar, ci]))
+                fig3.append(",".join([*cell, *sir_sar]))
+    return fig2, fig3
 
 
 def per_song_rows(sweep: SweepResult) -> list[str]:
@@ -511,8 +498,9 @@ def per_song_rows(sweep: SweepResult) -> list[str]:
 
 
 def write_csv(*tables: tuple[str | Path, list[str]]) -> None:
-    """CSV files from (path, lines) pairs, all opened before any is written,
-    so that all of them land or none does."""
+    """CSV files from (path, lines) pairs at different paths, all opened before
+    any is written, so that all of them land or none does."""
+    check_outputs([path for path, _ in tables])
     with ExitStack() as stack:
         files = [(stack.enter_context(output_file(path)), lines) for path, lines in tables]
         for fh, lines in files:
@@ -525,6 +513,6 @@ def run_sweep_to_csv(songs: list[ManifestSong],
                      fig3_path: str | Path | None = None,
                      per_song_path: str | Path | None = None) -> SweepResult:
     sweep = sweep_alpha(songs, models, cfg)
-    tables = ((fig2_path, fig2_rows), (fig3_path, fig3_rows), (per_song_path, per_song_rows))
-    write_csv(*((path, rows(sweep)) for path, rows in tables if path is not None))
+    tables = zip((fig2_path, fig3_path, per_song_path), (*figure_rows(sweep), per_song_rows(sweep)))
+    write_csv(*((path, lines) for path, lines in tables if path is not None))
     return sweep

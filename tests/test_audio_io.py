@@ -307,6 +307,17 @@ def test_failed_write_leaves_the_old_target(tmp_path, monkeypatch, name):
         WRITERS[name](tmp_path / "missing" / "out.bin")
 
 
+# 250 bytes of ASCII, and 63 four-byte UTF-8 characters (252 bytes)
+LONG_NAMES = ["n" * 246 + ".wav", "\U0001f3b5" * 63]
+
+
+@pytest.mark.parametrize("name", ["write_wav", "save_model"])
+@pytest.mark.parametrize("target", LONG_NAMES, ids=["250_ascii_bytes", "63_utf8_chars"])
+def test_any_name_the_filesystem_takes_can_be_an_output(tmp_path, name, target):
+    WRITERS[name](tmp_path / target)
+    assert [p.name for p in tmp_path.iterdir()] == [target]
+
+
 def test_failed_wav_write_leaves_the_old_target(tmp_path):
     target = tmp_path / "out.wav"
     target.write_bytes(b"the old contents")

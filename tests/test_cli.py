@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -110,15 +111,15 @@ def test_parse_alphas_range_equals_the_loop(start, stop, step):
     assert _outcome(cli.parse_alphas, text) == _outcome(_loop_parse_alphas, text)
 
 
-def _in_small_child(code: str) -> subprocess.CompletedProcess:
+def _in_small_child(code: str, env: dict | None = None) -> subprocess.CompletedProcess:
     """Run `code` after `from maskforge import cli` in a child with 1 GB of
     address space and 10 s, so that a call that never returns fails the test
-    instead of hanging it or filling the memory."""
+    instead of hanging it or filling the memory; `env` replaces its environment."""
     src = str(Path(cli.__file__).parents[1])
     prelude = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
                f"sys.path.insert(0, {src!r}); from maskforge import cli\n")
     return subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
-                          text=True, timeout=10)
+                          text=True, timeout=10, env=env)
 
 
 @pytest.mark.parametrize("text", ["0.1:inf:0.1", "nan:0.9:0.1", "0.1:nan:0.1", "0.1:0.9:nan",
@@ -1045,6 +1046,30 @@ def test_mutated_manifest_fails_cleanly(tmp_path_factory, raw):
     # --song keeps the output names fixed whatever the mutated ids say
     _cli_fails_cleanly(["mix", "--manifest", str(path), "--song", "s",
                         "--out-dir", str(root / "out")], may_succeed=parsed)
+
+
+def test_manifest_reads_as_utf8_in_an_ascii_locale(tmp_path):
+    # JSON text is UTF-8, so a manifest does not decode by the locale's encoding
+    path = tmp_path / "m.json"
+    path.write_bytes(json.dumps({"songs": [{"id": "s\u00e5ng_000", "stems": [
+        {"path": "s\u00e5ng_000/vocal.wav", "label": "vocal"}]}]}, ensure_ascii=False).encode())
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "POSIX"}
+    child = _in_small_child(f"(song,) = cli.load_manifest({str(path)!r})\n"
+                            "print(ascii(song.song_id), ascii(song.stems[0][0].parent.name))",
+                            env)
+    assert (child.returncode, child.stdout) == (0, "'s\\xe5ng_000' 's\\xe5ng_000'\n"), child.stderr
+
+
+# 250 bytes of ASCII, and 63 four-byte UTF-8 characters (252 bytes)
+@pytest.mark.parametrize("name", ["n" * 246 + ".wav", "\U0001f3b5" * 63],
+                         ids=["250_ascii_bytes", "63_utf8_chars"])
+def test_ideal_mask_writes_to_any_name_the_filesystem_takes(tiny_corpus, tmp_path, capsys,
+                                                            name):
+    code, _, err = _run(capsys, ["ideal-mask", "--manifest", str(tiny_corpus["test_manifest"]),
+                                 "--out-vocal", str(tmp_path / name),
+                                 "--out-accomp", str(tmp_path / "a.wav")])
+    assert code == 0, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "a.wav"])
 
 
 def test_duplicate_model_kind_exits_one(tmp_path, capsys):

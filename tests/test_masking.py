@@ -1,19 +1,21 @@
 """Ideal binary masks, confidence thresholding, the vocal share, mask application."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from maskforge.audio_io import AudioBuffer
 from maskforge.masking import (
     BinaryMask,
-    apply_mask,
     ideal_binary_mask,
     nonvocal_mask_from_confidence,
     vocal_mask_from_confidence,
 )
 from maskforge.nmf import vocal_share
 from maskforge.patching import MeanPrediction
-from maskforge.stft import StftConfig, stft
+from maskforge.pipeline import _masked_inversions
+from maskforge.stft import StftConfig, istft, stft
 
 
 def _mag(values):
@@ -137,23 +139,16 @@ def test_soft_mask_complementary(rng):
 # mask application and validation
 # ---------------------------------------------------------------------------
 
-def test_apply_mask_zeroes_and_keeps(rng):
+def test_masked_inversions_invert_hand_masked_bins(rng):
     cfg = StftConfig(frame_len=16, hop=4)
     spec = stft(AudioBuffer(rng.standard_normal(64), 8000), cfg)
-    mask_vals = (rng.uniform(0, 1, size=spec.bins.shape) > 0.5).astype(np.float64)
-    out = apply_mask(spec, BinaryMask(mask_vals))
-    kept = mask_vals == 1.0
-    assert np.array_equal(out.bins[kept], spec.bins[kept])
-    assert not np.any(out.bins[~kept])
-    assert out.original_len == spec.original_len
-    assert out.sample_rate == spec.sample_rate
-
-
-def test_apply_mask_shape_mismatch(rng):
-    cfg = StftConfig(frame_len=16, hop=4)
-    spec = stft(AudioBuffer(rng.standard_normal(64), 8000), cfg)
-    with pytest.raises(ValueError, match="shape"):
-        apply_mask(spec, BinaryMask(np.zeros((2, 2))))
+    masks = [BinaryMask((rng.uniform(0, 1, size=spec.bins.shape) > 0.5).astype(np.float64))
+             for _ in range(2)]
+    for out, mask in zip(_masked_inversions(spec, masks), masks):
+        bins = spec.bins.copy()
+        bins[mask.values == 0.0] = 0.0
+        assert np.array_equal(out.samples, istft(replace(spec, bins=bins)).samples)
+        assert (len(out), out.sample_rate) == (spec.original_len, spec.sample_rate)
 
 
 def test_binary_mask_validation():

@@ -45,8 +45,7 @@ from maskforge.pipeline import (
     build_class_matrix,
     build_training_set,
     confidence_grid,
-    fig2_rows,
-    fig3_rows,
+    figure_rows,
     ideal_mask_separate,
     per_song_rows,
     run_sweep_to_csv,
@@ -760,7 +759,7 @@ def test_mixture_baseline_scores_identical_estimates(tiny_corpus):
 def test_fig2_rows_layout(tiny_corpus):
     cfg = _small_cfg()
     sweep = sweep_alpha(tiny_corpus["test_songs"], {}, cfg)
-    lines = fig2_rows(sweep)
+    lines, _ = figure_rows(sweep)
     assert lines[0] == FIG2_HEADER
     # 2 alphas x 2 methods x 3 sources data rows
     assert len(lines) == 1 + 2 * 2 * 3
@@ -777,7 +776,7 @@ def test_fig2_rows_layout(tiny_corpus):
 def test_fig3_and_per_song_layout(tiny_corpus):
     cfg = _small_cfg()
     sweep = sweep_alpha(tiny_corpus["test_songs"], {}, cfg)
-    f3 = fig3_rows(sweep)
+    _, f3 = figure_rows(sweep)
     assert f3[0] == FIG3_HEADER
     assert len(f3) == 1 + 2 * 2 * 3
     assert all(len(l.split(",")) == 5 for l in f3[1:])
@@ -791,8 +790,8 @@ def test_duplicated_song_gives_zero_width_ci(tiny_corpus):
     cfg = _small_cfg()
     songs = tiny_corpus["test_songs"] * 2
     sweep = sweep_alpha(songs, {}, cfg)
-    lines = fig2_rows(sweep)
-    single = fig2_rows(sweep_alpha(tiny_corpus["test_songs"], {}, cfg))
+    lines, _ = figure_rows(sweep)
+    single, _ = figure_rows(sweep_alpha(tiny_corpus["test_songs"], {}, cfg))
     for dup_line, single_line in zip(lines[1:], single[1:]):
         dup_fields = dup_line.split(",")
         single_fields = single_line.split(",")
@@ -883,7 +882,33 @@ def test_sweep_with_models_covers_all_alphas(tiny_corpus):
     song = sweep.songs[0]
     assert set(song.metrics[METHOD_DNN].keys()) == set(cfg.alphas)
     assert set(song.metrics[METHOD_NMF].keys()) == set(cfg.alphas)
-    lines = fig2_rows(sweep)
+    lines, _ = figure_rows(sweep)
     assert len(lines) == 1 + 2 * 4 * 3
     ps = per_song_rows(sweep)
     assert len(ps) == 1 + 1 * 4 * 2 * 3
+
+
+def test_fig3_rows_repeat_the_fig2_cells(tiny_corpus):
+    # both tables come from one pass: each fig3 row is the alpha, method,
+    # source, SIR and SAR of the fig2 row at its index
+    cfg = _small_cfg()
+    models = {METHOD_DNN: train_dnn(tiny_corpus["train_songs"], cfg)[0],
+              METHOD_NMF: train_nmf(tiny_corpus["train_songs"], cfg)}
+    songs = tiny_corpus["test_songs"] + tiny_corpus["train_songs"][:1]
+    fig2, fig3 = figure_rows(sweep_alpha(songs, models, cfg))
+    assert (fig2[0], fig3[0]) == (FIG2_HEADER, FIG3_HEADER)
+    assert len(fig2) == len(fig3) == 1 + 2 * 4 * 3
+    for row2, row3 in zip(fig2[1:], fig3[1:]):
+        fields = row2.split(",")
+        assert row3.split(",") == fields[:3] + fields[4:6]
+
+
+def test_csv_tables_refuse_one_path_twice(tiny_corpus, tmp_path):
+    target = tmp_path / "t.csv"
+    target.write_bytes(b"old\n")
+    with pytest.raises(ValueError, match="an output must differ"):
+        pipeline.write_csv((target, ["a", "b"]), (target, ["c"]))
+    with pytest.raises(ValueError, match="an output must differ"):
+        run_sweep_to_csv(tiny_corpus["test_songs"], {}, _small_cfg(), target, fig3_path=target)
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

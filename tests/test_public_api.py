@@ -12,13 +12,14 @@ import maskforge
 from maskforge import model_file, pipeline
 
 REMOVED = {
-    "masking": ["SoftMask", "soft_mask", "threshold_soft_mask", "vocal_share"],
+    "masking": ["SoftMask", "soft_mask", "threshold_soft_mask", "vocal_share", "apply_mask"],
     "stft": ["PhaseSpectrogram", "combine", "split", "MagnitudeSpectrogram", "magnitude"],
     "patching": ["flatten", "unflatten", "KIND_TARGET", "normalize_unit_scale"],
     "mlp": ["forward", "MAGIC", "load_model"],
     "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC", "load_nmf"],
     "pipeline": ["song_training_pairs", "build_class_matrices", "_MODEL_FILES",
-                 "_invert_block", "_oracle_separation", "threshold_and_invert"],
+                 "_invert_block", "_oracle_separation", "threshold_and_invert",
+                 "fig2_rows", "fig3_rows", "_cells"],
     "audio_io": ["song_length"],
 }
 
