@@ -329,7 +329,8 @@ class ManifestSong:
 
 
 def load_manifest(path: str | Path) -> list[ManifestSong]:
-    """Parse a corpus manifest, UTF-8 JSON in any locale; stem paths resolve relative to it."""
+    """Parse a corpus manifest, UTF-8 JSON in any locale; stem paths resolve relative
+    to it and must be representable in the filesystem encoding."""
     path = Path(path)
     try:
         doc = json.loads(path.read_bytes())
@@ -355,8 +356,13 @@ def load_manifest(path: str | Path) -> list[ManifestSong]:
             label = s["label"]
             if label not in LABELS:
                 raise ValueError(f"{path}: bad stem label {label!r}")
-            p = Path(s["path"])
-            stems.append((p if p.is_absolute() else base / p, label))
+            p = base / s["path"]   # an absolute stem path replaces the base
+            try:
+                os.fsencode(p)   # a name the filesystem encoding lacks could not be opened
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"{path}: stem path {s['path']!r} is not representable in "
+                                 f"the filesystem encoding, {exc.encoding}") from None
+            stems.append((p, label))
         songs[entry["id"]] = ManifestSong(entry["id"], stems)
     return list(songs.values())
 

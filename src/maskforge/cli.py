@@ -187,10 +187,9 @@ def cmd_sweep_alpha(args) -> int:
             raise ValueError(f"two {method} models given; pass one per kind")
         models[method] = model
     cfg = ExperimentConfig(alphas=alphas, nmf_infer_iters=args.nmf_iterations, seed=args.seed)
-    pipeline.run_sweep_to_csv(songs, models, cfg, args.csv,
-                              fig3_path=args.fig3_csv,
-                              per_song_path=args.per_song_csv)
-    n_rows = len(alphas) * (len(models) + 2) * 3
+    sweep = pipeline.run_sweep_to_csv(songs, models, cfg, args.csv, fig3_path=args.fig3_csv,
+                                      per_song_path=args.per_song_csv)
+    n_rows = len(sweep.alphas) * len(sweep.methods) * len(pipeline.SOURCES)
     print(f"wrote {args.csv} ({n_rows} data rows)")
     return 0
 

@@ -116,7 +116,9 @@ def _fit(V, W, H, iterations, update_w, score):
     trace = np.empty(iterations) if score else None
     c_V = _kl_constant(V) if score else 0.0
     for k in range(iterations):
-        H *= (W.T @ np.divide(V, buf, out=buf)) / np.maximum(W.sum(axis=0)[:, None], KL_EPS)
+        if update_w or k == 0:   # W's column sums, formed once while W stays fixed
+            w_sums = np.maximum(W.sum(axis=0)[:, None], KL_EPS)
+        H *= (W.T @ np.divide(V, buf, out=buf)) / w_sums
         if update_w:
             np.maximum(np.matmul(W, H, out=buf), KL_EPS, out=buf)
             W *= (np.divide(V, buf, out=buf) @ H.T) / np.maximum(H.sum(axis=1)[None, :], KL_EPS)

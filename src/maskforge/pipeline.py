@@ -16,13 +16,14 @@ the sums the next block still adds to, so separation's memory does not grow
 with the mixture's length; `separate_song` and `confidence_grid` gather the
 same runs in memory.
 
-The alpha sweep evaluates every requested separation method on every test
-song across a confidence grid. Thresholding is cheap next to model inference,
-so each song's mean-confidence grid is computed once per method and re-cut
-for every alpha (`_confidence_masks`, then `_masked_inversions`, which multiplies
-the bins by each mask as streamed separation does). `figure_rows` aggregates each
-cell across songs once, with the SDR's Student-t interval, into both figure tables;
-all tables are in a canonical sort order, so same-seed reruns are byte-identical.
+The alpha sweep scores every requested separation method on every test song
+at every alpha of a confidence grid, into one table (`SweepResult`).
+Thresholding is cheap next to model inference, so each song's mean-confidence
+grid is computed once per method and re-cut for every alpha (`_confidence_masks`,
+then `_masked_inversions`, which multiplies the bins by each mask as streamed
+separation does). `figure_rows` aggregates each cell across songs once, with the
+SDR's Student-t interval, into both figure tables; all tables are in a canonical
+sort order, so same-seed reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ METHOD_MIXTURE = "mixture"
 # Each model kind owns its block predictor and records its front end.
 Model = MlpModel | NmfModel
 
-_SOURCE_ORDER = (VOCAL, NON_VOCAL, "mean")
+SOURCES = (VOCAL, NON_VOCAL, "mean")
 
 FIG2_HEADER = "alpha,method,source,sdr_db,sir_db,sar_db,ci95"
 FIG3_HEADER = "alpha,method,scope,sir_db,sar_db"
@@ -381,45 +382,36 @@ def ideal_mask_separate(stems: StemSet,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SongResult:
-    song_id: str
-    # per method: alpha -> PairMetrics; alpha-independent methods use key None
-    metrics: dict[str, dict[float | None, PairMetrics]]
-
-    def at(self, method: str, alpha: float) -> PairMetrics:
-        per_alpha = self.metrics[method]
-        return per_alpha.get(alpha, per_alpha.get(None))
-
-
-@dataclass
 class SweepResult:
-    songs: list[SongResult]
+    """The sweep's score table: each song's id and its method -> alpha ->
+    PairMetrics, in manifest order; `alphas` and `methods` order its axes."""
+    songs: list[tuple[str, dict[str, dict[float, PairMetrics]]]]
     alphas: tuple[float, ...]
     methods: tuple[str, ...]
 
 
-def _evaluate_song(song: ManifestSong, models: dict[str, Model],
-                   cfg: ExperimentConfig, song_index: int) -> SongResult:
-    mixes = pool_and_mix(load_song(song))
-    vocal_mix, nonvocal_mix, full_mix = mixes
-    ref_v, ref_nv = vocal_mix.samples, nonvocal_mix.samples
+def _evaluate_song(song: ManifestSong, models: dict[str, Model], cfg: ExperimentConfig,
+                   song_index: int) -> dict[str, dict[float, PairMetrics]]:
+    """One song's scores; the ideal and mixture rows do not depend on alpha,
+    so each is scored once and that one object is stored at every alpha."""
+    vocal_mix, nonvocal_mix, full_mix = mixes = pool_and_mix(load_song(song))
     # the first model's grid: sweep_alpha has checked that the models share one
     stft_cfg = next((_front_end(m, full_mix.sample_rate, f"test song {song.song_id!r}").stft
                      for m in models.values()), cfg.stft)
     ibm, spec = _oracle_mask_and_mixture(mixes, stft_cfg)
 
-    def score(est_v: AudioBuffer, est_nv: AudioBuffer) -> PairMetrics:
-        return evaluate_pair(est_v.samples, est_nv.samples, ref_v, ref_nv)
+    def score(v: AudioBuffer, nv: AudioBuffer) -> PairMetrics:
+        return evaluate_pair(v.samples, nv.samples, vocal_mix.samples, nonvocal_mix.samples)
 
-    out: dict[str, dict[float | None, PairMetrics]] = {}
+    out = {}
     for method, model in models.items():
         mean, _ = confidence_grid(spec, model, cfg, infer_seed=cfg.seed + 7000 + song_index)
         out[method] = {alpha: score(*_masked_inversions(spec, _confidence_masks(mean, alpha)))
                        for alpha in cfg.alphas}
     ideal = _masked_inversions(spec, (ibm, BinaryMask(1.0 - ibm.values)))
-    out[METHOD_IDEAL] = {None: score(*ideal)}
-    out[METHOD_MIXTURE] = {None: score(full_mix, full_mix)}
-    return SongResult(song.song_id, out)
+    out[METHOD_IDEAL] = dict.fromkeys(cfg.alphas, score(*ideal))
+    out[METHOD_MIXTURE] = dict.fromkeys(cfg.alphas, score(full_mix, full_mix))
+    return out
 
 
 def sweep_alpha(songs: list[ManifestSong], models: dict[str, Model],
@@ -436,9 +428,9 @@ def sweep_alpha(songs: list[ManifestSong], models: dict[str, Model],
     if len({m.front_end for m in models.values()}) > 1:
         raise FrontEndMismatch("the models' front ends differ: " + ", ".join(
             f"{method} {m.front_end}" for method, m in models.items()))
-    results = [_evaluate_song(song, models, cfg, i) for i, song in enumerate(songs)]
-    methods = (*models.keys(), METHOD_IDEAL, METHOD_MIXTURE)
-    return SweepResult(songs=results, alphas=cfg.alphas, methods=methods)
+    scores = [(song.song_id, _evaluate_song(song, models, cfg, i))
+              for i, song in enumerate(songs)]
+    return SweepResult(scores, cfg.alphas, (*models, METHOD_IDEAL, METHOD_MIXTURE))
 
 
 def _fmt(x: float) -> str:
@@ -459,7 +451,7 @@ def _mean_and_ci(values: list[float]) -> tuple[float, str]:
 
 def by_source(pm: PairMetrics) -> dict[str, SeparationMetrics]:
     """The pair's metrics keyed by CSV source name, in CSV order."""
-    return dict(zip(_SOURCE_ORDER, (pm.vocal, pm.nonvocal, pm.mean)))
+    return dict(zip(SOURCES, (pm.vocal, pm.nonvocal, pm.mean)))
 
 
 def per_song_row(song_id: str, method: str, alpha: float, source: str,
@@ -475,9 +467,9 @@ def figure_rows(sweep: SweepResult) -> tuple[list[str], list[str]]:
     fig2, fig3 = [FIG2_HEADER], [FIG3_HEADER]
     for alpha in sweep.alphas:
         for method in sorted(sweep.methods):
-            for source in _SOURCE_ORDER:
-                sdr, sir, sar = zip(*(by_source(song.at(method, alpha))[source].as_tuple()
-                                      for song in sweep.songs))
+            for source in SOURCES:
+                sdr, sir, sar = zip(*(by_source(scores[method][alpha])[source].as_tuple()
+                                      for _, scores in sweep.songs))
                 sdr_mean, ci = _mean_and_ci(sdr)
                 cell = ["%g" % alpha, method, source]
                 sir_sar = [_fmt(np.mean(sir)), _fmt(np.mean(sar))]
@@ -488,13 +480,11 @@ def figure_rows(sweep: SweepResult) -> tuple[list[str], list[str]]:
 
 def per_song_rows(sweep: SweepResult) -> list[str]:
     """song_id,method,alpha,source,sdr_db,sir_db,sar_db with one row per cell."""
-    lines = [PER_SONG_HEADER]
-    for song in sorted(sweep.songs, key=lambda s: s.song_id):
-        for method in sorted(sweep.methods):
-            for alpha in sweep.alphas:
-                for source, m in by_source(song.at(method, alpha)).items():
-                    lines.append(per_song_row(song.song_id, method, alpha, source, m))
-    return lines
+    return [PER_SONG_HEADER] + [
+        per_song_row(song_id, method, alpha, source, m)
+        for song_id, scores in sorted(sweep.songs, key=lambda s: s[0])
+        for method in sorted(sweep.methods) for alpha in sweep.alphas
+        for source, m in by_source(scores[method][alpha]).items()]
 
 
 def write_csv(*tables: tuple[str | Path, list[str]]) -> None:
@@ -512,7 +502,9 @@ def run_sweep_to_csv(songs: list[ManifestSong],
                      cfg: ExperimentConfig, fig2_path: str | Path,
                      fig3_path: str | Path | None = None,
                      per_song_path: str | Path | None = None) -> SweepResult:
+    paths = (fig2_path, fig3_path, per_song_path)
+    check_outputs([path for path in paths if path is not None])
     sweep = sweep_alpha(songs, models, cfg)
-    tables = zip((fig2_path, fig3_path, per_song_path), (*figure_rows(sweep), per_song_rows(sweep)))
+    tables = zip(paths, (*figure_rows(sweep), per_song_rows(sweep)))
     write_csv(*((path, lines) for path, lines in tables if path is not None))
     return sweep

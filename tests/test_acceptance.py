@@ -314,13 +314,9 @@ def _get_run(name: str, tmp_path_factory) -> dict:
     return _RUNS[name]
 
 
-def _mean_vocal(sweep, method: str, alpha, field: str) -> float:
-    vals = []
-    for song in sweep.songs:
-        per_alpha = song.metrics[method]
-        pm = per_alpha.get(alpha, per_alpha.get(None))
-        vals.append(getattr(pm.vocal, field))
-    return float(np.mean(vals))
+def _mean_vocal(sweep, method: str, alpha: float, field: str) -> float:
+    return float(np.mean([getattr(scores[method][alpha].vocal, field)
+                          for _, scores in sweep.songs]))
 
 
 def test_criterion_8_end_to_end(tmp_path_factory):
@@ -331,7 +327,7 @@ def test_criterion_8_end_to_end(tmp_path_factory):
 
         sweep = run["sweep"]
         dnn_sir = _mean_vocal(sweep, METHOD_DNN, 0.5, "sir_db")
-        baseline_sir = _mean_vocal(sweep, METHOD_MIXTURE, None, "sir_db")
+        baseline_sir = _mean_vocal(sweep, METHOD_MIXTURE, 0.5, "sir_db")
         assert dnn_sir >= baseline_sir + 6.0, (dnn_sir, baseline_sir)
 
         alphas = list(sweep.alphas)

@@ -1048,16 +1048,38 @@ def test_mutated_manifest_fails_cleanly(tmp_path_factory, raw):
                         "--out-dir", str(root / "out")], may_succeed=parsed)
 
 
+_ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "POSIX"}
+
+
 def test_manifest_reads_as_utf8_in_an_ascii_locale(tmp_path):
     # JSON text is UTF-8, so a manifest does not decode by the locale's encoding
     path = tmp_path / "m.json"
     path.write_bytes(json.dumps({"songs": [{"id": "s\u00e5ng_000", "stems": [
-        {"path": "s\u00e5ng_000/vocal.wav", "label": "vocal"}]}]}, ensure_ascii=False).encode())
-    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "POSIX"}
+        {"path": "vocal.wav", "label": "vocal"}]}]}, ensure_ascii=False).encode())
     child = _in_small_child(f"(song,) = cli.load_manifest({str(path)!r})\n"
-                            "print(ascii(song.song_id), ascii(song.stems[0][0].parent.name))",
-                            env)
-    assert (child.returncode, child.stdout) == (0, "'s\\xe5ng_000' 's\\xe5ng_000'\n"), child.stderr
+                            "print(ascii(song.song_id), ascii(song.stems[0][0].name))",
+                            {**os.environ, **_ASCII_LOCALE})
+    assert (child.returncode, child.stdout) == (0, "'s\\xe5ng_000' 'vocal.wav'\n"), child.stderr
+
+
+def test_stem_path_outside_the_filesystem_encoding_is_refused_by_name(tmp_path):
+    # an ASCII locale cannot open a non-ASCII name, so the manifest is refused
+    # with one line that names it and the stem, not a bare codec error
+    stem = "s\u00e5ng_000/vocal.wav"
+    path = tmp_path / "m.json"
+    path.write_bytes(json.dumps({"songs": [{"id": "song", "stems": [
+        {"path": stem, "label": "vocal"}]}]}, ensure_ascii=False).encode())
+    src = str(Path(cli.__file__).parents[1])
+    python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "maskforge.cli", "train-nmf", "--manifest", str(path),
+         "--out", str(tmp_path / "n.mfg")], capture_output=True, text=True, timeout=60,
+        env={**os.environ, **_ASCII_LOCALE, "PYTHONPATH": python_path})
+    escaped = stem.encode("ascii", "backslashreplace").decode()   # as stderr writes it
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.count("\n") == 1
+    assert child.stderr.startswith(f"error: {path}: ") and escaped in child.stderr
+    assert not (tmp_path / "n.mfg").exists()
 
 
 # 250 bytes of ASCII, and 63 four-byte UTF-8 characters (252 bytes)
@@ -1070,6 +1092,20 @@ def test_ideal_mask_writes_to_any_name_the_filesystem_takes(tiny_corpus, tmp_pat
                                  "--out-accomp", str(tmp_path / "a.wav")])
     assert code == 0, err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "a.wav"])
+
+
+def test_sweep_reports_the_rows_it_wrote(tmp_path, capsys):
+    _save_dnn(tmp_path / "dnn.mfg")
+    manifest = _two_stem_manifest(tmp_path, {"song_a": (8000, 8000), "song_b": (8000, 8000)})
+    fig2 = tmp_path / "fig2.csv"
+    code, out, err = _run(capsys, [
+        "sweep-alpha", "--manifest", str(manifest), "--model", str(tmp_path / "dnn.mfg"),
+        "--alphas", "0.2,0.4,0.6", "--csv", str(fig2),
+    ])
+    assert code == 0, err
+    n_rows = len(fig2.read_text().splitlines()) - 1
+    assert out == f"wrote {fig2} ({n_rows} data rows)\n"
+    assert n_rows == 3 * 3 * 3   # 3 alphas x (dnn, ideal, mixture) x 3 sources
 
 
 def test_duplicate_model_kind_exits_one(tmp_path, capsys):

@@ -707,15 +707,19 @@ def test_sweep_requires_songs():
 
 def test_sweep_structure_without_models(tiny_corpus):
     cfg = _small_cfg()
-    sweep = sweep_alpha(tiny_corpus["test_songs"], {}, cfg)
+    songs = tiny_corpus["test_songs"] + tiny_corpus["train_songs"]
+    sweep = sweep_alpha(songs, {}, cfg)
     assert sweep.methods == (METHOD_IDEAL, METHOD_MIXTURE)
-    assert len(sweep.songs) == 1
-    song = sweep.songs[0]
-    assert set(song.metrics.keys()) == {METHOD_IDEAL, METHOD_MIXTURE}
-    # alpha-independent methods store a single entry under None
-    assert list(song.metrics[METHOD_IDEAL].keys()) == [None]
-    pm = song.metrics[METHOD_IDEAL][None]
-    assert pm.vocal.sir_db > pm.mean.sir_db or np.isfinite(pm.mean.sir_db)
+    assert [song_id for song_id, _ in sweep.songs] == [song.song_id for song in songs]
+    for _, scores in sweep.songs:
+        assert list(scores) == [METHOD_IDEAL, METHOD_MIXTURE]
+        for method in (METHOD_IDEAL, METHOD_MIXTURE):
+            # scored once per song: one object stands at every alpha
+            assert list(scores[method]) == list(cfg.alphas)
+            first, *rest = scores[method].values()
+            assert all(pm is first for pm in rest)
+        pm = scores[METHOD_IDEAL][cfg.alphas[0]]
+        assert pm.vocal.sir_db > pm.mean.sir_db or np.isfinite(pm.mean.sir_db)
 
 
 def test_sweep_pools_each_song_once(tiny_corpus, monkeypatch):
@@ -748,8 +752,11 @@ def test_sweep_transforms_each_full_mix_once(tiny_corpus, monkeypatch):
 
 
 def test_mixture_baseline_scores_identical_estimates(tiny_corpus):
-    sweep = sweep_alpha(tiny_corpus["test_songs"], {}, _small_cfg())
-    pm = sweep.songs[0].metrics[METHOD_MIXTURE][None]
+    cfg = _small_cfg()
+    sweep = sweep_alpha(tiny_corpus["test_songs"], {}, cfg)
+    _, scores = sweep.songs[0]
+    pm = scores[METHOD_MIXTURE][cfg.alphas[0]]
+    assert all(scores[METHOD_MIXTURE][alpha] is pm for alpha in cfg.alphas)
     # both "estimates" are the same mixture, so the two sources' SDR differ
     # only through their references
     assert np.isfinite(pm.vocal.sir_db)
@@ -862,13 +869,14 @@ def test_sweep_scores_exactly_what_separation_gives(tiny_corpus):
               METHOD_NMF: train_nmf(tiny_corpus["train_songs"], cfg)}
     songs = tiny_corpus["test_songs"] + tiny_corpus["train_songs"]
     sweep = sweep_alpha(songs, models, cfg)
-    for i, song in enumerate(songs):
+    for i, (song, (song_id, scores)) in enumerate(zip(songs, sweep.songs, strict=True)):
+        assert song_id == song.song_id
         vocal_mix, nonvocal_mix, full_mix = pool_and_mix(load_song(song))
         for method, model in models.items():
             for alpha in cfg.alphas:
                 est_v, est_nv = separate_song(full_mix, model, alpha, cfg,
                                               infer_seed=cfg.seed + 7000 + i)
-                assert sweep.songs[i].metrics[method][alpha] == evaluate_pair(
+                assert scores[method][alpha] == evaluate_pair(
                     est_v.samples, est_nv.samples, vocal_mix.samples, nonvocal_mix.samples)
 
 
@@ -879,9 +887,9 @@ def test_sweep_with_models_covers_all_alphas(tiny_corpus):
     sweep = sweep_alpha(tiny_corpus["test_songs"],
                         {METHOD_DNN: dnn, METHOD_NMF: nmf}, cfg)
     assert sweep.methods == (METHOD_DNN, METHOD_NMF, METHOD_IDEAL, METHOD_MIXTURE)
-    song = sweep.songs[0]
-    assert set(song.metrics[METHOD_DNN].keys()) == set(cfg.alphas)
-    assert set(song.metrics[METHOD_NMF].keys()) == set(cfg.alphas)
+    _, scores = sweep.songs[0]
+    assert list(scores) == list(sweep.methods)
+    assert all(list(per_alpha) == list(cfg.alphas) for per_alpha in scores.values())
     lines, _ = figure_rows(sweep)
     assert len(lines) == 1 + 2 * 4 * 3
     ps = per_song_rows(sweep)
@@ -903,12 +911,20 @@ def test_fig3_rows_repeat_the_fig2_cells(tiny_corpus):
         assert row3.split(",") == fields[:3] + fields[4:6]
 
 
-def test_csv_tables_refuse_one_path_twice(tiny_corpus, tmp_path):
+def test_csv_tables_refuse_one_path_twice(tiny_corpus, tmp_path, monkeypatch):
     target = tmp_path / "t.csv"
     target.write_bytes(b"old\n")
     with pytest.raises(ValueError, match="an output must differ"):
         pipeline.write_csv((target, ["a", "b"]), (target, ["c"]))
+    scored, real = [], pipeline._evaluate_song
+
+    def counted(song, *args):
+        scored.append(song.song_id)
+        return real(song, *args)
+    monkeypatch.setattr(pipeline, "_evaluate_song", counted)
+    # refused before any song is read or scored
     with pytest.raises(ValueError, match="an output must differ"):
         run_sweep_to_csv(tiny_corpus["test_songs"], {}, _small_cfg(), target, fig3_path=target)
+    assert scored == []
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
