@@ -2,7 +2,9 @@
 
 The journey makes a corpus of 20 training and 5 test songs, trains the DNN and
 the NMF dictionaries, sweeps alpha with all three CSVs, separates a 4 s and a
-20 s mixture with each model, and runs `mix` and `ideal-mask`. It runs once at
+20 s mixture with each model, scores each 4 s separation with `evaluate --csv`
+against the vocal and accompaniment mixes that `mix` wrote for its song, and
+runs `mix` and `ideal-mask` on the test songs. It runs once at
 the benchmark's sizes (hidden 128, 2 epochs, learning rate 0.03, 20 NMF
 training and 25 inference iterations) into OUT_DIR/small, and once at the
 `ExperimentConfig` defaults into OUT_DIR/default. It then prints
@@ -32,6 +34,7 @@ SIZES = {
     "default": {"train-dnn": [], "train-nmf": [], "inference": []},
 }
 MIXTURE_SECONDS = (4, 20)
+EVALUATED_SECONDS = 4    # the mixture whose separations `evaluate` scores
 MIXTURE_SEED = 99        # not the corpus's seed, so the mixtures are new songs
 
 
@@ -59,10 +62,16 @@ def journey(root: Path, flags: dict[str, list[str]]) -> None:
             "--duration", seconds, "--seed", MIXTURE_SEED)
         run("mix", "--manifest", song / "test.json", "--out-dir", song)
         for kind, model in models.items():
+            est = {part: root / f"{kind}_{seconds}s_{part}.wav" for part in ("vocal", "accomp")}
             run("separate", "--model", model, "--alpha", 0.5,
                 "--input", song / "synth_000_mixture.wav",
-                "--out-vocal", root / f"{kind}_{seconds}s_vocal.wav",
-                "--out-accomp", root / f"{kind}_{seconds}s_accomp.wav", *flags["inference"])
+                "--out-vocal", est["vocal"], "--out-accomp", est["accomp"], *flags["inference"])
+            if seconds == EVALUATED_SECONDS:
+                run("evaluate", "--est-vocal", est["vocal"], "--est-accomp", est["accomp"],
+                    "--ref-vocal", song / "synth_000_vocals.wav",
+                    "--ref-accomp", song / "synth_000_accompaniment.wav",
+                    "--csv", root / f"{kind}_{seconds}s_eval.csv", "--song-id", "synth_000",
+                    "--method", kind, "--alpha", 0.5)
     run("mix", "--manifest", test, "--out-dir", root / "mix")
     run("ideal-mask", "--manifest", test, "--song", "synth_020",
         "--out-vocal", root / "ideal_vocal.wav", "--out-accomp", root / "ideal_accomp.wav")

@@ -37,6 +37,10 @@ class UnsupportedWavError(ValueError):
     """Well-formed WAV whose codec/bit depth is not handled."""
 
 
+class ManifestError(ValueError):
+    """Malformed corpus manifest, or a song in it that has no stems of a label."""
+
+
 @dataclass
 class AudioBuffer:
     """Mono samples (float64, nominal range [-1, 1]) at a fixed sample rate."""
@@ -208,12 +212,22 @@ def output_file(path: str | Path):
         raise
 
 
+def _check_encodable(path: Path, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` about `name` if the filesystem encoding, and so open(), cannot take `path`."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError as exc:
+        raise error(f"{name} is not representable in the filesystem encoding, "
+                    f"{exc.encoding}") from None
+
+
 def check_outputs(outputs: list, inputs: list | tuple = ()) -> None:
     """Refuse an output that repeats an input or another output, or that
-    `output_file` cannot land: its directory is missing or not writable, or it
-    exists but is not a regular file."""
+    `output_file` cannot land: the filesystem encoding lacks its name, its
+    directory is missing or not writable, or it exists but is not a regular file."""
     seen = {os.path.realpath(p) for p in inputs}
     for out in map(Path, outputs):
+        _check_encodable(out, f"{out}: the output name")
         if os.path.realpath(out) in seen:
             raise ValueError(f"{out}: an output must differ from the inputs and other outputs")
         seen.add(os.path.realpath(out))
@@ -330,39 +344,38 @@ class ManifestSong:
 
 def load_manifest(path: str | Path) -> list[ManifestSong]:
     """Parse a corpus manifest, UTF-8 JSON in any locale; stem paths resolve relative
-    to it and must be representable in the filesystem encoding."""
+    to it and must be representable in the filesystem encoding, and each song
+    needs stems of both labels. Every refusal is a ManifestError."""
     path = Path(path)
     try:
         doc = json.loads(path.read_bytes())
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or deep nesting
-        raise ValueError(f"{path}: not a JSON manifest ({exc})") from None
+        raise ManifestError(f"{path}: not a JSON manifest ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("songs"), list):
-        raise ValueError(f"{path}: manifest must be an object with a 'songs' list")
+        raise ManifestError(f"{path}: manifest must be an object with a 'songs' list")
     base = path.parent
     songs: dict[str, ManifestSong] = {}
     for entry in doc["songs"]:
         if (not isinstance(entry, dict) or not isinstance(entry.get("id"), str)
                 or not isinstance(entry.get("stems"), list)):
-            raise ValueError(f"{path}: each song needs a string 'id' and a 'stems' list")
+            raise ManifestError(f"{path}: each song needs a string 'id' and a 'stems' list")
         if entry["id"] in ("", ".", "..") or any(c in entry["id"] for c in "/\\"):
-            raise ValueError(f"{path}: song id {entry['id']!r} is not a plain file name")
+            raise ManifestError(f"{path}: song id {entry['id']!r} is not a plain file name")
         if entry["id"] in songs:
-            raise ValueError(f"{path}: song id {entry['id']!r} appears more than once")
+            raise ManifestError(f"{path}: song id {entry['id']!r} appears more than once")
         stems = []
         for s in entry["stems"]:
             if (not isinstance(s, dict) or not isinstance(s.get("path"), str)
                     or "label" not in s):
-                raise ValueError(f"{path}: each stem needs a string 'path' and a 'label'")
+                raise ManifestError(f"{path}: each stem needs a string 'path' and a 'label'")
             label = s["label"]
             if label not in LABELS:
-                raise ValueError(f"{path}: bad stem label {label!r}")
+                raise ManifestError(f"{path}: bad stem label {label!r}")
             p = base / s["path"]   # an absolute stem path replaces the base
-            try:
-                os.fsencode(p)   # a name the filesystem encoding lacks could not be opened
-            except UnicodeEncodeError as exc:
-                raise ValueError(f"{path}: stem path {s['path']!r} is not representable in "
-                                 f"the filesystem encoding, {exc.encoding}") from None
+            _check_encodable(p, f"{path}: stem path {s['path']!r}", ManifestError)
             stems.append((p, label))
+        if missing := [lab for lab in LABELS if lab not in (label for _, label in stems)]:
+            raise ManifestError(f"{path}: song {entry['id']!r} has no {missing[0]} stems")
         songs[entry["id"]] = ManifestSong(entry["id"], stems)
     return list(songs.values())
 

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio_io import NON_VOCAL, VOCAL
+
 _PINV_RCOND = 1e-10
+
+# evaluate_pair's keys, in the order of the CSVs' source column
+SOURCES = (VOCAL, NON_VOCAL, "mean")
 
 
 @dataclass
@@ -95,23 +100,12 @@ def evaluate_source(estimate: np.ndarray, references: list[np.ndarray],
 
 
 def _fit_length(signal: np.ndarray, n: int) -> np.ndarray:
-    if signal.shape[0] == n:
-        return signal
-    if signal.shape[0] > n:
-        return signal[:n]
-    return np.concatenate([signal, np.zeros(n - signal.shape[0])])
-
-
-@dataclass
-class PairMetrics:
-    vocal: SeparationMetrics
-    nonvocal: SeparationMetrics
-    mean: SeparationMetrics
+    return np.pad(signal[:n], (0, max(n - signal.shape[0], 0)))
 
 
 def evaluate_pair(est_vocal: np.ndarray, est_nonvocal: np.ndarray,
-                  ref_vocal: np.ndarray, ref_nonvocal: np.ndarray) -> PairMetrics:
-    """Both sources scored against both references, plus the across-source mean.
+                  ref_vocal: np.ndarray, ref_nonvocal: np.ndarray) -> dict[str, SeparationMetrics]:
+    """Both sources scored against both references, and their mean, keyed by SOURCES.
 
     A silent estimate (possible at high alpha: no element claimed) has no
     defined decomposition and scores -inf on every axis. The mean averages
@@ -128,7 +122,5 @@ def evaluate_pair(est_vocal: np.ndarray, est_nonvocal: np.ndarray,
         est = _fit_length(np.asarray(est, dtype=np.float64), n)
         scored.append(evaluate_source(est, refs, i) if np.any(est)
                       else SeparationMetrics(-np.inf, -np.inf, -np.inf))
-    m_v, m_nv = scored
-    mean = SeparationMetrics(*((a + b) / 2.0 for a, b in zip(m_v.as_tuple(),
-                                                              m_nv.as_tuple())))
-    return PairMetrics(vocal=m_v, nonvocal=m_nv, mean=mean)
+    mean = SeparationMetrics(*((a + b) / 2.0 for a, b in zip(*(m.as_tuple() for m in scored))))
+    return dict(zip(SOURCES, (*scored, mean)))

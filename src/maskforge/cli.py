@@ -15,7 +15,7 @@ from pathlib import Path
 from . import mlp, nmf, pipeline, synth
 from .audio_io import (ManifestSong, check_outputs, load_manifest, load_song, pool_and_mix,
                        read_wav, write_wav)
-from .bss_eval import evaluate_pair
+from .bss_eval import SOURCES, evaluate_pair
 from .patching import PatchConfig
 from .pipeline import ExperimentConfig
 from .stft import StftConfig
@@ -163,7 +163,7 @@ def cmd_evaluate(args) -> int:
     if len({b.sample_rate for b in buffers}) > 1:
         raise ValueError("sample rates differ: " + ", ".join(
             f"{p} {b.sample_rate} Hz" for p, b in zip(paths, buffers)))
-    sources = pipeline.by_source(evaluate_pair(*(b.samples for b in buffers)))
+    sources = evaluate_pair(*(b.samples for b in buffers))
     for name, m in sources.items():
         print(f"{name}: sdr={m.sdr_db:.6f} dB  sir={m.sir_db:.6f} dB  "
               f"sar={m.sar_db:.6f} dB")
@@ -189,7 +189,7 @@ def cmd_sweep_alpha(args) -> int:
     cfg = ExperimentConfig(alphas=alphas, nmf_infer_iters=args.nmf_iterations, seed=args.seed)
     sweep = pipeline.run_sweep_to_csv(songs, models, cfg, args.csv, fig3_path=args.fig3_csv,
                                       per_song_path=args.per_song_csv)
-    n_rows = len(sweep.alphas) * len(sweep.methods) * len(pipeline.SOURCES)
+    n_rows = len(sweep.alphas) * len(sweep.methods) * len(SOURCES)
     print(f"wrote {args.csv} ({n_rows} data rows)")
     return 0
 

@@ -51,7 +51,7 @@ from .audio_io import (
     pool_and_mix,
     song_header,
 )
-from .bss_eval import PairMetrics, SeparationMetrics, evaluate_pair
+from .bss_eval import SOURCES, SeparationMetrics, evaluate_pair
 from .masking import (
     BinaryMask,
     ideal_binary_mask,
@@ -76,8 +76,6 @@ METHOD_MIXTURE = "mixture"
 
 # Each model kind owns its block predictor and records its front end.
 Model = MlpModel | NmfModel
-
-SOURCES = (VOCAL, NON_VOCAL, "mean")
 
 FIG2_HEADER = "alpha,method,source,sdr_db,sir_db,sar_db,ci95"
 FIG3_HEADER = "alpha,method,scope,sir_db,sar_db"
@@ -383,15 +381,15 @@ def ideal_mask_separate(stems: StemSet,
 
 @dataclass
 class SweepResult:
-    """The sweep's score table: each song's id and its method -> alpha ->
-    PairMetrics, in manifest order; `alphas` and `methods` order its axes."""
-    songs: list[tuple[str, dict[str, dict[float, PairMetrics]]]]
+    """The sweep's table: each song's id and its method -> alpha -> source ->
+    SeparationMetrics, in manifest order; `alphas`, `methods` and SOURCES order the axes."""
+    songs: list[tuple[str, dict[str, dict[float, dict[str, SeparationMetrics]]]]]
     alphas: tuple[float, ...]
     methods: tuple[str, ...]
 
 
 def _evaluate_song(song: ManifestSong, models: dict[str, Model], cfg: ExperimentConfig,
-                   song_index: int) -> dict[str, dict[float, PairMetrics]]:
+                   song_index: int) -> dict[str, dict[float, dict[str, SeparationMetrics]]]:
     """One song's scores; the ideal and mixture rows do not depend on alpha,
     so each is scored once and that one object is stored at every alpha."""
     vocal_mix, nonvocal_mix, full_mix = mixes = pool_and_mix(load_song(song))
@@ -400,7 +398,7 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model], cfg: Experiment
                      for m in models.values()), cfg.stft)
     ibm, spec = _oracle_mask_and_mixture(mixes, stft_cfg)
 
-    def score(v: AudioBuffer, nv: AudioBuffer) -> PairMetrics:
+    def score(v: AudioBuffer, nv: AudioBuffer) -> dict[str, SeparationMetrics]:
         return evaluate_pair(v.samples, nv.samples, vocal_mix.samples, nonvocal_mix.samples)
 
     out = {}
@@ -449,11 +447,6 @@ def _mean_and_ci(values: list[float]) -> tuple[float, str]:
     return mean, _fmt(half)
 
 
-def by_source(pm: PairMetrics) -> dict[str, SeparationMetrics]:
-    """The pair's metrics keyed by CSV source name, in CSV order."""
-    return dict(zip(SOURCES, (pm.vocal, pm.nonvocal, pm.mean)))
-
-
 def per_song_row(song_id: str, method: str, alpha: float, source: str,
                  m: SeparationMetrics) -> str:
     """One PER_SONG_HEADER row."""
@@ -468,7 +461,7 @@ def figure_rows(sweep: SweepResult) -> tuple[list[str], list[str]]:
     for alpha in sweep.alphas:
         for method in sorted(sweep.methods):
             for source in SOURCES:
-                sdr, sir, sar = zip(*(by_source(scores[method][alpha])[source].as_tuple()
+                sdr, sir, sar = zip(*(scores[method][alpha][source].as_tuple()
                                       for _, scores in sweep.songs))
                 sdr_mean, ci = _mean_and_ci(sdr)
                 cell = ["%g" % alpha, method, source]
@@ -484,7 +477,7 @@ def per_song_rows(sweep: SweepResult) -> list[str]:
         per_song_row(song_id, method, alpha, source, m)
         for song_id, scores in sorted(sweep.songs, key=lambda s: s[0])
         for method in sorted(sweep.methods) for alpha in sweep.alphas
-        for source, m in by_source(scores[method][alpha]).items()]
+        for source, m in scores[method][alpha].items()]
 
 
 def write_csv(*tables: tuple[str | Path, list[str]]) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import record_criterion
-from maskforge.audio_io import AudioBuffer, load_manifest, pool_and_mix
+from maskforge.audio_io import VOCAL, AudioBuffer, load_manifest, pool_and_mix
 from maskforge.bss_eval import decompose, evaluate_source
 from maskforge.masking import (
     nonvocal_mask_from_confidence,
@@ -315,7 +315,7 @@ def _get_run(name: str, tmp_path_factory) -> dict:
 
 
 def _mean_vocal(sweep, method: str, alpha: float, field: str) -> float:
-    return float(np.mean([getattr(scores[method][alpha].vocal, field)
+    return float(np.mean([getattr(scores[method][alpha][VOCAL], field)
                           for _, scores in sweep.songs]))
 
 

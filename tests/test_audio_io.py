@@ -15,6 +15,7 @@ from maskforge.audio_io import (
     NON_VOCAL,
     VOCAL,
     AudioBuffer,
+    ManifestError,
     ManifestSong,
     StemSet,
     UnsupportedWavError,
@@ -542,14 +543,14 @@ def test_manifest_rejects_bad_label(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"songs": [{"id": "x", "stems": [
         {"path": "v.wav", "label": "drums"}]}]}))
-    with pytest.raises(ValueError, match="bad stem label"):
+    with pytest.raises(ManifestError, match="bad stem label"):
         load_manifest(path)
 
 
 def test_manifest_rejects_wrong_shape(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([1, 2, 3]))
-    with pytest.raises(ValueError, match="songs"):
+    with pytest.raises(ManifestError, match="songs"):
         load_manifest(path)
 
 
@@ -564,10 +565,13 @@ def test_manifest_rejects_wrong_shape(tmp_path):
     ({"songs": [{"id": "x", "stems": [{"path": None, "label": "vocal"}]}]}, "string 'path'"),
     ({"songs": [{"id": 7, "stems": []}]}, "string 'id'"),
     ({"songs": [{"id": ["x"], "stems": []}]}, "string 'id'"),
+    ({"songs": [{"id": "x", "stems": []}]}, "song 'x' has no vocal stems"),
+    ({"songs": [{"id": "x", "stems": [{"path": "v.wav", "label": "vocal"}]}]},
+     "song 'x' has no non_vocal stems"),
 ])
 def test_manifest_rejects_bad_entry(tmp_path, doc, message):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=message) as info:
+    with pytest.raises(ManifestError, match=message) as info:
         load_manifest(path)
     assert str(path) in str(info.value)

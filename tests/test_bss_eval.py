@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from maskforge.audio_io import NON_VOCAL, VOCAL
 from maskforge.bss_eval import (
+    SOURCES,
     Decomposition,
-    PairMetrics,
     SeparationMetrics,
     decompose,
     evaluate_pair,
@@ -172,24 +173,24 @@ def test_metrics_on_synthetic_decomposition():
 def test_evaluate_pair_orders_sources(rng):
     s1, s2 = _orthonormal_pair()
     pm = evaluate_pair(s1 + 0.1 * s2, s2 + 0.1 * s1, s1, s2)
-    assert isinstance(pm, PairMetrics)
-    assert abs(pm.vocal.sir_db - 20.0) < 1e-6
-    assert abs(pm.nonvocal.sir_db - 20.0) < 1e-6
-    assert abs(pm.mean.sir_db - 20.0) < 1e-6
+    assert tuple(pm) == SOURCES == (VOCAL, NON_VOCAL, "mean")
+    assert abs(pm[VOCAL].sir_db - 20.0) < 1e-6
+    assert abs(pm[NON_VOCAL].sir_db - 20.0) < 1e-6
+    assert abs(pm["mean"].sir_db - 20.0) < 1e-6
 
 
 def test_evaluate_pair_mean_is_arithmetic():
     s1, s2 = _orthonormal_pair()
     pm = evaluate_pair(s1 + 0.1 * s2, s2 + 0.25 * s1, s1, s2)
-    expect = (pm.vocal.sir_db + pm.nonvocal.sir_db) / 2.0
-    assert pm.mean.sir_db == expect
+    expect = (pm[VOCAL].sir_db + pm[NON_VOCAL].sir_db) / 2.0
+    assert pm["mean"].sir_db == expect
 
 
 def test_evaluate_pair_infinite_metric_poisons_mean():
     e1, e2, _ = _basis()
     pm = evaluate_pair(e1 + 0.1 * e2, e2, e1, e2)
-    assert pm.nonvocal.sar_db == np.inf
-    assert pm.mean.sar_db == np.inf
+    assert pm[NON_VOCAL].sar_db == np.inf
+    assert pm["mean"].sar_db == np.inf
 
 
 def test_evaluate_pair_trims_and_pads_estimates():
@@ -197,19 +198,19 @@ def test_evaluate_pair_trims_and_pads_estimates():
     longer = np.concatenate([s1 + 0.1 * s2, np.zeros(5)])
     shorter = (s2 + 0.1 * s1)[:-5]
     pm = evaluate_pair(longer, shorter, s1, s2)
-    assert abs(pm.vocal.sir_db - 20.0) < 1e-6
-    assert np.isfinite(pm.nonvocal.sir_db)
+    assert abs(pm[VOCAL].sir_db - 20.0) < 1e-6
+    assert np.isfinite(pm[NON_VOCAL].sir_db)
 
 
 def test_metrics_floor_for_silent_estimate(rng):
     refs = [rng.standard_normal(32), rng.standard_normal(32)]
     pm = evaluate_pair(np.zeros(32), refs[1] + 0.1 * refs[0], *refs)
-    assert pm.vocal.as_tuple() == (-np.inf, -np.inf, -np.inf)
-    assert np.isfinite(pm.nonvocal.sdr_db)
+    assert pm[VOCAL].as_tuple() == (-np.inf, -np.inf, -np.inf)
+    assert np.isfinite(pm[NON_VOCAL].sdr_db)
     pm = evaluate_pair(refs[0] + 0.1 * refs[1], np.zeros(32), *refs)
-    assert pm.nonvocal.as_tuple() == (-np.inf, -np.inf, -np.inf)
-    assert np.isfinite(pm.vocal.sdr_db)
-    assert pm.mean.as_tuple() == (-np.inf, -np.inf, -np.inf)
+    assert pm[NON_VOCAL].as_tuple() == (-np.inf, -np.inf, -np.inf)
+    assert np.isfinite(pm[VOCAL].sdr_db)
+    assert pm["mean"].as_tuple() == (-np.inf, -np.inf, -np.inf)
 
 
 def test_evaluate_pair_reference_length_mismatch(rng):

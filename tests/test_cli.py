@@ -477,6 +477,25 @@ def test_mix_rejects_duplicate_song_ids(tmp_path, capsys):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("labels, missing", [((), "vocal"), (("vocal",), "non_vocal"),
+                                             (("non_vocal", "non_vocal"), "vocal")],
+                         ids=["no_stems", "only_vocal", "only_non_vocal"])
+def test_mix_refuses_a_song_without_both_labels_before_writing(tmp_path, capsys, labels,
+                                                                missing):
+    # the bad song comes second, so mixing the first before reading it would write files
+    manifest = _two_stem_manifest(tmp_path, {"good": (8000, 8000)})
+    doc = json.loads(manifest.read_text())
+    doc["songs"].append({"id": "bad", "stems": [{"path": f"good_{label}.wav", "label": label}
+                                                for label in labels]})
+    manifest.write_text(json.dumps(doc))
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = _run(capsys, ["mix", "--manifest", str(manifest),
+                                   "--out-dir", str(tmp_path / "mixes")])
+    assert code == 1
+    assert err == f"error: {manifest}: song 'bad' has no {missing} stems\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_make_corpus_too_short_exits_one(tmp_path, capsys):
     for duration in ("0.00001", "0.00005"):      # 0 and 1 samples at 22050 Hz
         code, out, err = _run(capsys, [
@@ -1051,11 +1070,21 @@ def test_mutated_manifest_fails_cleanly(tmp_path_factory, raw):
 _ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "POSIX"}
 
 
+def _cli_in_ascii_locale(argv: list) -> subprocess.CompletedProcess:
+    """`python -m maskforge.cli` with `argv`, in a child whose locale is ASCII."""
+    src = str(Path(cli.__file__).parents[1])
+    python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "maskforge.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, **_ASCII_LOCALE, "PYTHONPATH": python_path})
+
+
 def test_manifest_reads_as_utf8_in_an_ascii_locale(tmp_path):
     # JSON text is UTF-8, so a manifest does not decode by the locale's encoding
     path = tmp_path / "m.json"
     path.write_bytes(json.dumps({"songs": [{"id": "s\u00e5ng_000", "stems": [
-        {"path": "vocal.wav", "label": "vocal"}]}]}, ensure_ascii=False).encode())
+        {"path": "vocal.wav", "label": "vocal"}, {"path": "accomp.wav", "label": "non_vocal"}]}]},
+        ensure_ascii=False).encode())
     child = _in_small_child(f"(song,) = cli.load_manifest({str(path)!r})\n"
                             "print(ascii(song.song_id), ascii(song.stems[0][0].name))",
                             {**os.environ, **_ASCII_LOCALE})
@@ -1069,17 +1098,27 @@ def test_stem_path_outside_the_filesystem_encoding_is_refused_by_name(tmp_path):
     path = tmp_path / "m.json"
     path.write_bytes(json.dumps({"songs": [{"id": "song", "stems": [
         {"path": stem, "label": "vocal"}]}]}, ensure_ascii=False).encode())
-    src = str(Path(cli.__file__).parents[1])
-    python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-m", "maskforge.cli", "train-nmf", "--manifest", str(path),
-         "--out", str(tmp_path / "n.mfg")], capture_output=True, text=True, timeout=60,
-        env={**os.environ, **_ASCII_LOCALE, "PYTHONPATH": python_path})
+    child = _cli_in_ascii_locale(["train-nmf", "--manifest", path, "--out", tmp_path / "n.mfg"])
     escaped = stem.encode("ascii", "backslashreplace").decode()   # as stderr writes it
     assert child.returncode == 1, child.stderr
     assert child.stderr.count("\n") == 1
     assert child.stderr.startswith(f"error: {path}: ") and escaped in child.stderr
     assert not (tmp_path / "n.mfg").exists()
+
+
+def test_output_name_outside_the_filesystem_encoding_is_refused_by_name(tmp_path):
+    # mix names its outputs after the song id, which an ASCII locale cannot
+    # create, so the outputs are refused with one line that names the first
+    manifest = _two_stem_manifest(tmp_path, {"song": (8000, 8000)})
+    doc = json.loads(manifest.read_text())
+    doc["songs"][0]["id"] = "s\u00e5ng"
+    manifest.write_text(json.dumps(doc))
+    out_dir = tmp_path / "mixes"
+    child = _cli_in_ascii_locale(["mix", "--manifest", manifest, "--out-dir", out_dir])
+    assert child.returncode == 1, child.stderr
+    assert child.stderr == (f"error: {out_dir}/s\\xe5ng_vocals.wav: the output name is not "
+                            "representable in the filesystem encoding, ascii\n")
+    assert list(out_dir.iterdir()) == []
 
 
 # 250 bytes of ASCII, and 63 four-byte UTF-8 characters (252 bytes)

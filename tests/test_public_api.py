@@ -19,7 +19,8 @@ REMOVED = {
     "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC", "load_nmf"],
     "pipeline": ["song_training_pairs", "build_class_matrices", "_MODEL_FILES",
                  "_invert_block", "_oracle_separation", "threshold_and_invert",
-                 "fig2_rows", "fig3_rows", "_cells"],
+                 "fig2_rows", "fig3_rows", "_cells", "by_source"],
+    "bss_eval": ["PairMetrics"],
     "audio_io": ["song_length"],
 }
 
