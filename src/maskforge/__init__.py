@@ -28,7 +28,7 @@ from .masking import (
 )
 from .mlp import MlpModel, TrainConfig, init_model, save_model, train_sgd
 from .model_file import FrontEnd
-from .nmf import NmfModel, nmf_factorize, nmf_separate, save_nmf
+from .nmf import NmfModel, nmf_factorize, save_nmf
 from .patching import PatchConfig, PatchSet, extract_patches, repack_mean
 from .pipeline import (
     ExperimentConfig,
@@ -53,7 +53,7 @@ __all__ = [
     "BinaryMask", "ideal_binary_mask",
     "vocal_mask_from_confidence", "nonvocal_mask_from_confidence",
     "FrontEnd", "MlpModel", "TrainConfig", "init_model", "train_sgd",
-    "save_model", "NmfModel", "nmf_factorize", "nmf_separate", "save_nmf",
+    "save_model", "NmfModel", "nmf_factorize", "save_nmf",
     "SeparationMetrics", "evaluate_pair",
     "ExperimentConfig", "build_training_set", "train_dnn", "train_nmf",
     "load_any_model", "separate_song", "ideal_mask_separate", "sweep_alpha",

@@ -6,10 +6,10 @@ whole; `read_wav` and `write_wav` are their whole-file uses. Every output lands
 whole or not at all through `output_file`, and `check_outputs` refuses, before
 any work, one that would overwrite an input or another output.
 
-Stems labeled "vocal" / "non_vocal" are each peak normalized, summed by label
-into two submixes, the submixes peak normalized again, and their sum is the
-full mixture. The full mixture is deliberately left un-normalized (downstream
-spectrogram processing rescales, so mixture headroom is irrelevant).
+A label's submix (`submix`, all that NMF training builds) is its stems, each
+peak normalized, summed zero-padded to the song's longest stem, and peak
+normalized again. `pool_and_mix` adds the full mixture, the submixes' raw sum,
+left un-normalized (downstream spectrogram processing rescales it anyway).
 """
 
 from __future__ import annotations
@@ -297,39 +297,29 @@ def peak_normalize(buffer: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(buffer.samples / peak, buffer.sample_rate)
 
 
-def _padded_sum(buffers: list[np.ndarray], length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=np.float64)
-    for b in buffers:
-        out[: len(b)] += b
-    return out
+def submix(stems: StemSet, label: str) -> AudioBuffer:
+    """One label's submix: each of its stems peak normalized, summed in stem
+    order into zeros as long as the song's longest stem, and peak normalized."""
+    if not stems.stems:
+        raise ValueError("empty stem set")
+    pooled = [buf for buf, lab in stems.stems if lab == label]
+    if not pooled:
+        raise ValueError(f"song {stems.song_id!r} has no {label} stems")
+    total = np.zeros(max(len(buf) for buf, _ in stems.stems))
+    for buf in pooled:
+        if not np.any(buf.samples):
+            raise ValueError(f"song {stems.song_id!r} has an all-zero {label} stem")
+        total[: len(buf)] += peak_normalize(buf).samples
+    if not np.any(total):
+        raise ValueError(f"song {stems.song_id!r} has {label} stems that sum to silence")
+    return peak_normalize(AudioBuffer(total, pooled[0].sample_rate))
 
 
 def pool_and_mix(stems: StemSet) -> tuple[AudioBuffer, AudioBuffer, AudioBuffer]:
-    """Pool stems into (vocal_mix, nonvocal_mix, full_mix).
-
-    Every stem is peak normalized and summed by label (shorter stems are
-    zero-padded to the longest length); each submix is peak normalized; the
-    full mixture is their raw sum and may have peak > 1.
-    """
-    if not stems.stems:
-        raise ValueError("empty stem set")
-    by_label: dict[str, list[np.ndarray]] = {VOCAL: [], NON_VOCAL: []}
-    for buf, label in stems.stems:
-        if not np.any(buf.samples):
-            raise ValueError(f"song {stems.song_id!r} has an all-zero {label} stem")
-        by_label[label].append(peak_normalize(buf).samples)
-    sr = stems.stems[0][0].sample_rate
-    length = max(len(b) for bufs in by_label.values() for b in bufs)
-    submixes = []
-    for label in LABELS:
-        if not by_label[label]:
-            raise ValueError(f"song {stems.song_id!r} has no {label} stems")
-        if not np.any(submix := _padded_sum(by_label[label], length)):
-            raise ValueError(f"song {stems.song_id!r} has {label} stems that sum to silence")
-        submixes.append(peak_normalize(AudioBuffer(submix, sr)))
-    vocal, nonvocal = submixes
-    full = AudioBuffer(vocal.samples + nonvocal.samples, sr)
-    return vocal, nonvocal, full
+    """(vocal submix, non-vocal submix, full mix); the full mixture is the
+    submixes' raw sum and may have peak > 1."""
+    vocal, nonvocal = (submix(stems, label) for label in LABELS)
+    return vocal, nonvocal, AudioBuffer(vocal.samples + nonvocal.samples, vocal.sample_rate)
 
 
 # ---------------------------------------------------------------------------

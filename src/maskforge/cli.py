@@ -95,10 +95,16 @@ def cmd_make_corpus(args) -> int:
 def cmd_mix(args) -> int:
     songs = _songs(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = ("vocals", "accompaniment", "mixture")
-    check_outputs([out_dir / f"{s.song_id}_{n}.wav" for s in songs for n in names],
-                  _reads(args.manifest, songs))
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]   # deepest first
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        check_outputs([out_dir / f"{s.song_id}_{n}.wav" for s in songs for n in names],
+                      _reads(args.manifest, songs))
+    except BaseException:   # a refused mix leaves no directory of its own behind
+        for d in filter(Path.is_dir, made):
+            d.rmdir()
+        raise
     for song in songs:
         for name, mix in zip(names, pool_and_mix(load_song(song))):
             write_wav(out_dir / f"{song.song_id}_{name}.wav", mix)

@@ -1,8 +1,9 @@
 """Non-negative matrix factorization baseline with KL multiplicative updates.
 
 Training factorizes a matrix whose columns are flattened class-spectrogram
-windows, once per class, keeping only the dictionaries. Separation freezes
-the stacked dictionaries and fits activations to the mixture windows; each
+windows, once per class, keeping only the dictionaries. Separation
+(`NmfModel.predictor`) stacks the dictionaries once, freezes them and fits
+each block's activations to its mixture windows (`infer_activations`); each
 element's vocal share of the per-class reconstructions (`vocal_share`),
 averaged over the windows covering it, is its confidence.
 
@@ -61,12 +62,13 @@ class NmfModel:
         draw for all windows from `seed`, drawn for that block alone, so the
         columns of a block's fit equal the whole-mixture fit's up to rounding
         (the H update is column-separable for a fixed W)."""
-        rank = self.rank_vocal + self.rank_nonvocal
+        W, r_v = np.concatenate([self.w_vocal, self.w_nonvocal], axis=1), self.rank_vocal
 
         def predict(windows: PatchSet, first: int) -> PatchSet:
-            H0 = initial_activations(rank, n_windows, seed, first, windows.n_patches)
-            v_hat, nv_hat = nmf_separate(windows.rows.T, self, iterations, H0=H0)
-            return windows.predictions(vocal_share(v_hat, nv_hat).T)
+            H0 = initial_activations(W.shape[1], n_windows, seed, first, windows.n_patches)
+            H, _ = infer_activations(windows.rows.T, W, iterations, H0=H0, trace=False)
+            share = vocal_share(self.w_vocal @ H[:r_v], self.w_nonvocal @ H[r_v:])
+            return windows.predictions(share.T)
         return predict
 
 
@@ -202,18 +204,6 @@ def nmf_train_class(V_class: np.ndarray, r: int, iterations: int = 200,
     if np.any(sums == 0.0):
         raise FloatingPointError("training produced an all-zero dictionary column")
     return fac.W / sums[None, :]
-
-
-def nmf_separate(V_u: np.ndarray, model: NmfModel, iterations: int = 200,
-                 seed: int = 0, H0: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class reconstructions of mixture windows with dictionaries frozen."""
-    W_u = np.concatenate([model.w_vocal, model.w_nonvocal], axis=1)
-    H_u, _ = infer_activations(V_u, W_u, iterations, seed, H0, trace=False)
-    r_v = model.rank_vocal
-    V_v_hat = model.w_vocal @ H_u[:r_v]
-    V_nv_hat = model.w_nonvocal @ H_u[r_v:]
-    return V_v_hat, V_nv_hat
 
 
 # model file (model_file.py): dims are the two ranks, and the arrays the two

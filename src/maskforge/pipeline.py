@@ -28,6 +28,7 @@ sort order, so same-seed reruns are byte-identical.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -37,7 +38,6 @@ import numpy as np
 
 from . import mlp, nmf
 from .audio_io import (
-    LABELS,
     NON_VOCAL,
     VOCAL,
     AudioBuffer,
@@ -50,6 +50,7 @@ from .audio_io import (
     output_file,
     pool_and_mix,
     song_header,
+    submix,
 )
 from .bss_eval import SOURCES, SeparationMetrics, evaluate_pair
 from .masking import (
@@ -110,6 +111,8 @@ class ExperimentConfig:
             raise ValueError("need at least one alpha")
         if any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError("alphas must lie strictly inside (0, 1)")
+        if repeated := [a for a, n in Counter(self.alphas).items() if n > 1]:
+            raise ValueError(f"alpha {repeated[0]} is repeated")
         # the models' own checks, made here before any song is read
         if any(h < 1 for h in self.hidden):
             raise ValueError("layer sizes must be positive")
@@ -187,7 +190,7 @@ def build_class_matrix(songs: list[ManifestSong], label: str, stft_cfg: StftConf
     slices, front_end = _song_slices(songs, stft_cfg, patch_cfg)
     V = np.empty((front_end.window_size, slices[-1].stop))
     for song, cols in zip(songs, slices):
-        mix = pool_and_mix(load_song(song))[LABELS.index(label)]
+        mix = submix(load_song(song), label)
         V[:, cols] = _training_rows(_unit_scaled(stft(mix, stft_cfg)), patch_cfg).T
     return V, front_end
 

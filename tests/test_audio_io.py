@@ -29,6 +29,7 @@ from maskforge.audio_io import (
     pool_and_mix,
     read_wav,
     song_header,
+    submix,
     write_manifest,
     write_wav,
 )
@@ -465,6 +466,26 @@ def test_pool_zero_pads_short_stems(rng):
     assert len(vocal) == len(nonvocal) == len(full) == 50
     assert not np.any(vocal.samples[20:])
     assert np.array_equal(full.samples, vocal.samples + nonvocal.samples)
+
+
+def test_uneven_stems_pool_exactly_as_written_out(rng):
+    # several stems of each label at different lengths and peaks, the longest
+    # a non-vocal one, so that both submixes are zero-padded
+    shapes = [(VOCAL, 700, 0.3), (NON_VOCAL, 1200, 2.0), (VOCAL, 1000, 0.9),
+              (NON_VOCAL, 90, 0.05), (VOCAL, 350, 1.7)]
+    stems = StemSet([_stem(rng.uniform(-1, 1, n) * peak, label) for label, n, peak in shapes])
+
+    def reference(label):
+        total = np.zeros(1200)
+        for buf, lab in stems.stems:
+            if lab == label:
+                total[: len(buf)] += buf.samples / np.max(np.abs(buf.samples))
+        return total / np.max(np.abs(total))
+    vocal, nonvocal, full = pool_and_mix(stems)
+    for label, pooled in ((VOCAL, vocal), (NON_VOCAL, nonvocal)):
+        assert np.array_equal(pooled.samples, reference(label))
+        assert np.array_equal(submix(stems, label).samples, reference(label))
+    assert np.array_equal(full.samples, reference(VOCAL) + reference(NON_VOCAL))
 
 
 def test_pool_requires_both_labels():

@@ -706,6 +706,24 @@ def test_sweep_rejects_a_range_of_too_many_alphas_in_one_line(tmp_path):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("alphas", ["0.5,0.5", "0.5,0.50", "0.2,0.5,0.2"])
+def test_sweep_refuses_a_repeated_alpha_before_reading_a_song(tiny_corpus, tmp_path, capsys,
+                                                              monkeypatch, alphas):
+    reads = []
+    for name in ("load_song", "song_header", "WavReader"):
+        monkeypatch.setattr(pipeline, name, lambda *a, name=name: reads.append(name))
+    model_path = tmp_path / "m.mfg"
+    _save_dnn(model_path)
+    csvs = [tmp_path / name for name in ("fig2.csv", "fig3.csv", "per_song.csv")]
+    code, out, err = _run(capsys, [
+        "sweep-alpha", "--manifest", str(tiny_corpus["test_manifest"]), "--model",
+        str(model_path), "--alphas", alphas, "--csv", str(csvs[0]),
+        "--fig3-csv", str(csvs[1]), "--per-song-csv", str(csvs[2])])
+    repeated = alphas.split(",")[-1].rstrip("0")
+    assert (code, out, err) == (1, "", f"error: alpha {repeated} is repeated\n")
+    assert reads == [] and not any(p.exists() for p in csvs)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["train-dnn", "--hidden", "0"], "layer sizes must be positive"),
     (["train-nmf", "--rank", "0"], "rank must be >= 1"),
@@ -1113,12 +1131,12 @@ def test_output_name_outside_the_filesystem_encoding_is_refused_by_name(tmp_path
     doc = json.loads(manifest.read_text())
     doc["songs"][0]["id"] = "s\u00e5ng"
     manifest.write_text(json.dumps(doc))
-    out_dir = tmp_path / "mixes"
+    out_dir = tmp_path / "new" / "mixes"
     child = _cli_in_ascii_locale(["mix", "--manifest", manifest, "--out-dir", out_dir])
     assert child.returncode == 1, child.stderr
     assert child.stderr == (f"error: {out_dir}/s\\xe5ng_vocals.wav: the output name is not "
                             "representable in the filesystem encoding, ascii\n")
-    assert list(out_dir.iterdir()) == []
+    assert not (tmp_path / "new").exists()     # nor any directory the refused run made
 
 
 # 250 bytes of ASCII, and 63 four-byte UTF-8 characters (252 bytes)

@@ -14,11 +14,11 @@ from maskforge.nmf import (
     initial_activations,
     kl_divergence,
     nmf_factorize,
-    nmf_separate,
     nmf_train_class,
     save_nmf,
+    vocal_share,
 )
-from maskforge.patching import PatchConfig, extract_patches, repack_mean
+from maskforge.patching import PatchConfig, PatchSet, extract_patches, repack_mean
 from maskforge.pipeline import load_any_model
 
 
@@ -252,9 +252,11 @@ def test_non_finite_v_names_iteration_zero(rng, bad):
         nmf_factorize(V, r=2, iterations=5, seed=0)
     with pytest.raises(FloatingPointError, match="at iteration 0$"):
         infer_activations(V, W, iterations=5, seed=0)
+    # separation's predictor, on the windows whose columns V holds
     model = NmfModel(W[:, :1], W[:, 1:], _front_end(3, 2))
+    windows = PatchSet(V.T.reshape(5, 2, 3).transpose(0, 2, 1), np.arange(5), 6)
     with pytest.raises(FloatingPointError, match="at iteration 0$"):
-        nmf_separate(V, model, iterations=5, seed=0)
+        model.predictor(5, 5, 0)(windows, 0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -285,12 +287,15 @@ def test_training_and_separation_equal_the_public_fits(rng):
     fac = nmf_factorize(V, r=3, iterations=20, seed=4)
     W = nmf_train_class(V, r=3, iterations=20, seed=4)
     assert np.array_equal(W, fac.W / fac.W.sum(axis=0)[None, :])
+    # a block of windows first..first+9 of 30: its activations start from
+    # those columns of the whole draw for seed 5
     model = NmfModel(W[:, :2], rng.uniform(0.1, 1.0, size=(24, 2)), _front_end(4, 6))
-    H, _ = infer_activations(V, np.concatenate([model.w_vocal, model.w_nonvocal], axis=1),
-                             iterations=20, seed=5)
-    v, nv = nmf_separate(V, model, iterations=20, seed=5)
-    assert np.array_equal(v, model.w_vocal @ H[:2])
-    assert np.array_equal(nv, model.w_nonvocal @ H[2:])
+    windows = PatchSet(V.T[12:22].reshape(10, 6, 4).transpose(0, 2, 1), np.arange(10), 15)
+    H0 = initial_activations(4, 30, 5)[:, 12:22]
+    H, _ = infer_activations(V[:, 12:22], np.concatenate([model.w_vocal, model.w_nonvocal],
+                                                         axis=1), iterations=20, H0=H0)
+    share = vocal_share(model.w_vocal @ H[:2], model.w_nonvocal @ H[2:])
+    assert np.array_equal(model.predictor(30, 20, 5)(windows, 12).rows, share.T)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +357,14 @@ def test_train_class_rejects_empty():
 # separation
 # ---------------------------------------------------------------------------
 
+def _reconstructions(V, model, iterations, seed):
+    """Each class's reconstruction of the columns of V from activations fitted
+    with both dictionaries frozen, as separation forms them."""
+    W = np.concatenate([model.w_vocal, model.w_nonvocal], axis=1)
+    H, _ = infer_activations(V, W, iterations, seed, trace=False)
+    return model.w_vocal @ H[:model.rank_vocal], model.w_nonvocal @ H[model.rank_vocal:]
+
+
 def test_separate_planted_sources(rng):
     # mixture windows built from one class's dictionary should land nearly
     # all reconstruction energy on that class
@@ -369,7 +382,7 @@ def test_separate_planted_sources(rng):
     model = NmfModel(W_v, W_nv, _front_end(F, T))
     h = rng.uniform(0.5, 1.5, size=(r, 6))
     V_u = W_v @ h
-    V_v_hat, V_nv_hat = nmf_separate(V_u, model, iterations=500, seed=0)
+    V_v_hat, V_nv_hat = _reconstructions(V_u, model, iterations=500, seed=0)
     energy_v = V_v_hat.sum()
     energy_nv = V_nv_hat.sum()
     assert energy_v / (energy_v + energy_nv) >= 0.99
@@ -381,7 +394,7 @@ def test_separate_shapes(rng):
     model = NmfModel(rng.uniform(0.1, 1, (d, 2)), rng.uniform(0.1, 1, (d, 3)),
                      _front_end(F, T))
     V_u = rng.uniform(0.1, 1.0, size=(d, 5))
-    V_v_hat, V_nv_hat = nmf_separate(V_u, model, iterations=30, seed=0)
+    V_v_hat, V_nv_hat = _reconstructions(V_u, model, iterations=30, seed=0)
     assert V_v_hat.shape == (d, 5)
     assert V_nv_hat.shape == (d, 5)
     assert V_v_hat.min() >= 0.0 and V_nv_hat.min() >= 0.0
@@ -449,7 +462,7 @@ def test_repack_soft_mask_against_manual_average(rng):
     assert offsets.tolist() == [0, 1, 2]
     mp = _confidence(model, patches, iterations=20, seed=3)
     V = np.stack([w.reshape(-1, order="F") for w in patches.patches], axis=1)
-    v, nv = nmf_separate(V, model, iterations=20, seed=3)
+    v, nv = _reconstructions(V, model, iterations=20, seed=3)
     acc = np.zeros((F, offsets[-1] + T))
     cnt = np.zeros(offsets[-1] + T)
     for p, o in enumerate(offsets):

@@ -16,12 +16,13 @@ REMOVED = {
     "stft": ["PhaseSpectrogram", "combine", "split", "MagnitudeSpectrogram", "magnitude"],
     "patching": ["flatten", "unflatten", "KIND_TARGET", "normalize_unit_scale"],
     "mlp": ["forward", "MAGIC", "load_model"],
-    "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC", "load_nmf"],
+    "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC", "load_nmf",
+            "nmf_separate"],
     "pipeline": ["song_training_pairs", "build_class_matrices", "_MODEL_FILES",
                  "_invert_block", "_oracle_separation", "threshold_and_invert",
                  "fig2_rows", "fig3_rows", "_cells", "by_source"],
     "bss_eval": ["PairMetrics"],
-    "audio_io": ["song_length"],
+    "audio_io": ["song_length", "_padded_sum"],
 }
 
 
