@@ -1,7 +1,7 @@
 """Mono WAV I/O, peak normalization, and the stem pooling/mixing procedure.
 
 WAV files are read and written a range of samples at a time (`WavReader`,
-`WavWriter`), so streamed separation holds neither its input nor its outputs
+`wav_writer`), so streamed separation holds neither its input nor its outputs
 whole; `read_wav` and `write_wav` are their whole-file uses. Every output lands
 whole or not at all through `output_file`, and `check_outputs` refuses, before
 any work, one that would overwrite an input or another output.
@@ -88,6 +88,8 @@ _SAMPLE_BYTES = {(_FMT_PCM, 16): 2, (_FMT_PCM, 24): 3, (_FMT_FLOAT, 32): 4}
 # Samples that read_wav decodes at a time, and the numbers of output_file's temporaries.
 _READ_CHUNK = 1 << 16
 _PARTS = count()
+# What a song id or method label may not hold: each is one field of a CSV row.
+CSV_UNSAFE = ',"\r\n'
 
 
 class WavReader:
@@ -237,56 +239,37 @@ def check_outputs(outputs: list, inputs: list | tuple = ()) -> None:
             raise ValueError(f"{out}: not a regular file, so it cannot be an output")
 
 
-class WavWriter:
+@contextmanager
+def wav_writer(path: str | Path, sample_rate: int):
     """A mono 32-bit float WAV file written a chunk at a time through
-    `output_file`. The header's sizes are known only at the end, so a clean
-    exit from the `with` block writes them last."""
+    `output_file`; the block gets `write(samples)`. The header's sizes are
+    known only at the end, so a clean exit from the block writes them last."""
+    if sample_rate * 4 > 0xFFFFFFFF:
+        raise ValueError(f"sample rate {sample_rate} does not fit a WAV header")
+    with output_file(path) as fh:
+        header = lambda size: struct.pack(         # size: the payload's bytes
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + size, b"WAVE", b"fmt ", 16, _FMT_FLOAT, 1,
+            sample_rate, sample_rate * 4, 4, 32, b"data", size)
+        fh.write(header(0))
 
-    def __init__(self, path: str | Path, sample_rate: int):
-        if sample_rate * 4 > 0xFFFFFFFF:
-            raise ValueError(f"sample rate {sample_rate} does not fit a WAV header")
-        self.path = Path(path)
-        self.sample_rate = sample_rate
-        self._payload_bytes = 0
+        def write(samples: np.ndarray) -> None:
+            if not np.all(np.isfinite(samples)):
+                raise ValueError("cannot write non-finite samples")
+            payload = np.asarray(samples).astype("<f4").tobytes()
+            if fh.tell() - 8 + len(payload) > 0xFFFFFFFF:    # the RIFF size: all but 8 bytes
+                raise ValueError(f"{path}: output too long for a WAV file")
+            fh.write(payload)
 
-    def __enter__(self) -> "WavWriter":
-        self._output = self._open()
-        return self._output.__enter__()
-
-    def __exit__(self, *exc):
-        return self._output.__exit__(*exc)
-
-    @contextmanager
-    def _open(self):
-        with output_file(self.path) as self._fh:
-            self._fh.write(self._header())
-            yield self
-            self._fh.seek(0)
-            self._fh.write(self._header())
-
-    def _header(self) -> bytes:
-        return struct.pack(
-            "<4sI4s4sIHHIIHH4sI",
-            b"RIFF", 36 + self._payload_bytes, b"WAVE",
-            b"fmt ", 16, _FMT_FLOAT, 1, self.sample_rate,
-            self.sample_rate * 4, 4, 32,
-            b"data", self._payload_bytes,
-        )
-
-    def write(self, samples: np.ndarray) -> None:
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("cannot write non-finite samples")
-        payload = np.asarray(samples).astype("<f4").tobytes()
-        if 36 + self._payload_bytes + len(payload) > 0xFFFFFFFF:
-            raise ValueError(f"{self.path}: output too long for a WAV file")
-        self._fh.write(payload)
-        self._payload_bytes += len(payload)
+        yield write
+        size = fh.tell() - 44                      # all but the header
+        fh.seek(0)
+        fh.write(header(size))
 
 
 def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
     """Write a mono 32-bit float WAV file."""
-    with WavWriter(path, buffer.sample_rate) as writer:
-        writer.write(buffer.samples)
+    with wav_writer(path, buffer.sample_rate) as write:
+        write(buffer.samples)
 
 
 def peak_normalize(buffer: AudioBuffer) -> AudioBuffer:
@@ -351,6 +334,9 @@ def load_manifest(path: str | Path) -> list[ManifestSong]:
             raise ManifestError(f"{path}: each song needs a string 'id' and a 'stems' list")
         if entry["id"] in ("", ".", "..") or any(c in entry["id"] for c in "/\\"):
             raise ManifestError(f"{path}: song id {entry['id']!r} is not a plain file name")
+        if any(c in entry["id"] for c in CSV_UNSAFE):
+            raise ManifestError(f"{path}: song id {entry['id']!r} holds a comma, quote or "
+                                "line break")
         if entry["id"] in songs:
             raise ManifestError(f"{path}: song id {entry['id']!r} appears more than once")
         stems = []

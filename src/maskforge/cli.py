@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import mlp, nmf, pipeline, synth
-from .audio_io import (ManifestSong, check_outputs, load_manifest, load_song, pool_and_mix,
-                       read_wav, write_wav)
+from .audio_io import (CSV_UNSAFE, ManifestSong, check_outputs, load_manifest, load_song,
+                       pool_and_mix, read_wav, write_wav)
 from .bss_eval import SOURCES, evaluate_pair
 from .patching import PatchConfig
 from .pipeline import ExperimentConfig
@@ -113,11 +113,11 @@ def cmd_mix(args) -> int:
 
 
 def cmd_train_dnn(args) -> int:
-    songs = load_manifest(args.manifest)
-    check_outputs([args.out], _reads(args.manifest, songs))
     hidden = tuple(int(h) for h in args.hidden.split(",") if h.strip())
     cfg = _experiment_config(args, hidden=hidden, epochs=args.epochs,
                              learning_rate=args.lr, loss=args.loss)
+    songs = load_manifest(args.manifest)
+    check_outputs([args.out], _reads(args.manifest, songs))
     model, trace = pipeline.train_dnn(songs, cfg)
     mlp.save_model(model, args.out)
     print(f"trained {cfg.layer_sizes} on {len(songs)} songs; "
@@ -126,9 +126,9 @@ def cmd_train_dnn(args) -> int:
 
 
 def cmd_train_nmf(args) -> int:
+    cfg = _experiment_config(args, nmf_rank=args.rank, nmf_train_iters=args.iterations)
     songs = load_manifest(args.manifest)
     check_outputs([args.out], _reads(args.manifest, songs))
-    cfg = _experiment_config(args, nmf_rank=args.rank, nmf_train_iters=args.iterations)
     model = pipeline.train_nmf(songs, cfg)
     nmf.save_nmf(model, args.out)
     print(f"trained rank-{args.rank} dictionaries on {len(songs)} songs; "
@@ -137,11 +137,12 @@ def cmd_train_nmf(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    cfg = ExperimentConfig(alphas=(args.alpha,), nmf_infer_iters=args.nmf_iterations,
+                           seed=args.seed)
     check_outputs([args.out_vocal, args.out_accomp], [args.model, args.input])
     _, model = pipeline.load_any_model(args.model)
-    cfg = ExperimentConfig(alphas=(args.alpha,), nmf_infer_iters=args.nmf_iterations)
     pipeline.separate_file(args.input, args.out_vocal, args.out_accomp, model,
-                           args.alpha, cfg, infer_seed=args.seed)
+                           args.alpha, cfg, infer_seed=cfg.seed)
     print(f"wrote {args.out_vocal} and {args.out_accomp}")
     return 0
 
@@ -163,6 +164,9 @@ def cmd_ideal_mask(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    for flag, label in (("--song-id", args.song_id), ("--method", args.method)):
+        if args.csv and any(c in label for c in CSV_UNSAFE):
+            raise ValueError(f"{flag} {label!r} holds a comma, quote or line break")
     paths = (args.est_vocal, args.est_accomp, args.ref_vocal, args.ref_accomp)
     check_outputs([args.csv] if args.csv else [], paths)
     buffers = [read_wav(p) for p in paths]
@@ -182,7 +186,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    alphas = parse_alphas(args.alphas)
+    cfg = ExperimentConfig(alphas=parse_alphas(args.alphas), nmf_infer_iters=args.nmf_iterations,
+                           seed=args.seed)
     songs = load_manifest(args.manifest)
     check_outputs([p for p in (args.csv, args.fig3_csv, args.per_song_csv) if p is not None],
                   [*_reads(args.manifest, songs), *args.model])
@@ -192,7 +197,6 @@ def cmd_sweep_alpha(args) -> int:
         if method in models:
             raise ValueError(f"two {method} models given; pass one per kind")
         models[method] = model
-    cfg = ExperimentConfig(alphas=alphas, nmf_infer_iters=args.nmf_iterations, seed=args.seed)
     sweep = pipeline.run_sweep_to_csv(songs, models, cfg, args.csv, fig3_path=args.fig3_csv,
                                       per_song_path=args.per_song_csv)
     n_rows = len(sweep.alphas) * len(sweep.methods) * len(SOURCES)

@@ -44,13 +44,13 @@ from .audio_io import (
     ManifestSong,
     StemSet,
     WavReader,
-    WavWriter,
     check_outputs,
     load_song,
     output_file,
     pool_and_mix,
     song_header,
     submix,
+    wav_writer,
 )
 from .bss_eval import SOURCES, SeparationMetrics, evaluate_pair
 from .masking import (
@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("rank must be >= 1")
         if min(self.nmf_train_iters, self.nmf_infer_iters) < 1:
             raise ValueError("need at least one iteration")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -364,11 +366,11 @@ def separate_file(mixture: str | Path, out_vocal: str | Path, out_accomp: str | 
     with WavReader(mixture) as reader:
         chunks = _separation(reader.read, reader.n_samples, reader.sample_rate, mixture,
                              model, alpha, cfg, infer_seed)
-        with WavWriter(out_vocal, reader.sample_rate) as vocal, \
-                WavWriter(out_accomp, reader.sample_rate) as accomp:
+        with wav_writer(out_vocal, reader.sample_rate) as write_vocal, \
+                wav_writer(out_accomp, reader.sample_rate) as write_accomp:
             for v, a in chunks:
-                vocal.write(v)
-                accomp.write(a)
+                write_vocal(v)
+                write_accomp(a)
 
 
 def ideal_mask_separate(stems: StemSet,

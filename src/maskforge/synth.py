@@ -38,6 +38,8 @@ class SynthConfig:
         if not (np.isfinite(n) and round(n) >= 2):
             raise ValueError(f"duration must give at least 2 samples at {self.sample_rate} Hz, "
                              f"got {self.duration} s")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _smooth_gate(n: int, segments: list[tuple[int, int]], edge: int) -> np.ndarray:
@@ -131,6 +133,9 @@ def generate_song(cfg: SynthConfig, index: int) -> StemSet:
 def generate_corpus(out_dir: str | Path, n_train: int, n_test: int,
                     cfg: SynthConfig) -> tuple[Path, Path]:
     """Write WAV stems and train/test manifests; returns the manifest paths."""
+    for split, n in (("train", n_train), ("test", n_test)):
+        if n < 0:
+            raise ValueError(f"{split} song count must be >= 0, got {n}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifests = []

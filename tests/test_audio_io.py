@@ -21,7 +21,6 @@ from maskforge.audio_io import (
     UnsupportedWavError,
     WavFormatError,
     WavReader,
-    WavWriter,
     check_outputs,
     load_manifest,
     load_song,
@@ -30,6 +29,7 @@ from maskforge.audio_io import (
     read_wav,
     song_header,
     submix,
+    wav_writer,
     write_manifest,
     write_wav,
 )
@@ -238,32 +238,32 @@ def test_reader_refuses_a_signalling_nan_without_a_warning(tmp_path):
 def test_chunked_writer_matches_write_wav(tmp_path, rng):
     samples = rng.uniform(-1, 1, 1001)
     write_wav(tmp_path / "whole.wav", AudioBuffer(samples, 16000))
-    with WavWriter(tmp_path / "chunks.wav", 16000) as writer:
+    with wav_writer(tmp_path / "chunks.wav", 16000) as write:
         for start in range(0, 1001, 300):
-            writer.write(samples[start:start + 300])
+            write(samples[start:start + 300])
     assert (tmp_path / "chunks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
 
 
 def test_writer_removes_unfinished_file(tmp_path):
     path = tmp_path / "partial.wav"
     with pytest.raises(ValueError, match="non-finite"):
-        with WavWriter(path, 8000) as writer:
-            writer.write(np.zeros(10))
-            writer.write(np.array([np.nan]))
+        with wav_writer(path, 8000) as write:
+            write(np.zeros(10))
+            write(np.array([np.nan]))
     assert not path.exists()
 
 
 def _write_chunks(path):
-    with WavWriter(path, 8000) as writer:
+    with wav_writer(path, 8000) as write:
         for _ in range(3):
-            writer.write(np.linspace(-1, 1, 100))
+            write(np.linspace(-1, 1, 100))
 
 
 _FRONT_END = FrontEnd(8000, frame_len=8, hop=4, width=1)     # 5-element windows
 # each of the package's writers, writing a small valid file to a path
 WRITERS = {
     "write_wav": lambda p: write_wav(p, AudioBuffer(np.linspace(-1, 1, 500), 8000)),
-    "WavWriter": _write_chunks,
+    "wav_writer": _write_chunks,
     "save_model": lambda p: save_model(init_model([5, 3, 5], seed=1, front_end=_FRONT_END), p),
     "save_nmf": lambda p: save_nmf(NmfModel(np.full((5, 2), 0.5), np.full((5, 3), 0.25),
                                             _FRONT_END), p),
@@ -328,9 +328,9 @@ def test_failed_wav_write_leaves_the_old_target(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         write_wav(target, buffer)
     with pytest.raises(ValueError, match="non-finite"):
-        with WavWriter(target, 8000) as writer:
-            writer.write(np.zeros(10))
-            writer.write(np.array([np.inf]))
+        with wav_writer(target, 8000) as write:
+            write(np.zeros(10))
+            write(np.array([np.inf]))
     assert target.read_bytes() == b"the old contents"
     assert [p.name for p in tmp_path.iterdir()] == ["out.wav"]
 
@@ -589,6 +589,9 @@ def test_manifest_rejects_wrong_shape(tmp_path):
     ({"songs": [{"id": "x", "stems": []}]}, "song 'x' has no vocal stems"),
     ({"songs": [{"id": "x", "stems": [{"path": "v.wav", "label": "vocal"}]}]},
      "song 'x' has no non_vocal stems"),
+    # each song id is one field of a per-song CSV row
+    *(({"songs": [{"id": song_id, "stems": []}]}, "holds a comma, quote or line break")
+      for song_id in ("duet, live", 'say "ah"', "two\nlines", "cr\r")),
 ])
 def test_manifest_rejects_bad_entry(tmp_path, doc, message):
     path = tmp_path / "m.json"

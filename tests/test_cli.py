@@ -1,6 +1,7 @@
 """Command-line interface: full flow, flag parsing, exit codes."""
 
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -303,6 +304,8 @@ def test_full_cli_flow(tmp_path, capsys):
     ps_lines = per_song.read_text().splitlines()
     assert ps_lines[0] == PER_SONG_HEADER
     assert len(ps_lines) == 1 + 4 * 2 * 3
+    with per_song.open(newline="") as fh:
+        assert {len(row) for row in csv.reader(fh)} == {7}
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +753,87 @@ def test_zero_sizes_fail_before_any_song_or_mixture_is_read(tiny_corpus, tmp_pat
     code, out, err = _run(capsys, [*argv, *rest])
     assert (code, err) == (1, f"error: {message}\n")
     assert reads == [] and not any(p.exists() for p in outputs)
+
+
+@pytest.mark.parametrize("command", ["train-dnn", "train-nmf", "separate-dnn", "separate-nmf",
+                                     "sweep-alpha", "make-corpus"])
+def test_negative_seed_is_refused_before_any_file_is_read(tiny_corpus, tmp_path, capsys,
+                                                          monkeypatch, rng, command):
+    # a seed is drawn from only after the songs are read, and separation with
+    # a DNN draws none, so the configs refuse it before anything is read
+    model_path, mixture = tmp_path / "m.mfg", tmp_path / "x.wav"
+    if command == "separate-nmf":
+        d = SMALL_FRONT_END.window_size
+        save_nmf(NmfModel(rng.uniform(0.1, 1, (d, 2)), rng.uniform(0.1, 1, (d, 2)),
+                          SMALL_FRONT_END), model_path)
+    else:
+        _save_dnn(model_path)
+    _noise_wav(mixture, 8000)
+    reads = []
+    for module, name in ((cli, "load_manifest"), (pipeline, "load_any_model"),
+                         (pipeline, "load_song"), (pipeline, "song_header"),
+                         (pipeline, "WavReader")):
+        monkeypatch.setattr(module, name, lambda *a, name=name: reads.append(name))
+    before = sorted(tmp_path.rglob("*"))
+    manifest, out = str(tiny_corpus["train_manifest"]), str(tmp_path / "out")
+    separate = ["separate", "--model", str(model_path), "--alpha", "0.5", "--input",
+                str(mixture), "--out-vocal", out, "--out-accomp", str(tmp_path / "a.wav")]
+    argv = {"train-dnn": ["train-dnn", "--manifest", manifest, "--out", out],
+            "train-nmf": ["train-nmf", "--manifest", manifest, "--out", out],
+            "separate-dnn": separate, "separate-nmf": separate,
+            "sweep-alpha": ["sweep-alpha", "--manifest", manifest, "--model", str(model_path),
+                            "--csv", out],
+            "make-corpus": ["make-corpus", "--out-dir", str(tmp_path / "new" / "corpus")],
+            }[command]
+    assert _run(capsys, [*argv, "--seed", "-1"]) == (1, "", "error: seed must be >= 0, got -1\n")
+    assert reads == [] and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("counts, message", [
+    (["--train", "1", "--test", "-1"], "test song count must be >= 0, got -1"),
+    (["--train", "-1", "--test", "1"], "train song count must be >= 0, got -1"),
+], ids=["test", "train"])
+def test_make_corpus_refuses_a_negative_count_before_writing(tmp_path, capsys, counts, message):
+    out_dir = tmp_path / "new" / "corpus"
+    argv = ["make-corpus", "--out-dir", str(out_dir), "--duration", "0.01"]
+    assert _run(capsys, [*argv, *counts]) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "new").exists()
+    # no training songs is a corpus: a test set alone
+    code, out, err = _run(capsys, [*argv, "--train", "0", "--test", "1"])
+    assert code == 0, err
+    assert load_manifest(out_dir / "train.json") == []
+
+
+def test_a_song_id_that_would_break_a_csv_row_is_refused(tmp_path, capsys):
+    manifest = _two_stem_manifest(tmp_path, {"duet, live": (8000, 8000)})
+    model_path = tmp_path / "m.mfg"
+    _save_dnn(model_path)
+    csvs = [tmp_path / name for name in ("fig2.csv", "per_song.csv")]
+    code, out, err = _run(capsys, [
+        "sweep-alpha", "--manifest", str(manifest), "--model", str(model_path),
+        "--csv", str(csvs[0]), "--per-song-csv", str(csvs[1])])
+    assert (code, out) == (1, "")
+    assert err == (f"error: {manifest}: song id 'duet, live' holds a comma, quote or "
+                   "line break\n")
+    assert not any(p.exists() for p in csvs)
+
+
+@pytest.mark.parametrize("labels, flag", [
+    (["--song-id", "two\nlines", "--method", "a,b"], "--song-id 'two\\nlines'"),
+    (["--method", "a,b"], "--method 'a,b'"),
+    (["--method", 'say "ah"'], "--method 'say \"ah\"'"),
+    (["--song-id", "cr\r"], "--song-id 'cr\\r'"),
+], ids=["newline-id-and-comma-method", "comma", "quote", "carriage-return"])
+def test_evaluate_refuses_a_label_that_would_break_a_csv_row(tmp_path, capsys, monkeypatch,
+                                                             labels, flag):
+    monkeypatch.setattr(cli, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    wavs = [str(tmp_path / f"{name}.wav") for name in ("ev", "ea", "rv", "ra")]
+    eval_csv = tmp_path / "eval.csv"
+    code, out, err = _run(capsys, [
+        "evaluate", "--est-vocal", wavs[0], "--est-accomp", wavs[1], "--ref-vocal", wavs[2],
+        "--ref-accomp", wavs[3], "--csv", str(eval_csv), *labels])
+    assert (code, out, err) == (1, "", f"error: {flag} holds a comma, quote or line break\n")
+    assert not eval_csv.exists()
 
 
 @pytest.mark.parametrize("kind", ["dnn", "nmf"])

@@ -22,7 +22,7 @@ from maskforge.audio_io import (
 )
 from maskforge.bss_eval import evaluate_pair
 from maskforge.masking import ideal_binary_mask
-from maskforge import nmf, pipeline
+from maskforge import cli, nmf, pipeline
 from maskforge.mlp import MlpModel, init_model, predict_masks
 from maskforge.model_file import FrontEnd, FrontEndMismatch
 from maskforge.nmf import NmfModel
@@ -340,6 +340,35 @@ def test_pooling_memory_grows_with_song_length_at_a_bounded_rate(tmp_path, build
         for seed, (path, _) in enumerate(stems):
             write_wav(path, AudioBuffer(np.random.default_rng(seed).uniform(-0.8, 0.8, n), 22050))
         _, peak = _traced_peak(lambda: build([ManifestSong("song", stems)], stft_cfg, patch_cfg))
+        peaks.append(peak)
+    growth = (peaks[1] - peaks[0]) / (lengths[1] - lengths[0])
+    assert growth <= bound, (growth, peaks)
+
+
+@pytest.mark.parametrize("command, bound", [("mix", 45), ("evaluate", 94)])
+def test_cli_memory_grows_with_song_length_at_a_bounded_rate(tmp_path, capsys, command, bound):
+    """`mix` pools a song whole and `evaluate` reads its four WAVs whole, so
+    the peak grows with the song's length. Between one song of two noise stems
+    of 32000 and of 128000 samples, the traced peak of `cli.main` grew 39.4
+    (`mix`) and 88.1 (`evaluate`, scoring the stems against each other
+    swapped) bytes per added sample when this test was written. Each bound
+    adds a margin of under 6, below the 8 bytes per sample of one more
+    whole-length float64 array kept alive.
+    tracemalloc sees numpy's arrays but not the BLAS library's workspace, so
+    this bounds the arrays alone."""
+    stems = [(tmp_path / f"{label}.wav", label) for label in (VOCAL, NON_VOCAL)]
+    vocal, accomp = (str(path) for path, _ in stems)
+    manifest = tmp_path / "m.json"
+    write_manifest(manifest, [ManifestSong("song", stems)])
+    argv = {"mix": ["mix", "--manifest", str(manifest), "--out-dir", str(tmp_path)],
+            "evaluate": ["evaluate", "--est-vocal", accomp, "--est-accomp", vocal,
+                         "--ref-vocal", vocal, "--ref-accomp", accomp]}[command]
+    lengths, peaks = (32000, 128000), []
+    for n in lengths:
+        for seed, (path, _) in enumerate(stems):
+            write_wav(path, AudioBuffer(np.random.default_rng(seed).uniform(-0.8, 0.8, n), 22050))
+        code, peak = _traced_peak(lambda: cli.main(argv))
+        assert code == 0, capsys.readouterr().err
         peaks.append(peak)
     growth = (peaks[1] - peaks[0]) / (lengths[1] - lengths[0])
     assert growth <= bound, (growth, peaks)

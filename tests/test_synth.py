@@ -23,6 +23,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match="at least 2 samples"):
             SynthConfig(duration=duration)
     assert len(generate_song(SynthConfig(duration=0.0001), 0).stems[0][0]) == 2
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+        SynthConfig(seed=-3)
 
 
 def test_song_shape_and_labels():
