@@ -83,6 +83,7 @@ _FMT_FLOAT = 3
 _FMT_EXTENSIBLE = 0xFFFE
 # bytes per sample of each decoded (format, bits) pair
 _SAMPLE_BYTES = {(_FMT_PCM, 16): 2, (_FMT_PCM, 24): 3, (_FMT_FLOAT, 32): 4}
+MAX_SAMPLE_RATE = 0xFFFFFFFF // 4    # the highest whose float32 byte rate fits a WAV header
 
 
 # Samples that read_wav decodes at a time, and the numbers of output_file's temporaries.
@@ -195,8 +196,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
     with WavReader(path) as reader:
         samples = np.empty(reader.n_samples)
         for start in range(0, reader.n_samples, _READ_CHUNK):
-            stop = min(start + _READ_CHUNK, reader.n_samples)
-            samples[start:stop] = reader.read(start, stop)
+            samples[start:start + _READ_CHUNK] = reader.read(start, start + _READ_CHUNK)
         return AudioBuffer(samples, reader.sample_rate)
 
 
@@ -244,7 +244,7 @@ def wav_writer(path: str | Path, sample_rate: int):
     """A mono 32-bit float WAV file written a chunk at a time through
     `output_file`; the block gets `write(samples)`. The header's sizes are
     known only at the end, so a clean exit from the block writes them last."""
-    if sample_rate * 4 > 0xFFFFFFFF:
+    if sample_rate > MAX_SAMPLE_RATE:
         raise ValueError(f"sample rate {sample_rate} does not fit a WAV header")
     with output_file(path) as fh:
         header = lambda size: struct.pack(         # size: the payload's bytes
@@ -300,9 +300,12 @@ def submix(stems: StemSet, label: str) -> AudioBuffer:
 
 def pool_and_mix(stems: StemSet) -> tuple[AudioBuffer, AudioBuffer, AudioBuffer]:
     """(vocal submix, non-vocal submix, full mix); the full mixture is the
-    submixes' raw sum and may have peak > 1."""
+    submixes' raw sum, may have peak > 1, and must not be silent."""
     vocal, nonvocal = (submix(stems, label) for label in LABELS)
-    return vocal, nonvocal, AudioBuffer(vocal.samples + nonvocal.samples, vocal.sample_rate)
+    mix = AudioBuffer(vocal.samples + nonvocal.samples, vocal.sample_rate)
+    if not np.any(mix.samples):
+        raise ValueError(f"song {stems.song_id!r} has submixes that cancel to a silent mixture")
+    return vocal, nonvocal, mix
 
 
 # ---------------------------------------------------------------------------

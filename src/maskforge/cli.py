@@ -148,15 +148,14 @@ def cmd_separate(args) -> int:
 
 
 def cmd_ideal_mask(args) -> int:
+    stft_cfg = StftConfig(frame_len=args.frame, hop=args.hop)
     songs = _songs(args)
     if not songs:
         raise ValueError("manifest has no songs")
     if args.song is None and len(songs) > 1:
         raise ValueError("manifest has multiple songs; pass --song")
     check_outputs([args.out_vocal, args.out_accomp], _reads(args.manifest, songs))
-    stems = load_song(songs[0])
-    stft_cfg = StftConfig(frame_len=args.frame, hop=args.hop)
-    vocal, accomp = pipeline.ideal_mask_separate(stems, stft_cfg)
+    vocal, accomp = pipeline.ideal_mask_separate(load_song(songs[0]), stft_cfg)
     write_wav(args.out_vocal, vocal)
     write_wav(args.out_accomp, accomp)
     print(f"wrote {args.out_vocal} and {args.out_accomp}")
@@ -173,6 +172,11 @@ def cmd_evaluate(args) -> int:
     if len({b.sample_rate for b in buffers}) > 1:
         raise ValueError("sample rates differ: " + ", ".join(
             f"{p} {b.sample_rate} Hz" for p, b in zip(paths, buffers)))
+    if len(buffers[2]) != len(buffers[3]):
+        raise ValueError("reference lengths differ: " + ", ".join(
+            f"{p} {len(b)} samples" for p, b in zip(paths[2:], buffers[2:])))
+    if silent := [p for p, b in zip(paths[2:], buffers[2:]) if not b.samples.any()]:
+        raise ValueError(f"{silent[0]}: an empty or all-zero reference cannot be scored against")
     sources = evaluate_pair(*(b.samples for b in buffers))
     for name, m in sources.items():
         print(f"{name}: sdr={m.sdr_db:.6f} dB  sir={m.sir_db:.6f} dB  "

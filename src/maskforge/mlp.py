@@ -107,8 +107,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.learning_rate >= 0.0:
-            raise ValueError("learning rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.loss not in _LOSSES:
             raise ValueError(f"loss must be one of {sorted(_LOSSES)}")
 

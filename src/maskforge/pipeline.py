@@ -142,10 +142,10 @@ def _oracle_mask_and_mixture(mixes: tuple[AudioBuffer, AudioBuffer, AudioBuffer]
     return ibm, stft(full_mix, stft_cfg)
 
 
-def _unit_scaled(spec: ComplexSpectrogram) -> np.ndarray:
-    """A spectrogram's magnitudes over their peak, which `_peak_magnitude` finds."""
-    mag = np.abs(spec.bins)
-    return mag / _peak_magnitude(lambda a, b: mag[:, a:b], spec.n_frames)
+def _unit_scaled(spec: ComplexSpectrogram, what) -> np.ndarray:
+    """The magnitudes of `what`'s spectrogram over their peak, which `_peak_magnitude` finds."""
+    frames = lambda a, b: spec.bins[:, a:b]
+    return np.abs(spec.bins) / _peak_magnitude(frames, spec.n_frames, what)
 
 
 def _training_rows(grid: np.ndarray, patch_cfg: PatchConfig) -> np.ndarray:
@@ -179,7 +179,7 @@ def build_training_set(songs: list[ManifestSong], stft_cfg: StftConfig, patch_cf
     X, Y = (np.empty((slices[-1].stop, front_end.window_size)) for _ in range(2))
     for song, rows in zip(songs, slices):
         ibm, spec = _oracle_mask_and_mixture(pool_and_mix(load_song(song)), stft_cfg)
-        X[rows] = _training_rows(_unit_scaled(spec), patch_cfg)
+        X[rows] = _training_rows(_unit_scaled(spec, f"song {song.song_id!r}"), patch_cfg)
         Y[rows] = _training_rows(ibm.values, patch_cfg)
     return X, Y, front_end
 
@@ -192,8 +192,8 @@ def build_class_matrix(songs: list[ManifestSong], label: str, stft_cfg: StftConf
     slices, front_end = _song_slices(songs, stft_cfg, patch_cfg)
     V = np.empty((front_end.window_size, slices[-1].stop))
     for song, cols in zip(songs, slices):
-        mix = submix(load_song(song), label)
-        V[:, cols] = _training_rows(_unit_scaled(stft(mix, stft_cfg)), patch_cfg).T
+        spec = stft(submix(load_song(song), label), stft_cfg)
+        V[:, cols] = _training_rows(_unit_scaled(spec, f"song {song.song_id!r}"), patch_cfg).T
     return V, front_end
 
 
@@ -242,20 +242,20 @@ def _front_end(model: Model, sample_rate: int, what) -> FrontEnd:
 _WINDOW_BLOCK = 512
 
 
-def _peak_magnitude(frames, n_frames: int) -> float:
-    """The largest magnitude of the frames that frames(a, b) gives, a block at
-    a time: separation's pass one, and training's unit scale (`_unit_scaled`)."""
+def _peak_magnitude(frames, n_frames: int, what) -> float:
+    """The largest magnitude of the frames of `what` that frames(a, b) gives, a
+    block at a time: separation's pass one, and training's unit scale (`_unit_scaled`)."""
     peak = max(float(np.max(np.abs(frames(a, min(a + _WINDOW_BLOCK, n_frames)))))
                for a in range(0, n_frames, _WINDOW_BLOCK))
     if peak == 0.0:
-        raise ValueError("all-zero spectrogram has no unit scale")
+        raise ValueError(f"{what} has an all-zero spectrogram, which has no unit scale")
     return peak
 
 
 def _mean_blocks(frames, n_frames: int, peak: float, model: Model, iterations: int,
                  infer_seed: int):
-    """Pass two: yield (bins, mean) for consecutive runs of finished frames,
-    their complex STFT bins and their mean vocal confidence.
+    """Pass two: yield (first, bins, mean) for consecutive runs of finished
+    frames, their first frame, complex STFT bins and mean vocal confidence.
 
     frames(a, b) gives complex STFT frames a..b-1, and their magnitudes over
     `peak` are what the windows are cut from. Each block cuts the stride-1
@@ -275,7 +275,7 @@ def _mean_blocks(frames, n_frames: int, peak: float, model: Model, iterations: i
         last = first + P == n_windows
         acc, counts = sums.push(preds.patches.transpose(0, 2, 1), last)
         done = n_frames - first if last else P
-        yield bins[:, :done], MeanPrediction.of_sums(acc[:done], counts[:done])
+        yield first, bins[:, :done], MeanPrediction.of_sums(acc[:done], counts[:done])
 
 
 def confidence_grid(mix: AudioBuffer | ComplexSpectrogram, model: Model,
@@ -296,12 +296,11 @@ def confidence_grid(mix: AudioBuffer | ComplexSpectrogram, model: Model,
     frames = lambda a, b: spec.bins[:, a:b]
     # frame-major, like the STFT's bins, so that masked bins keep their layout
     values, counts = np.empty((N, stft_cfg.n_bins)).T, np.empty(N, dtype=np.int64)
-    done = 0
-    for bins, mean in _mean_blocks(frames, N, _peak_magnitude(frames, N), model,
-                                   cfg.nmf_infer_iters, infer_seed):
-        values[:, done:done + bins.shape[1]] = mean.values
-        counts[done:done + bins.shape[1]] = mean.counts[0]
-        done += bins.shape[1]
+    peak = _peak_magnitude(frames, N, "the mixture")
+    for first, bins, mean in _mean_blocks(frames, N, peak, model, cfg.nmf_infer_iters,
+                                          infer_seed):
+        values[:, first:first + bins.shape[1]] = mean.values
+        counts[first:first + bins.shape[1]] = mean.counts[0]
     return MeanPrediction(values, np.broadcast_to(counts, values.shape)), spec
 
 
@@ -331,14 +330,14 @@ def _separation(read, n_samples: int, sample_rate: int, what, model: Model, alph
         return stft(AudioBuffer(samples, sample_rate), stft_cfg).bins
 
     n_frames = n_frames_for(n_samples, stft_cfg)
-    peak = _peak_magnitude(frames, n_frames)
+    peak = _peak_magnitude(frames, n_frames, what)
     inverses = tuple(InverseStft(stft_cfg, n_frames, n_samples) for _ in range(2))
 
     def invert(bins: np.ndarray, mean: MeanPrediction) -> tuple[np.ndarray, np.ndarray]:
         return tuple(inverse.push(bins * m.values)
                      for inverse, m in zip(inverses, _confidence_masks(mean, alpha)))
 
-    return (invert(bins, mean) for bins, mean in
+    return (invert(bins, mean) for _, bins, mean in
             _mean_blocks(frames, n_frames, peak, model, cfg.nmf_infer_iters, infer_seed))
 
 

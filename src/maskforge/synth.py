@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import (
+    MAX_SAMPLE_RATE,
     NON_VOCAL,
     VOCAL,
     AudioBuffer,
@@ -34,6 +35,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.sample_rate < 1000:
             raise ValueError("sample rate too low for audio synthesis")
+        if self.sample_rate > MAX_SAMPLE_RATE:
+            raise ValueError(f"sample rate {self.sample_rate} does not fit a WAV header")
         n = self.duration * self.sample_rate
         if not (np.isfinite(n) and round(n) >= 2):
             raise ValueError(f"duration must give at least 2 samples at {self.sample_rate} Hz, "

@@ -500,6 +500,14 @@ def test_pool_names_song_and_label_of_cancelling_stems(rng):
         pool_and_mix(StemSet(stems, song_id="c"))
 
 
+def test_pool_names_a_song_whose_submixes_cancel(rng):
+    # each submix sounds, but the full mixture, their raw sum, is silent
+    v = rng.uniform(-1, 1, 32)
+    with pytest.raises(ValueError, match="^song 'c' has submixes that cancel to a silent "
+                                         "mixture$"):
+        pool_and_mix(StemSet([_stem(v, VOCAL), _stem(-v, NON_VOCAL)], song_id="c"))
+
+
 def test_pool_rejects_empty():
     with pytest.raises(ValueError, match="empty stem set"):
         pool_and_mix(StemSet([]))

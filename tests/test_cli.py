@@ -601,8 +601,8 @@ def test_overcomplete_nmf_rank_trains_quietly(tiny_corpus, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--epochs", "0"], "epochs must be >= 1"),
-    (["--lr", "nan"], "learning rate must be non-negative"),
-    (["--lr", "-1"], "learning rate must be non-negative"),
+    (["--lr", "nan"], "learning rate must be finite and >= 0, got nan"),
+    (["--lr", "-1"], "learning rate must be finite and >= 0, got -1.0"),
 ])
 def test_bad_training_settings_fail_before_any_song_is_read(tiny_corpus, tmp_path, capsys,
                                                             monkeypatch, flags, message):
@@ -851,7 +851,8 @@ def test_separate_refuses_a_silent_mixture_before_any_output(tmp_path, capsys, r
         "separate", "--model", str(model_path), "--alpha", "0.5", "--input", str(mixture),
         "--out-vocal", str(outputs[0]), "--out-accomp", str(outputs[1]),
     ])
-    assert (code, err) == (1, "error: all-zero spectrogram has no unit scale\n")
+    assert (code, err) == (1, f"error: {mixture} has an all-zero spectrogram, which has no "
+                              "unit scale\n")
     assert not any(p.exists() for p in outputs)
 
 
@@ -1036,6 +1037,150 @@ def test_evaluate_rejects_mixed_sample_rates(tmp_path, capsys, rng):
     for name, rate in rates.items():
         assert f"{tmp_path / name}.wav {rate} Hz" in err
     assert not eval_csv.exists()
+
+
+@pytest.mark.parametrize("case", ["empty", "all-zero-vocal", "all-zero-accompaniment",
+                                  "lengths"])
+def test_evaluate_checks_its_references_before_it_scores(tmp_path, capsys, rng, case):
+    noise = rng.uniform(-0.5, 0.5, 2048)
+    refs = {"empty": (np.zeros(0), np.zeros(0)), "all-zero-vocal": (np.zeros(2048), noise),
+            "all-zero-accompaniment": (noise, np.zeros(2048)),
+            "lengths": (noise, noise[:1024])}[case]
+    paths = [tmp_path / f"{name}.wav" for name in ("est_v", "est_a", "ref_v", "ref_a")]
+    for path, x in zip(paths, (noise, -noise, *refs)):
+        write_wav(path, AudioBuffer(x, 8000))
+    eval_csv = tmp_path / "eval.csv"
+    code, out, err = _run(capsys, [
+        "evaluate", "--est-vocal", str(paths[0]), "--est-accomp", str(paths[1]),
+        "--ref-vocal", str(paths[2]), "--ref-accomp", str(paths[3]), "--csv", str(eval_csv),
+    ])
+    silent = paths[3] if case == "all-zero-accompaniment" else paths[2]
+    assert (code, out) == (1, "")
+    assert err == (f"error: reference lengths differ: {paths[2]} 2048 samples, {paths[3]} "
+                   "1024 samples\n" if case == "lengths" else
+                   f"error: {silent}: an empty or all-zero reference cannot be scored against\n")
+    assert not eval_csv.exists()
+
+
+def test_make_corpus_refuses_a_rate_no_wav_header_holds(tmp_path, capsys):
+    out_dir = tmp_path / "c"
+    code, out, err = _run(capsys, [
+        "make-corpus", "--out-dir", str(out_dir), "--sample-rate", "1100000000",
+        "--duration", "0.000002", "--train", "1", "--test", "0",
+    ])
+    assert (code, out, err) == (1, "", "error: sample rate 1100000000 does not fit a WAV "
+                                       "header\n")
+    assert not out_dir.exists()
+
+
+def _separate_argv(tmp_path, model_path, mixture):
+    return ["separate", "--model", str(model_path), "--alpha", "0.5", "--input", str(mixture),
+            "--out-vocal", str(tmp_path / "v.wav"), "--out-accomp", str(tmp_path / "a.wav")]
+
+
+def test_separate_names_a_mixture_of_no_samples(tmp_path, capsys):
+    model_path, mixture = tmp_path / "m.mfg", tmp_path / "x.wav"
+    _save_dnn(model_path)
+    write_wav(mixture, AudioBuffer(np.zeros(0), 8000))
+    code, out, err = _run(capsys, _separate_argv(tmp_path, model_path, mixture))
+    assert (code, out) == (1, "")
+    assert err == f"error: {mixture} has an all-zero spectrogram, which has no unit scale\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mfg", "x.wav"]
+
+
+@pytest.mark.parametrize("command", ["train-dnn", "sweep-alpha", "mix", "ideal-mask"])
+def test_a_song_whose_submixes_cancel_is_refused_by_name(tmp_path, capsys, command):
+    # each stem sounds, and so does each submix, but the full mixture is silent
+    noise = np.random.default_rng(8).uniform(-0.5, 0.5, 4096)
+    for name, samples in (("v", noise), ("nv", -noise)):
+        write_wav(tmp_path / f"{name}.wav", AudioBuffer(samples, 8000))
+    stems = [{"path": "v.wav", "label": "vocal"}, {"path": "nv.wav", "label": "non_vocal"}]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"songs": [{"id": "hollow_song", "stems": stems}]}))
+    _save_dnn(tmp_path / "m.mfg")
+    out = tmp_path / "out"
+    argv = {"train-dnn": ["--out", str(out / "dnn.mfg"), *SMALL],
+            "sweep-alpha": ["--model", str(tmp_path / "m.mfg"), "--csv", str(out / "f.csv")],
+            "mix": ["--out-dir", str(out)],
+            "ideal-mask": ["--out-vocal", str(out / "v.wav"), "--out-accomp",
+                           str(out / "a.wav")]}[command]
+    if command != "mix":
+        out.mkdir()
+    code, stdout, err = _run(capsys, [command, "--manifest", str(manifest), *argv])
+    assert (code, stdout) == (1, "")
+    assert err == "error: song 'hollow_song' has submixes that cancel to a silent mixture\n"
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ideal-mask", "--frame", "511"], "frame_len must be an even integer >= 2"),
+    (["ideal-mask", "--hop", "0"], "hop must satisfy 0 < hop <= frame_len"),
+    (["ideal-mask", "--frame", "512", "--hop", "1024"], "hop must satisfy 0 < hop <= frame_len"),
+    (["train-dnn", "--lr", "inf", *SMALL], "learning rate must be finite and >= 0, got inf"),
+], ids=["odd-frame", "zero-hop", "hop-over-frame", "infinite-lr"])
+def test_bad_flags_are_refused_before_any_song_is_read(tiny_corpus, tmp_path, capsys,
+                                                       monkeypatch, argv, message):
+    loaded = []
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "load_song", lambda song: loaded.append(song))
+    manifest = str(tiny_corpus["test_manifest"] if argv[0] == "ideal-mask"
+                   else tiny_corpus["train_manifest"])
+    outputs = {"ideal-mask": ["--song", tiny_corpus["test_songs"][0].song_id,
+                              "--out-vocal", str(tmp_path / "v.wav"),
+                              "--out-accomp", str(tmp_path / "a.wav")],
+               "train-dnn": ["--out", str(tmp_path / "m.mfg")]}[argv[0]]
+    code, out, err = _run(capsys, [*argv, "--manifest", manifest, *outputs])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert loaded == [] and list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# refusals of malformed model and WAV headers, named by file
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flaw, message", [
+    ("three-ranks", "an nmf model has 2 ranks, not 3"),
+    ("rate-0", "bad front end ("),
+    ("width-0", "bad front end ("),
+])
+def test_separate_names_a_model_file_it_refuses(tmp_path, capsys, rng, flaw, message):
+    model_path, mixture = tmp_path / "m.mfg", tmp_path / "x.wav"
+    _noise_wav(mixture, 8000)
+    if flaw == "three-ranks":
+        w = rng.uniform(0.1, 1, (2, SMALL_FRONT_END.window_size))
+        write_model(model_path, NMF, SMALL_FRONT_END, [2, 2, 2], [w, w, w])
+    else:
+        _save_dnn(model_path)
+        raw = bytearray(model_path.read_bytes())
+        # the header's front end: four u32 (rate, frame, hop, width) from byte 12
+        struct.pack_into("<I", raw, 12 if flaw == "rate-0" else 24, 0)
+        model_path.write_bytes(bytes(raw))
+    code, out, err = _run(capsys, _separate_argv(tmp_path, model_path, mixture))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {model_path}: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mfg", "x.wav"]
+
+
+@pytest.mark.parametrize("command", ["separate", "evaluate"])
+@pytest.mark.parametrize("channels, rate", [(0, 8000), (1, 0)], ids=["no-channels", "no-rate"])
+def test_a_wav_without_channels_or_rate_is_refused_by_name(tmp_path, capsys, command,
+                                                            channels, rate):
+    bad = tmp_path / "bad.wav"
+    payload = np.zeros(4, dtype="<f4").tobytes()
+    bad.write_bytes(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
+                                b"fmt ", 16, 3, channels, rate, rate * 4 * channels,
+                                4 * channels, 32, b"data", len(payload)) + payload)
+    model_path, good = tmp_path / "m.mfg", tmp_path / "good.wav"
+    _save_dnn(model_path)
+    _noise_wav(good, 8000)
+    eval_csv = tmp_path / "eval.csv"
+    argv = (_separate_argv(tmp_path, model_path, bad) if command == "separate" else
+            ["evaluate", "--est-vocal", str(good), "--est-accomp", str(good),
+             "--ref-vocal", str(bad), "--ref-accomp", str(good), "--csv", str(eval_csv)])
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: invalid channel count or sample rate\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wav", "good.wav", "m.mfg"]
 
 
 # ---------------------------------------------------------------------------

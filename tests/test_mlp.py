@@ -274,6 +274,12 @@ def test_targets_must_be_binary():
         loss_and_gradient(model, np.zeros(2), np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize("lr", [float("inf"), float("-inf"), float("nan"), -1.0])
+def test_train_config_refuses_a_learning_rate_not_finite_and_non_negative(lr):
+    with pytest.raises(ValueError, match=f"^learning rate must be finite and >= 0, got {lr}$"):
+        TrainConfig(epochs=1, learning_rate=lr)
+
+
 def test_unknown_loss_rejected():
     model = init_model([2, 2], seed=0)
     with pytest.raises(ValueError, match="loss"):
@@ -512,6 +518,13 @@ def test_model_file_round_trip(tmp_path):
         assert np.array_equal(W1, W2)
     for b1, b2 in zip(model.biases, back.biases):
         assert np.array_equal(b1, b2)
+
+
+def test_a_bare_network_cannot_be_saved(tmp_path):
+    with pytest.raises(ValueError, match="^a bare network, which records no front end, "
+                                         "cannot be saved$"):
+        save_model(init_model([3, 2, 3], seed=0), tmp_path / "m.mfg")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_model_file_errors(tmp_path):

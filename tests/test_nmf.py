@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from maskforge.model_file import NMF, FrontEnd, write_model
+from maskforge.model_file import NMF, FrontEnd, ModelFileError, write_model
 from maskforge.nmf import (
     KL_EPS,
     NmfModel,
@@ -505,6 +505,10 @@ def test_nmf_file_errors(tmp_path, rng):
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="size mismatch"):
         load_any_model(path)[1]
+    w = rng.uniform(0.1, 1, (1, 4))
+    write_model(path, NMF, _front_end(2, 2), [1, 1, 1], [w, w, w])
+    with pytest.raises(ModelFileError, match="an nmf model has 2 ranks, not 3$"):
+        load_any_model(path)
 
 
 @pytest.mark.parametrize("flaw, message", [

@@ -223,14 +223,36 @@ def test_build_training_set_rejects_empty():
 
 def test_training_refuses_a_silent_mixture(tmp_path):
     # each stem sounds, but the vocal and the accompaniment cancel in the mix,
-    # so the mixture's spectrogram has no peak to scale by
+    # which pooling refuses before the mixture is transformed
     x = np.random.default_rng(4).uniform(-0.8, 0.8, 2944)
     stems = StemSet(stems=[(AudioBuffer(x, 22050), VOCAL), (AudioBuffer(-x, 22050), NON_VOCAL)],
                     song_id="hollow")
     songs = _one_song_manifest(tmp_path, stems)
-    assert not np.any(pool_and_mix(load_song(songs[0]))[2].samples)
-    with pytest.raises(ValueError, match="^all-zero spectrogram has no unit scale$"):
+    with pytest.raises(ValueError, match="^song 'hollow' has submixes that cancel to a "
+                                         "silent mixture$"):
         build_training_set(songs, StftConfig(512, 128), PatchConfig(10))
+
+
+def test_training_names_a_song_whose_spectrogram_is_all_zero(tmp_path):
+    # an impulse on the first sample sounds, but the periodic Hann window
+    # weighs the first sample of the first frame by 0 and no other frame covers it
+    impulse = np.zeros(2944)
+    impulse[0] = 0.5
+    stems = StemSet(stems=[(AudioBuffer(impulse, 22050), VOCAL),
+                           (AudioBuffer(impulse, 22050), NON_VOCAL)], song_id="tick")
+    songs = _one_song_manifest(tmp_path, stems)
+    message = "^song 'tick' has an all-zero spectrogram, which has no unit scale$"
+    with pytest.raises(ValueError, match=message):
+        build_training_set(songs, StftConfig(512, 128), PatchConfig(10))
+    with pytest.raises(ValueError, match=message):
+        build_class_matrix(songs, VOCAL, StftConfig(512, 128), PatchConfig(10))
+
+
+def test_confidence_grid_refuses_a_silent_mixture():
+    model = init_model([257 * 5, 4, 257 * 5], front_end=FrontEnd(22050, 512, 128, 5))
+    with pytest.raises(ValueError, match="^the mixture has an all-zero spectrogram, which "
+                                         "has no unit scale$"):
+        confidence_grid(AudioBuffer(np.zeros(4096), 22050), model, ExperimentConfig())
 
 
 def test_build_class_matrices_shapes(tiny_corpus):

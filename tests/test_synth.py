@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from maskforge.audio_io import NON_VOCAL, VOCAL, load_manifest, load_song, read_wav
+from maskforge.audio_io import (
+    MAX_SAMPLE_RATE,
+    NON_VOCAL,
+    VOCAL,
+    load_manifest,
+    load_song,
+    read_wav,
+)
 from maskforge.stft import StftConfig, stft
 from maskforge.synth import (
     SynthConfig,
@@ -25,6 +32,11 @@ def test_config_validation():
     assert len(generate_song(SynthConfig(duration=0.0001), 0).stems[0][0]) == 2
     with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
         SynthConfig(seed=-3)
+    # a float32 WAV's byte rate, 4 bytes a sample, is a u32 field of its header
+    assert MAX_SAMPLE_RATE == 1073741823
+    assert SynthConfig(sample_rate=MAX_SAMPLE_RATE).sample_rate == MAX_SAMPLE_RATE
+    with pytest.raises(ValueError, match="^sample rate 1073741824 does not fit a WAV header$"):
+        SynthConfig(sample_rate=MAX_SAMPLE_RATE + 1)
 
 
 def test_song_shape_and_labels():
