@@ -2,9 +2,11 @@
 
 WAV files are read and written a range of samples at a time (`WavReader`,
 `wav_writer`), so streamed separation holds neither its input nor its outputs
-whole; `read_wav` and `write_wav` are their whole-file uses. Every output lands
-whole or not at all through `output_file`, and `check_outputs` refuses, before
-any work, one that would overwrite an input or another output.
+whole; `read_wav` and `write_wav` are their whole-file uses. A command's outputs
+are `output_file` parts that land together (`landing`): nothing lands before every
+part is complete, a failure removes every part and made directory, and the renames
+are not atomic as a set, so a crash between two leaves some targets old and some new.
+`check_outputs` refuses, before any work, an output over an input or another output.
 
 A label's submix (`submix`, all that NMF training builds) is its stems, each
 peak normalized, summed zero-padded to the song's longest stem, and peak
@@ -17,7 +19,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
@@ -89,6 +92,8 @@ MAX_SAMPLE_RATE = 0xFFFFFFFF // 4    # the highest whose float32 byte rate fits 
 # Samples that read_wav decodes at a time, and the numbers of output_file's temporaries.
 _READ_CHUNK = 1 << 16
 _PARTS = count()
+# The open landings of this thread or task, innermost last: their made directories and parts.
+_LANDINGS: ContextVar[tuple[list, ...]] = ContextVar("landings", default=())
 # What a song id or method label may not hold: each is one field of a CSV row.
 CSV_UNSAFE = ',"\r\n'
 
@@ -201,17 +206,49 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
 
 @contextmanager
-def output_file(path: str | Path):
-    """A binary file beside `path`, named by process and count so that any target
-    name fits, that is renamed over `path` on a clean exit and removed on an exception."""
-    part = Path(path).with_name(f".maskforge-{os.getpid()}-{next(_PARTS)}.part")
+def landing(outputs: list, inputs: list | tuple = (), make: list | tuple = ()):
+    """Make `make`'s missing directories, parents first, and run `check_outputs`; a
+    clean exit renames each `output_file` part of the block over its target (or hands
+    them to the enclosing landing), and an exception removes every part and made directory."""
+    made = []     # (directory, None) and (part, target), in the order they were made
+    opened = _LANDINGS.set((*_LANDINGS.get(), made))
     try:
-        with open(part, "wb") as fh:
-            yield fh
-        os.replace(part, path)
+        for d in [d for m in map(Path, make) for d in (*reversed(m.parents), m)]:
+            if not d.exists():
+                d.mkdir()
+                made.append((d, None))
+        check_outputs(outputs, inputs)
+        yield
+        if len(_LANDINGS.get()) > 1:     # the enclosing landing lands them
+            _LANDINGS.get()[-2].extend(made)
+        else:
+            for part, target in made:
+                if target is not None:
+                    os.replace(part, target)
     except BaseException:
-        part.unlink(missing_ok=True)
+        for path, target in reversed(made):       # parts, then directories deepest first
+            if target is not None:
+                path.unlink(missing_ok=True)
+            elif not any(path.iterdir()):          # one that a target was renamed into stays
+                path.rmdir()
         raise
+    finally:
+        _LANDINGS.reset(opened)
+
+
+@contextmanager
+def output_file(path: str | Path):
+    """A binary file beside `path`, named by process and count so that any target name
+    fits: a part of the open `landing`, or of its own if none is open, removed on an exception."""
+    part = Path(path).with_name(f".maskforge-{os.getpid()}-{next(_PARTS)}.part")
+    with nullcontext() if _LANDINGS.get() else landing([]):
+        try:
+            with open(part, "wb") as fh:
+                yield fh
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
+        _LANDINGS.get()[-1].append((part, path))
 
 
 def _check_encodable(path: Path, name: str, error: type[ValueError] = ValueError) -> None:

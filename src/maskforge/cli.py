@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import mlp, nmf, pipeline, synth
-from .audio_io import (CSV_UNSAFE, ManifestSong, check_outputs, load_manifest, load_song,
-                       pool_and_mix, read_wav, write_wav)
+from .audio_io import (CSV_UNSAFE, ManifestSong, check_outputs, landing, load_manifest,
+                       load_song, pool_and_mix, read_wav, write_wav)
 from .bss_eval import SOURCES, evaluate_pair
 from .patching import PatchConfig
 from .pipeline import ExperimentConfig
@@ -86,9 +86,7 @@ def _reads(manifest, songs: list[ManifestSong]) -> list:
 def cmd_make_corpus(args) -> int:
     cfg = synth.SynthConfig(sample_rate=args.sample_rate, duration=args.duration,
                             seed=args.seed)
-    train, test = synth.generate_corpus(args.out_dir, args.train, args.test, cfg)
-    print(train)
-    print(test)
+    print(*synth.generate_corpus(args.out_dir, args.train, args.test, cfg), sep="\n")
     return 0
 
 
@@ -96,18 +94,12 @@ def cmd_mix(args) -> int:
     songs = _songs(args)
     out_dir = Path(args.out_dir)
     names = ("vocals", "accompaniment", "mixture")
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]   # deepest first
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        check_outputs([out_dir / f"{s.song_id}_{n}.wav" for s in songs for n in names],
-                      _reads(args.manifest, songs))
-    except BaseException:   # a refused mix leaves no directory of its own behind
-        for d in filter(Path.is_dir, made):
-            d.rmdir()
-        raise
+    with landing([out_dir / f"{s.song_id}_{n}.wav" for s in songs for n in names],
+                 _reads(args.manifest, songs), make=[out_dir]):
+        for song in songs:
+            for name, mix in zip(names, pool_and_mix(load_song(song))):
+                write_wav(out_dir / f"{song.song_id}_{name}.wav", mix)
     for song in songs:
-        for name, mix in zip(names, pool_and_mix(load_song(song))):
-            write_wav(out_dir / f"{song.song_id}_{name}.wav", mix)
         print(f"{song.song_id}: wrote 3 files to {out_dir}")
     return 0
 
@@ -117,9 +109,9 @@ def cmd_train_dnn(args) -> int:
     cfg = _experiment_config(args, hidden=hidden, epochs=args.epochs,
                              learning_rate=args.lr, loss=args.loss)
     songs = load_manifest(args.manifest)
-    check_outputs([args.out], _reads(args.manifest, songs))
-    model, trace = pipeline.train_dnn(songs, cfg)
-    mlp.save_model(model, args.out)
+    with landing([args.out], _reads(args.manifest, songs)):
+        model, trace = pipeline.train_dnn(songs, cfg)
+        mlp.save_model(model, args.out)
     print(f"trained {cfg.layer_sizes} on {len(songs)} songs; "
           f"loss {trace[0]:.6f} -> {trace[-1]:.6f}; saved {args.out}")
     return 0
@@ -128,9 +120,8 @@ def cmd_train_dnn(args) -> int:
 def cmd_train_nmf(args) -> int:
     cfg = _experiment_config(args, nmf_rank=args.rank, nmf_train_iters=args.iterations)
     songs = load_manifest(args.manifest)
-    check_outputs([args.out], _reads(args.manifest, songs))
-    model = pipeline.train_nmf(songs, cfg)
-    nmf.save_nmf(model, args.out)
+    with landing([args.out], _reads(args.manifest, songs)):
+        nmf.save_nmf(pipeline.train_nmf(songs, cfg), args.out)
     print(f"trained rank-{args.rank} dictionaries on {len(songs)} songs; "
           f"saved {args.out}")
     return 0
@@ -154,10 +145,10 @@ def cmd_ideal_mask(args) -> int:
         raise ValueError("manifest has no songs")
     if args.song is None and len(songs) > 1:
         raise ValueError("manifest has multiple songs; pass --song")
-    check_outputs([args.out_vocal, args.out_accomp], _reads(args.manifest, songs))
-    vocal, accomp = pipeline.ideal_mask_separate(load_song(songs[0]), stft_cfg)
-    write_wav(args.out_vocal, vocal)
-    write_wav(args.out_accomp, accomp)
+    with landing([args.out_vocal, args.out_accomp], _reads(args.manifest, songs)):
+        vocal, accomp = pipeline.ideal_mask_separate(load_song(songs[0]), stft_cfg)
+        write_wav(args.out_vocal, vocal)
+        write_wav(args.out_accomp, accomp)
     print(f"wrote {args.out_vocal} and {args.out_accomp}")
     return 0
 

@@ -29,7 +29,6 @@ sort order, so same-seed reruns are byte-identical.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from pathlib import Path
@@ -44,7 +43,7 @@ from .audio_io import (
     ManifestSong,
     StemSet,
     WavReader,
-    check_outputs,
+    landing,
     load_song,
     output_file,
     pool_and_mix,
@@ -359,10 +358,8 @@ def separate_file(mixture: str | Path, out_vocal: str | Path, out_accomp: str | 
     mixture nor either output is held whole; the grid and `cfg` field read are
     `separate_song`'s. The output check, the rate check and pass one, which
     reads and checks every sample, come first, so a bad input fails before
-    either output is begun; both land whole at the end, and a failure before
-    then leaves both targets as they were."""
-    check_outputs([out_vocal, out_accomp], [mixture])
-    with WavReader(mixture) as reader:
+    either output is begun; both outputs land together (`landing`)."""
+    with landing([out_vocal, out_accomp], [mixture]), WavReader(mixture) as reader:
         chunks = _separation(reader.read, reader.n_samples, reader.sample_rate, mixture,
                              model, alpha, cfg, infer_seed)
         with wav_writer(out_vocal, reader.sample_rate) as write_vocal, \
@@ -485,13 +482,11 @@ def per_song_rows(sweep: SweepResult) -> list[str]:
 
 
 def write_csv(*tables: tuple[str | Path, list[str]]) -> None:
-    """CSV files from (path, lines) pairs at different paths, all opened before
-    any is written, so that all of them land or none does."""
-    check_outputs([path for path, _ in tables])
-    with ExitStack() as stack:
-        files = [(stack.enter_context(output_file(path)), lines) for path, lines in tables]
-        for fh, lines in files:
-            fh.write(("\n".join(lines) + "\n").encode())
+    """CSV files from (path, lines) pairs at different paths, landed together (`landing`)."""
+    with landing([path for path, _ in tables]):
+        for path, lines in tables:
+            with output_file(path) as fh:
+                fh.write(("\n".join(lines) + "\n").encode())
 
 
 def run_sweep_to_csv(songs: list[ManifestSong],
@@ -500,8 +495,8 @@ def run_sweep_to_csv(songs: list[ManifestSong],
                      fig3_path: str | Path | None = None,
                      per_song_path: str | Path | None = None) -> SweepResult:
     paths = (fig2_path, fig3_path, per_song_path)
-    check_outputs([path for path in paths if path is not None])
-    sweep = sweep_alpha(songs, models, cfg)
-    tables = zip(paths, (*figure_rows(sweep), per_song_rows(sweep)))
-    write_csv(*((path, lines) for path, lines in tables if path is not None))
+    with landing([path for path in paths if path is not None]):
+        sweep = sweep_alpha(songs, models, cfg)
+        tables = zip(paths, (*figure_rows(sweep), per_song_rows(sweep)))
+        write_csv(*((path, lines) for path, lines in tables if path is not None))
     return sweep

@@ -21,9 +21,12 @@ from .audio_io import (
     AudioBuffer,
     ManifestSong,
     StemSet,
+    landing,
     write_manifest,
     write_wav,
 )
+
+_SONG_ID = "synth_{:03d}"    # a song's id, from its index
 
 
 @dataclass(frozen=True)
@@ -130,35 +133,29 @@ def generate_song(cfg: SynthConfig, index: int) -> StemSet:
     vocal = AudioBuffer(make_vocal(rng, n, cfg.sample_rate), cfg.sample_rate)
     accomp = AudioBuffer(make_accompaniment(rng, n, cfg.sample_rate), cfg.sample_rate)
     return StemSet(stems=[(vocal, VOCAL), (accomp, NON_VOCAL)],
-                   song_id=f"synth_{index:03d}")
+                   song_id=_SONG_ID.format(index))
 
 
 def generate_corpus(out_dir: str | Path, n_train: int, n_test: int,
                     cfg: SynthConfig) -> tuple[Path, Path]:
-    """Write WAV stems and train/test manifests; returns the manifest paths."""
+    """Write WAV stems and train/test manifests, landed together; returns their paths."""
     for split, n in (("train", n_train), ("test", n_test)):
         if n < 0:
             raise ValueError(f"{split} song count must be >= 0, got {n}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifests = []
-    splits = [("train", range(n_train)), ("test", range(n_train, n_train + n_test))]
-    for split_name, indices in splits:
-        songs = []
-        for i in indices:
+    files = (("vocal.wav", VOCAL), ("accomp.wav", NON_VOCAL))   # generate_song's stem order
+    ids = [_SONG_ID.format(i) for i in range(n_train + n_test)]
+    songs = [ManifestSong(s, [(Path(s) / name, label) for name, label in files]) for s in ids]
+    manifests = {out_dir / "train.json": songs[:n_train], out_dir / "test.json": songs[n_train:]}
+    with landing([*manifests, *(out_dir / p for song in songs for p, _ in song.stems)],
+                 make=[out_dir, *(out_dir / song.song_id for song in songs)]):
+        for i, song in enumerate(songs):
             stems = generate_song(cfg, i)
-            song_dir = out_dir / stems.song_id
-            song_dir.mkdir(exist_ok=True)
-            entries = []
-            for buf, label in stems.stems:
-                name = "vocal.wav" if label == VOCAL else "accomp.wav"
-                write_wav(song_dir / name, buf)
-                entries.append((Path(stems.song_id) / name, label))
-            songs.append(ManifestSong(stems.song_id, entries))
-        manifest_path = out_dir / f"{split_name}.json"
-        write_manifest(manifest_path, songs)
-        manifests.append(manifest_path)
-    return manifests[0], manifests[1]
+            for (buf, _), (path, _) in zip(stems.stems, song.stems):
+                write_wav(out_dir / path, buf)
+        for path, split in manifests.items():
+            write_manifest(path, split)
+    return tuple(manifests)
 
 
 def disjoint_support_song(sr: int = 22050, duration: float = 1.8,

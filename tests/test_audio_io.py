@@ -1,10 +1,13 @@
 """WAV round trips, peak normalization, stem pooling, manifests, and the one
 output writer."""
 
+import contextlib
 import errno
 import io
 import json
+import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from maskforge.audio_io import (
     WavFormatError,
     WavReader,
     check_outputs,
+    landing,
     load_manifest,
     load_song,
     peak_normalize,
@@ -344,6 +348,67 @@ def test_csv_tables_land_together_or_not_at_all(tmp_path):
     assert second.read_text() == "old\n"
     write_csv((first, ["a", "b"]), (second, ["c"]))
     assert (first.read_text(), second.read_text()) == ("a\nb\n", "c\n")
+
+
+def test_a_landing_lands_its_parts_together_inner_ones_with_it(tmp_path):
+    new = tmp_path / "new" / "dir"
+    a, b, old = new / "a.bin", tmp_path / "b.bin", tmp_path / "old.bin"
+    old.write_bytes(b"old")
+
+    def write(path, data):
+        with audio_io.output_file(path) as fh:
+            fh.write(data)
+
+    for fails in (True, False):
+        with contextlib.suppress(OSError), landing([a, b, old], make=[new]):
+            write(a, b"a")
+            with landing([b, old]):
+                write(b, b"b")
+                write(old, b"new")
+            # the inner landing handed its parts on: nothing has landed yet
+            assert [p.suffix for p in new.iterdir()] == [".part"]
+            assert not b.exists() and old.read_bytes() == b"old"
+            if fails:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        if fails:   # every part and both directories the landing made are gone
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["old.bin"]
+    assert (a.read_bytes(), b.read_bytes(), old.read_bytes()) == (b"a", b"b", b"new")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "a.bin", "b.bin", "dir", "new", "old.bin"]
+
+
+def test_a_failed_rename_keeps_the_targets_landed_before_it(tmp_path, monkeypatch):
+    # the renames are not atomic as a set: what landed stays, with its directory
+    new = tmp_path / "new"
+    first, second = new / "1.bin", new / "2.bin"
+    rename = os.replace
+
+    def second_fails(part, target):
+        if Path(target) == second:
+            raise OSError(errno.EIO, "Input/output error")
+        rename(part, target)
+
+    monkeypatch.setattr(audio_io.os, "replace", second_fails)
+    with pytest.raises(OSError, match="Input/output error"):
+        with landing([first, second], make=[new]):
+            for path in (first, second):
+                with audio_io.output_file(path) as fh:
+                    fh.write(path.name.encode())
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["1.bin", "new"]
+
+
+def test_a_write_in_another_thread_lands_alone(tmp_path):
+    inside, outside = tmp_path / "inside.bin", tmp_path / "outside.wav"
+    with landing([inside]):
+        with audio_io.output_file(inside) as fh:
+            fh.write(b"in")
+        thread = threading.Thread(target=write_wav,
+                                  args=(outside, AudioBuffer(np.zeros(4), 8000)))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert outside.is_file() and not inside.exists()
+    assert inside.read_bytes() == b"in"
 
 
 def test_check_outputs_refusals(tmp_path):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import functools
 import io
 import json
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskforge import cli, pipeline
-from maskforge.audio_io import AudioBuffer, load_manifest, read_wav, write_wav
+from maskforge import cli, pipeline, synth
+from maskforge.audio_io import (AudioBuffer, load_manifest, output_file, read_wav,
+                               write_wav)
 from maskforge.mlp import init_model, save_model
 from maskforge.model_file import NMF, FrontEnd, write_model
 from maskforge.nmf import NmfModel, save_nmf
@@ -1531,4 +1533,90 @@ def test_mix_refuses_an_output_over_a_stem(tmp_path, capsys):
     assert code == 1
     assert err == (f"error: {tmp_path / 's_vocals.wav'}: an output must differ from the "
                    "inputs and other outputs\n")
+    assert _tree(tmp_path) == before
+
+
+# ---------------------------------------------------------------------------
+# a command's outputs land together or not at all
+# ---------------------------------------------------------------------------
+
+def _fails_writing(target, real):
+    """`real`, a writer of (path, ...), except that writing `target` begins its
+    part and then fails as on a full disk."""
+    def write(path, *args):
+        if Path(path) != target:
+            return real(path, *args)
+        with output_file(path) as fh:
+            fh.write(b"RIFF")
+            raise OSError(errno.ENOSPC, "No space left on device")
+    return write
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_mix_refused_at_a_later_song_lands_no_song(tmp_path, capsys, existing):
+    noise = np.random.default_rng(8).uniform(-0.5, 0.5, (2, 4096))
+    for name, samples in (("a", noise[0]), ("b", noise[1]), ("neg", -noise[0])):
+        write_wav(tmp_path / f"{name}.wav", AudioBuffer(samples, 8000))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"songs": [
+        {"id": song_id, "stems": [{"path": "a.wav", "label": "vocal"},
+                                  {"path": accomp, "label": "non_vocal"}]}
+        for song_id, accomp in (("good", "b.wav"), ("hollow", "neg.wav"))]}))
+    out = tmp_path / "new" / "out"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "good_vocals.wav").write_bytes(b"old")
+    before = _tree(tmp_path)
+    code, stdout, err = _run(capsys, ["mix", "--manifest", str(manifest), "--out-dir", str(out)])
+    assert (code, stdout) == (1, "")
+    assert err == "error: song 'hollow' has submixes that cancel to a silent mixture\n"
+    # no good_*.wav, no part file, and no directory that mix made
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_ideal_mask_failing_its_last_write_changes_no_target(tiny_corpus, tmp_path, capsys,
+                                                            monkeypatch, existing):
+    vocal, accomp = tmp_path / "v.wav", tmp_path / "a.wav"
+    if existing:
+        vocal.write_bytes(b"old vocal")
+        accomp.write_bytes(b"old accompaniment")
+    before = _tree(tmp_path)
+    monkeypatch.setattr(cli, "write_wav", _fails_writing(accomp, cli.write_wav))
+    code, stdout, err = _run(capsys, [
+        "ideal-mask", "--manifest", str(tiny_corpus["test_manifest"]),
+        "--out-vocal", str(vocal), "--out-accomp", str(accomp)])
+    assert (code, stdout, err) == (1, "", "error: [Errno 28] No space left on device\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_make_corpus_failing_its_last_write_changes_no_target(tmp_path, capsys, monkeypatch,
+                                                              existing):
+    out = tmp_path / "new" / "corpus"
+    if existing:   # an earlier corpus's first song and training manifest
+        (out / "synth_000").mkdir(parents=True)
+        (out / "synth_000" / "vocal.wav").write_bytes(b"old vocal")
+        (out / "train.json").write_bytes(b"old manifest")
+    before = _tree(tmp_path)
+    monkeypatch.setattr(synth, "write_manifest",
+                        _fails_writing(out / "test.json", synth.write_manifest))
+    code, stdout, err = _run(capsys, ["make-corpus", "--out-dir", str(out), "--train", "2",
+                                      "--test", "1", "--duration", "0.1"])
+    assert (code, stdout, err) == (1, "", "error: [Errno 28] No space left on device\n")
+    assert _tree(tmp_path) == before
+
+
+def test_make_corpus_refuses_a_bad_output_before_it_synthesizes(tmp_path, capsys,
+                                                                monkeypatch):
+    out = tmp_path / "corpus"
+    (out / "test.json").mkdir(parents=True)
+    songs = []
+    real = synth.generate_song
+    monkeypatch.setattr(synth, "generate_song", lambda cfg, i: songs.append(i) or real(cfg, i))
+    before = _tree(tmp_path)
+    code, stdout, err = _run(capsys, ["make-corpus", "--out-dir", str(out), "--train", "2",
+                                      "--test", "1", "--duration", "0.1"])
+    assert (code, stdout, songs) == (1, "", [])
+    assert err == f"error: {out / 'test.json'}: not a regular file, so it cannot be an output\n"
     assert _tree(tmp_path) == before

@@ -66,6 +66,30 @@ def test_only_output_file_opens_a_file_for_writing():
     assert "isfinite" not in inspect.getsource(maskforge.write_wav)
 
 
+def _lands(node: ast.AST) -> bool:
+    """Whether a call renames a file over another or makes or removes a
+    directory: os.replace or os.rename, or a mkdir, makedirs, rmdir or rmtree."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    attr, on = node.func.attr, node.func.value
+    return (attr in ("mkdir", "makedirs", "rmdir", "removedirs", "rmtree")
+            or attr in ("replace", "rename") and isinstance(on, ast.Name) and on.id == "os")
+
+
+def test_only_landing_renames_outputs_and_makes_or_removes_directories():
+    found = set()
+    for path in sorted(Path(maskforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}    # node -> the innermost function it sits in (walks go outside in)
+        for f in ast.walk(tree):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), f.name) for n in ast.walk(f))
+        found |= {(path.name, owner.get(id(n))) for n in ast.walk(tree) if _lands(n)}
+    assert found == {("audio_io.py", "landing")}
+    # no subcommand keeps its own clean-up or holds its outputs open together
+    assert "ExitStack" not in Path(pipeline.__file__).read_text()
+
+
 def test_exported_names_resolve():
     for name in maskforge.__all__:
         assert getattr(maskforge, name) is not None, name
