@@ -4,7 +4,9 @@ Every layer computes sigmoid(Wx + b); the output layer's bias is pinned at
 zero. The network maps a flattened mixture-magnitude window to a same-sized
 vector of per-element vocal probabilities. Training is plain SGD, one update
 per example, one seeded shuffle per epoch; the weight updates are applied in
-blocks of examples, which changes only the rounding.
+blocks of examples, which changes only the rounding. The forward pass keeps
+each layer's product whole, as a product split by rows rounds differently, and
+runs the bias and sigmoid a cache-sized chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -130,14 +132,19 @@ def init_model(layer_sizes: list[int], seed: int = 0,
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Row-per-example forward pass, one matmul per layer."""
+    """Row-per-example forward pass: one whole matmul per layer, then the bias
+    and sigmoid in place, _CHUNK elements' worth of rows at a time. Overflow
+    gives NaN, which `PatchSet` refuses."""
     A = np.ascontiguousarray(X, dtype=np.float64)   # matmul needs plain rows for BLAS
     if A.ndim != 2 or A.shape[1] != model.input_size:
         raise ValueError(f"expected (n, {model.input_size}) inputs, got {A.shape}")
-    for W, b in zip(model.weights, model.biases):
-        Z = A @ W.T
-        Z += b
-        A = sigmoid_stable(Z, out=Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for W, b in zip(model.weights, model.biases):
+            A = A @ W.T
+            rows = max(1, _CHUNK // A.shape[1])
+            for z in np.split(A, range(rows, A.shape[0], rows)):
+                z += b
+                sigmoid_stable(z, out=z)
     return A
 
 
@@ -152,6 +159,9 @@ def _loss_and_delta(z_out: np.ndarray, p: np.ndarray, y: np.ndarray,
 # Examples per SGD block; a block's weight updates are applied as one product
 # per layer.
 _BLOCK = 32
+# Elements per chunk of forward_batch's bias and sigmoid: 256 kB of float64,
+# so the sigmoid's passes over a chunk stay in cache.
+_CHUNK = 1 << 15
 
 
 class _Pending:

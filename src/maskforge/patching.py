@@ -62,7 +62,7 @@ class PatchSet:
             raise ValueError("one offset per patch required")
         if self.kind == KIND_PREDICTION and self.patches.size:
             lo, hi = self.patches.min(), self.patches.max()
-            if lo < 0.0 or hi > 1.0:
+            if not (0.0 <= lo and hi <= 1.0):   # NaN fails it too
                 raise ValueError(f"prediction values outside [0,1]: [{lo}, {hi}]")
 
     @property

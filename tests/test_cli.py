@@ -1090,6 +1090,26 @@ def test_separate_names_a_mixture_of_no_samples(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mfg", "x.wav"]
 
 
+@pytest.mark.parametrize("command", ["separate", "sweep-alpha"])
+def test_predictions_that_overflow_to_nan_are_refused(tmp_path, capsys, command):
+    # finite weights whose products overflow to +inf and -inf in one sum give NaN
+    d = SMALL_FRONT_END.window_size
+    model = init_model([d, 4, d], seed=0, front_end=SMALL_FRONT_END)
+    model.weights[0][:] = np.resize([1e308, 1e308, -1e308, -1e308], d)
+    save_model(model, tmp_path / "m.mfg")
+    _noise_wav(tmp_path / "x.wav", 8000)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"separate": _separate_argv(out, tmp_path / "m.mfg", tmp_path / "x.wav"),
+            "sweep-alpha": ["sweep-alpha", "--model", str(tmp_path / "m.mfg"),
+                            "--manifest", str(_two_stem_manifest(tmp_path, {"s": (8000, 8000)})),
+                            "--csv", str(out / "f.csv"), "--per-song-csv", str(out / "p.csv")]}
+    code, stdout, err = _run(capsys, argv[command])  # a warning would fail the test
+    assert (code, stdout) == (1, "")
+    assert err == "error: prediction values outside [0,1]: [nan, nan]\n"
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("command", ["train-dnn", "sweep-alpha", "mix", "ideal-mask"])
 def test_a_song_whose_submixes_cancel_is_refused_by_name(tmp_path, capsys, command):
     # each stem sounds, and so does each submix, but the full mixture is silent

@@ -80,9 +80,9 @@ def test_sigmoid_into_its_input_equals_a_new_array(rng):
     assert np.array_equal(inplace, sigmoid_stable(z), equal_nan=True)
 
 
-def test_forward_batch_last_layer_holds_two_blocks(rng):
-    # the last layer's pre-activation becomes its output, so beside it only
-    # the sigmoid's exponentials are a block in size
+def test_forward_batch_holds_little_beside_its_output(rng):
+    # the last layer's product becomes its output, and the sigmoid's
+    # temporaries are one chunk of rows in size, not a block
     model = init_model([2570, 128, 2570], seed=1)
     X = rng.uniform(0, 1, (512, 2570))
     tracemalloc.start()
@@ -91,7 +91,15 @@ def test_forward_batch_last_layer_holds_two_blocks(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * out.nbytes, (peak, out.nbytes)
+    assert peak <= 1.15 * out.nbytes, (peak, out.nbytes)
+
+
+def _whole_array_forward(model, X):
+    """forward_batch as one bias add and one sigmoid per layer, out of place."""
+    A = X
+    for W, b in zip(model.weights, model.biases):
+        A = _sigmoid_with_where(A @ W.T + b)
+    return A
 
 
 def test_forward_batch_equals_out_of_place_bias(rng):
@@ -99,10 +107,37 @@ def test_forward_batch_equals_out_of_place_bias(rng):
     for b in model.biases[:-1]:
         b[:] = rng.standard_normal(b.shape)
     X = rng.uniform(0, 1, (9, 12))
-    A = X
-    for W, b in zip(model.weights, model.biases):
-        A = _sigmoid_with_where(A @ W.T + b)
-    assert np.array_equal(forward_batch(model, X), A)
+    assert np.array_equal(forward_batch(model, X), _whole_array_forward(model, X))
+
+
+def _chunk_rows(width):
+    return max(1, mlp._CHUNK // width)
+
+
+@pytest.mark.parametrize("sizes, n", [
+    ([2570, 128, 2570], 1),
+    *[([2570, 128, 2570], _chunk_rows(2570) + k) for k in (-1, 0, 1)],
+    ([2570, 128, 2570], 37),            # several output chunks and a remainder
+    *[([40, 128, 40], _chunk_rows(128) + k) for k in (-1, 0, 1)],
+    ([3, 1, 3], _chunk_rows(1) + 1),
+])
+def test_forward_batch_equals_the_whole_array_form_at_chunk_boundaries(rng, sizes, n):
+    model = init_model(sizes, seed=4)
+    (W0, W1), b0 = model.weights, model.biases[0]
+    b0[:] = rng.standard_normal(b0.shape)
+    if sizes[1] >= 4:
+        # hidden units 0-3 and output units 0-3 take pre-activations of zero,
+        # zero, 800 and -800; hidden units 2 and 3 saturate to exactly 1 and 0
+        W0[:4] = 0.0
+        b0[:4] = [0.0, -0.0, 800.0, -800.0]
+        W1[:4] = 0.0
+        W1[1] = -0.0
+        W1[2:4, 2] = [800.0, -800.0]
+    X = rng.uniform(0, 1, (n, sizes[0]))
+    out = forward_batch(model, X)
+    assert np.array_equal(out, _whole_array_forward(model, X))
+    if sizes[1] >= 4:
+        assert np.all(out[:, :4] == [0.5, 0.5, 1.0, 0.0])
 
 
 def test_softplus_matches_naive_in_safe_range(rng):
