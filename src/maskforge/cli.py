@@ -66,6 +66,8 @@ def _experiment_config(args, **fields) -> ExperimentConfig:
 def _songs(args) -> list[ManifestSong]:
     """The manifest's songs, or only the one named by --song."""
     songs = load_manifest(args.manifest)
+    if not songs:
+        raise ValueError("manifest has no songs")
     if args.song is None:
         return songs
     songs = [s for s in songs if s.song_id == args.song]
@@ -141,8 +143,6 @@ def cmd_separate(args) -> int:
 def cmd_ideal_mask(args) -> int:
     stft_cfg = StftConfig(frame_len=args.frame, hop=args.hop)
     songs = _songs(args)
-    if not songs:
-        raise ValueError("manifest has no songs")
     if args.song is None and len(songs) > 1:
         raise ValueError("manifest has multiple songs; pass --song")
     with landing([args.out_vocal, args.out_accomp], _reads(args.manifest, songs)):
@@ -157,6 +157,8 @@ def cmd_evaluate(args) -> int:
     for flag, label in (("--song-id", args.song_id), ("--method", args.method)):
         if args.csv and any(c in label for c in CSV_UNSAFE):
             raise ValueError(f"{flag} {label!r} holds a comma, quote or line break")
+    if args.csv and not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"alpha {args.alpha} outside (0, 1)")
     paths = (args.est_vocal, args.est_accomp, args.ref_vocal, args.ref_accomp)
     check_outputs([args.csv] if args.csv else [], paths)
     buffers = [read_wav(p) for p in paths]
@@ -282,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="optional per-song CSV to write")
     p.add_argument("--song-id", default="song")
     p.add_argument("--method", default="external")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=0.5,
+                   help="the CSV's alpha column, in (0, 1)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep-alpha", parents=[seed, inference],

@@ -134,7 +134,7 @@ def init_model(layer_sizes: list[int], seed: int = 0,
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Row-per-example forward pass: one whole matmul per layer, then the bias
     and sigmoid in place, _CHUNK elements' worth of rows at a time. Overflow
-    gives NaN, which `PatchSet` refuses."""
+    gives NaN, which `PatchSet.predictions` refuses."""
     A = np.ascontiguousarray(X, dtype=np.float64)   # matmul needs plain rows for BLAS
     if A.ndim != 2 or A.shape[1] != model.input_size:
         raise ValueError(f"expected (n, {model.input_size}) inputs, got {A.shape}")
@@ -293,7 +293,7 @@ def train_sgd(model: MlpModel, inputs: np.ndarray, targets: np.ndarray,
 
 
 def predict_masks(model: MlpModel, patches: PatchSet) -> PatchSet:
-    """Forward every window's row; output kind is prediction."""
+    """Forward every window's row into the windows' prediction set."""
     F, T = patches.patch_shape
     if F * T != model.input_size:
         raise ValueError(f"patch size {F}x{T} does not match model input {model.input_size}")

@@ -6,12 +6,12 @@ non-overlapping windows (stride = T); at separation time the window slides one
 frame at a time, so every interior element receives T overlapping predictions
 whose arithmetic mean becomes the element's confidence value. The windows are
 summed, with a count per frame, by the streamed overlap-add that also inverts
-the STFT (`stft.OverlapAdd`): `repack_mean` pushes them all at once, and
-separation pushes them a fixed-size block at a time, carrying only the last
-width - 1 frames' sums, so the memory it takes does not grow with the song's
-length. Models read a window as one frame-major row, its T frames of F bins in
-turn; the rows are a strided view of the (N, F) frame matrix. This module owns
-that layout.
+the STFT (`stft.OverlapAdd`): `repack_mean` pushes them all at once, given the
+stride and frame count they were cut at, and separation pushes them a
+fixed-size block at a time, carrying only the last width - 1 frames' sums, so
+the memory it takes does not grow with the song's length. Models read a window
+as one frame-major row, its T frames of F bins in turn; the rows are a strided
+view of the (N, F) frame matrix. This module owns that layout.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stft import OverlapAdd, strided_frames
-
-KIND_MIXTURE = "mixture_input"
-KIND_PREDICTION = "prediction"
 
 
 @dataclass(frozen=True)
@@ -40,30 +37,24 @@ class PatchConfig:
             raise ValueError("train_stride must be >= 1")
 
 
+class PredictionRange(ValueError):
+    """A model output outside [0, 1], NaN included."""
+
+
 @dataclass
 class PatchSet:
-    """Stack of F x T grids with the frame offsets they were cut from."""
+    """Stack of F x T windows, and the same memory as one model row each."""
 
     patches: np.ndarray            # (P, F, T), a view of rows
-    offsets: np.ndarray            # (P,) start frames
-    total_frames: int              # N before padding
-    kind: str = KIND_MIXTURE
     rows: np.ndarray = field(init=False, repr=False)   # (P, T*F), frame-major
 
     def __post_init__(self):
         patches = np.asarray(self.patches, dtype=np.float64)
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
         if patches.ndim != 3:
             raise ValueError("patches must be a (P, F, T) array")
         P, F, T = patches.shape
         self.rows = patches.transpose(0, 2, 1).reshape(P, T * F)
         self.patches = self.rows.reshape(P, T, F).transpose(0, 2, 1)
-        if len(self.offsets) != self.patches.shape[0]:
-            raise ValueError("one offset per patch required")
-        if self.kind == KIND_PREDICTION and self.patches.size:
-            lo, hi = self.patches.min(), self.patches.max()
-            if not (0.0 <= lo and hi <= 1.0):   # NaN fails it too
-                raise ValueError(f"prediction values outside [0,1]: [{lo}, {hi}]")
 
     @property
     def n_patches(self) -> int:
@@ -74,10 +65,15 @@ class PatchSet:
         return self.patches.shape[1], self.patches.shape[2]
 
     def predictions(self, rows: np.ndarray) -> PatchSet:
-        """The prediction set for these windows from one model output row each."""
+        """The prediction set for these windows from one model output row each,
+        which every model's predictor makes; each value must lie in [0, 1]."""
         P, F, T = self.patches.shape
-        return PatchSet(rows.reshape(P, T, F).transpose(0, 2, 1), self.offsets,
-                        self.total_frames, kind=KIND_PREDICTION)
+        preds = PatchSet(rows.reshape(P, T, F).transpose(0, 2, 1))
+        if preds.rows.size:
+            lo, hi = preds.rows.min(), preds.rows.max()
+            if not (0.0 <= lo and hi <= 1.0):   # NaN fails it too
+                raise PredictionRange(f"prediction values outside [0,1]: [{lo}, {hi}]")
+        return preds
 
 
 @dataclass
@@ -114,25 +110,19 @@ def extract_patches(grid: np.ndarray, cfg: PatchConfig, stride: int) -> PatchSet
     frames = np.zeros((int(offsets[-1]) + cfg.width, F))
     frames[:N] = grid.T
     windows = strided_frames(frames, len(offsets), cfg.width, stride)
-    return PatchSet(windows.transpose(0, 2, 1), offsets, total_frames=N)
+    return PatchSet(windows.transpose(0, 2, 1))
 
 
-def repack_mean(predictions: PatchSet) -> MeanPrediction:
-    """Average overlapping patch values per element; padded frames dropped.
-
-    The windows must start at frame 0, at evenly spaced offsets no further
-    apart than their width, and reach frame total_frames - 1."""
-    if predictions.kind != KIND_PREDICTION:
-        raise ValueError(f"repack_mean expects prediction patches, got {predictions.kind!r}")
-    if predictions.n_patches == 0:
+def repack_mean(predictions: PatchSet, stride: int, n_frames: int) -> MeanPrediction:
+    """Average per element the windows cut at offsets 0, stride, 2*stride, ...
+    over frames 0..n_frames - 1, dropping padded frames. The stride must not
+    pass the width, and the windows must reach frame n_frames - 1."""
+    P, _, T = predictions.patches.shape
+    if P == 0:
         raise ValueError("empty patch set")
-    (P, _, T), offsets = predictions.patches.shape, predictions.offsets
-    N = predictions.total_frames
-    hop = int(offsets[1]) if P > 1 else T
-    if not (1 <= hop <= T and np.array_equal(offsets, hop * np.arange(P))
-            and 0 < N <= offsets[-1] + T):
-        raise ValueError(f"windows of {T} frames at offsets {offsets[0]}..{offsets[-1]} "
-                         f"do not evenly cover frames 0..{N - 1}")
-    sums, counts = OverlapAdd(np.ones(T, dtype=np.int64), hop).push(
+    if not (1 <= stride <= T and 0 < n_frames <= (P - 1) * stride + T):
+        raise ValueError(f"{P} windows of {T} frames at stride {stride} "
+                         f"do not cover frames 0..{n_frames - 1}")
+    sums, counts = OverlapAdd(np.ones(T, dtype=np.int64), stride).push(
         predictions.patches.transpose(0, 2, 1), last=True)
-    return MeanPrediction.of_sums(sums[:N], counts[:N])
+    return MeanPrediction.of_sums(sums[:n_frames], counts[:n_frames])

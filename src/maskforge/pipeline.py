@@ -64,6 +64,7 @@ from .nmf import NmfModel, nmf_train_class
 from .patching import (
     MeanPrediction,
     PatchConfig,
+    PredictionRange,
     extract_patches,
     patch_offsets,
 )
@@ -278,16 +279,16 @@ def _mean_blocks(frames, n_frames: int, peak: float, model: Model, iterations: i
 
 
 def confidence_grid(mix: AudioBuffer | ComplexSpectrogram, model: Model,
-                    cfg: ExperimentConfig,
-                    infer_seed: int = 0) -> tuple[MeanPrediction, ComplexSpectrogram]:
-    """Mean per-element vocal confidence for a mixture, given as audio or as
-    its STFT, plus that STFT.
+                    cfg: ExperimentConfig, infer_seed: int = 0, *,
+                    what="the mixture") -> tuple[MeanPrediction, ComplexSpectrogram]:
+    """Mean per-element vocal confidence for a mixture `what`, given as audio
+    or as its STFT, plus that STFT.
 
     The grid is the model's; `cfg` gives only `nmf_infer_iters`. All alpha
     thresholds derive from this one grid, so a sweep reuses it. It is built
     from `_mean_blocks`, the blocks that streamed separation thresholds.
     """
-    stft_cfg = _front_end(model, mix.sample_rate, "the mixture").stft
+    stft_cfg = _front_end(model, mix.sample_rate, what).stft
     spec = mix if isinstance(mix, ComplexSpectrogram) else stft(mix, stft_cfg)
     if spec.config != stft_cfg:
         raise FrontEndMismatch(f"the mixture's {spec.config} is not the model's {stft_cfg}")
@@ -295,7 +296,7 @@ def confidence_grid(mix: AudioBuffer | ComplexSpectrogram, model: Model,
     frames = lambda a, b: spec.bins[:, a:b]
     # frame-major, like the STFT's bins, so that masked bins keep their layout
     values, counts = np.empty((N, stft_cfg.n_bins)).T, np.empty(N, dtype=np.int64)
-    peak = _peak_magnitude(frames, N, "the mixture")
+    peak = _peak_magnitude(frames, N, what)
     for first, bins, mean in _mean_blocks(frames, N, peak, model, cfg.nmf_infer_iters,
                                           infer_seed):
         values[:, first:first + bins.shape[1]] = mean.values
@@ -394,9 +395,10 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model], cfg: Experiment
     """One song's scores; the ideal and mixture rows do not depend on alpha,
     so each is scored once and that one object is stored at every alpha."""
     vocal_mix, nonvocal_mix, full_mix = mixes = pool_and_mix(load_song(song))
+    what = f"test song {song.song_id!r}"
     # the first model's grid: sweep_alpha has checked that the models share one
-    stft_cfg = next((_front_end(m, full_mix.sample_rate, f"test song {song.song_id!r}").stft
-                     for m in models.values()), cfg.stft)
+    stft_cfg = next((_front_end(m, full_mix.sample_rate, what).stft for m in models.values()),
+                    cfg.stft)
     ibm, spec = _oracle_mask_and_mixture(mixes, stft_cfg)
 
     def score(v: AudioBuffer, nv: AudioBuffer) -> dict[str, SeparationMetrics]:
@@ -404,7 +406,10 @@ def _evaluate_song(song: ManifestSong, models: dict[str, Model], cfg: Experiment
 
     out = {}
     for method, model in models.items():
-        mean, _ = confidence_grid(spec, model, cfg, infer_seed=cfg.seed + 7000 + song_index)
+        try:
+            mean, _ = confidence_grid(spec, model, cfg, cfg.seed + 7000 + song_index, what=what)
+        except PredictionRange as exc:   # name the model file: one per kind
+            raise PredictionRange(f"{what}, {method} model: {exc}") from None
         out[method] = {alpha: score(*_masked_inversions(spec, _confidence_masks(mean, alpha)))
                        for alpha in cfg.alphas}
     ideal = _masked_inversions(spec, (ibm, BinaryMask(1.0 - ibm.values)))

@@ -22,7 +22,7 @@ from maskforge.masking import (
 )
 from maskforge.mlp import init_model, loss_and_gradient
 from maskforge.nmf import infer_activations, nmf_factorize
-from maskforge.patching import KIND_PREDICTION, MeanPrediction, PatchSet, patch_offsets, repack_mean
+from maskforge.patching import MeanPrediction, PatchSet, patch_offsets, repack_mean
 from maskforge.pipeline import (
     METHOD_DNN,
     METHOD_MIXTURE,
@@ -125,9 +125,7 @@ def test_criterion_3_repack_exact():
                 for stride in {1, T}:
                     offsets = patch_offsets(N, T, stride)
                     patches = rng.uniform(0.0, 1.0, size=(len(offsets), F, T))
-                    ps = PatchSet(patches, offsets, total_frames=N,
-                                  kind=KIND_PREDICTION)
-                    got = repack_mean(ps)
+                    got = repack_mean(PatchSet(patches), stride, N)
                     # brute force, accumulating in the same offset order
                     padded = int(offsets[-1]) + T
                     acc = np.zeros((F, padded))

@@ -577,6 +577,15 @@ def test_ideal_mask_on_empty_manifest_exits_one(tmp_path, capsys):
     assert not (tmp_path / "v.wav").exists()
 
 
+def test_mix_refuses_an_empty_manifest_before_making_its_directory(tmp_path, capsys):
+    manifest = tmp_path / "empty.json"
+    manifest.write_text('{"songs":[]}')
+    code, out, err = _run(capsys, [
+        "mix", "--manifest", str(manifest), "--out-dir", str(tmp_path / "newdir" / "sub")])
+    assert (code, out, err) == (1, "", "error: manifest has no songs\n")
+    assert not (tmp_path / "newdir").exists()
+
+
 @pytest.mark.parametrize("command", ["train-dnn", "train-nmf"])
 def test_train_stride_zero_exits_one(tiny_corpus, tmp_path, capsys, command):
     model_path = tmp_path / "m.mfg"
@@ -835,6 +844,18 @@ def test_evaluate_refuses_a_label_that_would_break_a_csv_row(tmp_path, capsys, m
         "evaluate", "--est-vocal", wavs[0], "--est-accomp", wavs[1], "--ref-vocal", wavs[2],
         "--ref-accomp", wavs[3], "--csv", str(eval_csv), *labels])
     assert (code, out, err) == (1, "", f"error: {flag} holds a comma, quote or line break\n")
+    assert not eval_csv.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "-0.5"])
+def test_evaluate_refuses_an_alpha_no_sweep_row_holds(tmp_path, capsys, monkeypatch, alpha):
+    monkeypatch.setattr(cli, "read_wav", lambda path: pytest.fail(f"read {path}"))
+    wavs = [str(tmp_path / f"{name}.wav") for name in ("ev", "ea", "rv", "ra")]
+    eval_csv = tmp_path / "eval.csv"
+    code, out, err = _run(capsys, [
+        "evaluate", "--est-vocal", wavs[0], "--est-accomp", wavs[1], "--ref-vocal", wavs[2],
+        "--ref-accomp", wavs[3], "--csv", str(eval_csv), "--alpha", alpha])
+    assert (code, out, err) == (1, "", f"error: alpha {float(alpha)} outside (0, 1)\n")
     assert not eval_csv.exists()
 
 
@@ -1106,7 +1127,30 @@ def test_predictions_that_overflow_to_nan_are_refused(tmp_path, capsys, command)
                             "--csv", str(out / "f.csv"), "--per-song-csv", str(out / "p.csv")]}
     code, stdout, err = _run(capsys, argv[command])  # a warning would fail the test
     assert (code, stdout) == (1, "")
-    assert err == "error: prediction values outside [0,1]: [nan, nan]\n"
+    # the sweep takes one model file per kind, so the kind names the file
+    named = {"separate": "", "sweep-alpha": "test song 's', dnn model: "}[command]
+    assert err == f"error: {named}prediction values outside [0,1]: [nan, nan]\n"
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command, named", [("train-dnn", "song"), ("sweep-alpha", "test song")],
+                         ids=["train-dnn", "sweep-alpha"])
+def test_a_song_the_window_zeroes_is_refused_by_name(tmp_path, capsys, command, named):
+    # each stem is one sounding sample, which the Hann window's first point zeroes
+    for label, value in (("vocal", 0.5), ("non_vocal", 0.25)):
+        write_wav(tmp_path / f"{label}.wav", AudioBuffer(np.array([value]), 8000))
+    stems = [{"path": f"{label}.wav", "label": label} for label in ("vocal", "non_vocal")]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"songs": [{"id": "tiny_song", "stems": stems}]}))
+    _save_dnn(tmp_path / "m.mfg")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"train-dnn": ["--out", str(out / "dnn.mfg"), *SMALL],
+            "sweep-alpha": ["--model", str(tmp_path / "m.mfg"), "--csv", str(out / "f.csv")]}
+    code, stdout, err = _run(capsys, [command, "--manifest", str(manifest), *argv[command]])
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: {named} 'tiny_song' has an all-zero spectrogram, which has no "
+                   "unit scale\n")
     assert list(out.glob("*")) == []
 
 

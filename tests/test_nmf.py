@@ -18,7 +18,7 @@ from maskforge.nmf import (
     save_nmf,
     vocal_share,
 )
-from maskforge.patching import PatchConfig, PatchSet, extract_patches, repack_mean
+from maskforge.patching import PatchConfig, PatchSet, extract_patches, patch_offsets, repack_mean
 from maskforge.pipeline import load_any_model
 
 
@@ -254,7 +254,7 @@ def test_non_finite_v_names_iteration_zero(rng, bad):
         infer_activations(V, W, iterations=5, seed=0)
     # separation's predictor, on the windows whose columns V holds
     model = NmfModel(W[:, :1], W[:, 1:], _front_end(3, 2))
-    windows = PatchSet(V.T.reshape(5, 2, 3).transpose(0, 2, 1), np.arange(5), 6)
+    windows = PatchSet(V.T.reshape(5, 2, 3).transpose(0, 2, 1))
     with pytest.raises(FloatingPointError, match="at iteration 0$"):
         model.predictor(5, 5, 0)(windows, 0)
 
@@ -290,7 +290,7 @@ def test_training_and_separation_equal_the_public_fits(rng):
     # a block of windows first..first+9 of 30: its activations start from
     # those columns of the whole draw for seed 5
     model = NmfModel(W[:, :2], rng.uniform(0.1, 1.0, size=(24, 2)), _front_end(4, 6))
-    windows = PatchSet(V.T[12:22].reshape(10, 6, 4).transpose(0, 2, 1), np.arange(10), 15)
+    windows = PatchSet(V.T[12:22].reshape(10, 6, 4).transpose(0, 2, 1))
     H0 = initial_activations(4, 30, 5)[:, 12:22]
     H, _ = infer_activations(V[:, 12:22], np.concatenate([model.w_vocal, model.w_nonvocal],
                                                          axis=1), iterations=20, H0=H0)
@@ -421,10 +421,12 @@ def _windows(grid, width):
 
 
 def _confidence(model, patches, iterations, seed):
-    """The model's block predictor run on all of `patches` as one block, then
-    averaged: the single-block case of pipeline.confidence_grid."""
-    predict = model.predictor(patches.n_patches, iterations, seed)
-    return repack_mean(predict(patches, 0))
+    """The model's block predictor run on all of `patches`, the stride-1
+    windows of a grid at least one window long, as one block, then averaged:
+    the single-block case of pipeline.confidence_grid."""
+    P, (_, T) = patches.n_patches, patches.patch_shape
+    predict = model.predictor(P, iterations, seed)
+    return repack_mean(predict(patches, 0), 1, P + T - 1)
 
 
 def test_soft_mask_patches_layout(rng):
@@ -440,7 +442,7 @@ def test_soft_mask_patches_layout(rng):
     mp = _confidence(model, patches, iterations=5, seed=0)
     expect = np.zeros((F, N))
     for n in range(N):
-        covering = [o for o in patches.offsets if o <= n < o + T]
+        covering = [o for o in range(patches.n_patches) if o <= n < o + T]
         expect[:, n] = np.mean([owner[:, n - o] for o in covering], axis=0)
     assert np.allclose(mp.values, expect, rtol=0, atol=1e-15)
 
@@ -458,7 +460,7 @@ def test_repack_soft_mask_against_manual_average(rng):
     model = NmfModel(rng.uniform(0.1, 1, (F * T, 2)), rng.uniform(0.1, 1, (F * T, 3)),
                      _front_end(F, T))
     patches = _windows(rng.uniform(0.1, 1.0, size=(F, N)), T)
-    offsets = patches.offsets
+    offsets = patch_offsets(N, T, 1)
     assert offsets.tolist() == [0, 1, 2]
     mp = _confidence(model, patches, iterations=20, seed=3)
     V = np.stack([w.reshape(-1, order="F") for w in patches.patches], axis=1)

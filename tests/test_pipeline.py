@@ -478,7 +478,7 @@ def _whole_mixture_grid(mix, model, cfg, seed):
     mag = np.abs(stft(mix, cfg.stft).bins)
     windows = extract_patches(mag / mag.max(), cfg.patch, 1)
     predict = model.predictor(windows.n_patches, cfg.nmf_infer_iters, seed)
-    return repack_mean(predict(windows, 0))
+    return repack_mean(predict(windows, 0), 1, mag.shape[1])
 
 
 @pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])

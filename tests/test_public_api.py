@@ -14,7 +14,8 @@ from maskforge import model_file, pipeline
 REMOVED = {
     "masking": ["SoftMask", "soft_mask", "threshold_soft_mask", "vocal_share", "apply_mask"],
     "stft": ["PhaseSpectrogram", "combine", "split", "MagnitudeSpectrogram", "magnitude"],
-    "patching": ["flatten", "unflatten", "KIND_TARGET", "normalize_unit_scale"],
+    "patching": ["flatten", "unflatten", "KIND_TARGET", "normalize_unit_scale", "KIND_MIXTURE",
+                 "KIND_PREDICTION"],
     "mlp": ["forward", "MAGIC", "load_model"],
     "nmf": ["soft_mask_patches", "mean_prediction_from_soft", "MAGIC", "load_nmf",
             "nmf_separate"],
@@ -114,6 +115,13 @@ def test_one_value_knobs_are_gone():
 
 def test_binary_mask_holds_only_its_values():
     assert [f.name for f in dataclasses.fields(maskforge.BinaryMask)] == ["values"]
+
+
+def test_a_patch_set_is_its_windows():
+    # the stride and frame count stay with whoever cut the windows
+    assert [f.name for f in dataclasses.fields(maskforge.PatchSet)] == ["patches", "rows"]
+    assert list(inspect.signature(maskforge.repack_mean).parameters) == [
+        "predictions", "stride", "n_frames"]
 
 
 def test_import_leaves_scipy_stats_unloaded():
