@@ -16,6 +16,7 @@ from . import mlp, nmf, pipeline, synth
 from .audio_io import (CSV_UNSAFE, ManifestSong, check_outputs, landing, load_manifest,
                        load_song, pool_and_mix, read_wav, write_wav)
 from .bss_eval import SOURCES, evaluate_pair
+from .masking import check_alpha
 from .patching import PatchConfig
 from .pipeline import ExperimentConfig
 from .stft import StftConfig
@@ -47,10 +48,7 @@ def parse_alphas(text: str) -> tuple[float, ...]:
         alphas = tuple(float(p) for p in text.split(",") if p.strip())
     if not alphas:
         raise ValueError(f"no alpha values in {text!r}")
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"alpha {a} outside (0, 1)")
-    return alphas
+    return tuple(map(check_alpha, alphas))
 
 
 def _experiment_config(args, **fields) -> ExperimentConfig:
@@ -63,16 +61,17 @@ def _experiment_config(args, **fields) -> ExperimentConfig:
     )
 
 
-def _songs(args) -> list[ManifestSong]:
-    """The manifest's songs, or only the one named by --song."""
-    songs = load_manifest(args.manifest)
-    if not songs:
-        raise ValueError("manifest has no songs")
-    if args.song is None:
-        return songs
-    songs = [s for s in songs if s.song_id == args.song]
-    if not songs:
-        raise ValueError(f"song {args.song!r} not in manifest")
+def int_list(text: str) -> tuple[int, ...]:
+    """A comma list of ints such as "512,256", empty items skipped: --hidden's type."""
+    return tuple(int(h) for h in text.split(",") if h.strip())
+
+
+def _songs(manifest, song: str | None = None) -> list[ManifestSong]:
+    """The manifest's songs, or only the one named `song`; no songs is refused."""
+    if not (songs := load_manifest(manifest)):
+        raise ValueError(f"{manifest}: manifest has no songs")
+    if song is not None and not (songs := [s for s in songs if s.song_id == song]):
+        raise ValueError(f"song {song!r} not in manifest")
     return songs
 
 
@@ -93,7 +92,7 @@ def cmd_make_corpus(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    songs = _songs(args)
+    songs = _songs(args.manifest, args.song)
     out_dir = Path(args.out_dir)
     names = ("vocals", "accompaniment", "mixture")
     with landing([out_dir / f"{s.song_id}_{n}.wav" for s in songs for n in names],
@@ -107,10 +106,9 @@ def cmd_mix(args) -> int:
 
 
 def cmd_train_dnn(args) -> int:
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h.strip())
-    cfg = _experiment_config(args, hidden=hidden, epochs=args.epochs,
+    cfg = _experiment_config(args, hidden=args.hidden, epochs=args.epochs,
                              learning_rate=args.lr, loss=args.loss)
-    songs = load_manifest(args.manifest)
+    songs = _songs(args.manifest)
     with landing([args.out], _reads(args.manifest, songs)):
         model, trace = pipeline.train_dnn(songs, cfg)
         mlp.save_model(model, args.out)
@@ -121,7 +119,7 @@ def cmd_train_dnn(args) -> int:
 
 def cmd_train_nmf(args) -> int:
     cfg = _experiment_config(args, nmf_rank=args.rank, nmf_train_iters=args.iterations)
-    songs = load_manifest(args.manifest)
+    songs = _songs(args.manifest)
     with landing([args.out], _reads(args.manifest, songs)):
         nmf.save_nmf(pipeline.train_nmf(songs, cfg), args.out)
     print(f"trained rank-{args.rank} dictionaries on {len(songs)} songs; "
@@ -142,7 +140,7 @@ def cmd_separate(args) -> int:
 
 def cmd_ideal_mask(args) -> int:
     stft_cfg = StftConfig(frame_len=args.frame, hop=args.hop)
-    songs = _songs(args)
+    songs = _songs(args.manifest, args.song)
     if args.song is None and len(songs) > 1:
         raise ValueError("manifest has multiple songs; pass --song")
     with landing([args.out_vocal, args.out_accomp], _reads(args.manifest, songs)):
@@ -154,11 +152,13 @@ def cmd_ideal_mask(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    for flag, label in (("--song-id", args.song_id), ("--method", args.method)):
-        if args.csv and any(c in label for c in CSV_UNSAFE):
-            raise ValueError(f"{flag} {label!r} holds a comma, quote or line break")
-    if args.csv and not 0.0 < args.alpha < 1.0:
-        raise ValueError(f"alpha {args.alpha} outside (0, 1)")
+    if args.csv:     # only what a sweep row can hold
+        for flag, label in (("--song-id", args.song_id), ("--method", args.method)):
+            if not label:
+                raise ValueError(f"{flag} is empty")
+            if any(c in label for c in CSV_UNSAFE):
+                raise ValueError(f"{flag} {label!r} holds a comma, quote or line break")
+        check_alpha(args.alpha)
     paths = (args.est_vocal, args.est_accomp, args.ref_vocal, args.ref_accomp)
     check_outputs([args.csv] if args.csv else [], paths)
     buffers = [read_wav(p) for p in paths]
@@ -185,7 +185,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     cfg = ExperimentConfig(alphas=parse_alphas(args.alphas), nmf_infer_iters=args.nmf_iterations,
                            seed=args.seed)
-    songs = load_manifest(args.manifest)
+    songs = _songs(args.manifest)
     check_outputs([p for p in (args.csv, args.fig3_csv, args.per_song_csv) if p is not None],
                   [*_reads(args.manifest, songs), *args.model])
     models: dict[str, pipeline.Model] = {}
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-dnn", parents=[training, stft, width, seed],
                        help="train the mask-prediction network")
-    p.add_argument("--hidden", default=",".join(map(str, _DEFAULTS.hidden)),
+    p.add_argument("--hidden", type=int_list, default=_DEFAULTS.hidden,
                    help="comma list of hidden sizes")
     p.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
     p.add_argument("--lr", type=float, default=_DEFAULTS.learning_rate)

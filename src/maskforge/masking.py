@@ -30,10 +30,11 @@ class BinaryMask:
             raise ValueError("binary mask values must be exactly 0 or 1")
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
+    """alpha as a float strictly inside (0, 1), where both masks are defined."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+        raise ValueError(f"alpha {alpha} outside (0, 1)")
     return alpha
 
 
@@ -46,11 +47,11 @@ def ideal_binary_mask(mag_vocal: np.ndarray, mag_nonvocal: np.ndarray) -> Binary
 
 def vocal_mask_from_confidence(mean_pred: MeanPrediction, alpha: float) -> BinaryMask:
     """Keep elements whose mean prediction is strictly above alpha."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     return BinaryMask((mean_pred.values > alpha).astype(np.float64))
 
 
 def nonvocal_mask_from_confidence(mean_pred: MeanPrediction, alpha: float) -> BinaryMask:
     """Keep elements whose mean prediction is strictly below 1 - alpha."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     return BinaryMask((mean_pred.values < 1.0 - alpha).astype(np.float64))

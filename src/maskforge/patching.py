@@ -4,14 +4,15 @@ A plain (F, N) grid (unit-peak magnitudes, which the pipeline scales, or an
 oracle mask) is cut into F x T windows along the time axis. Training uses
 non-overlapping windows (stride = T); at separation time the window slides one
 frame at a time, so every interior element receives T overlapping predictions
-whose arithmetic mean becomes the element's confidence value. The windows are
-summed, with a count per frame, by the streamed overlap-add that also inverts
-the STFT (`stft.OverlapAdd`): `repack_mean` pushes them all at once, given the
-stride and frame count they were cut at, and separation pushes them a
-fixed-size block at a time, carrying only the last width - 1 frames' sums, so
-the memory it takes does not grow with the song's length. Models read a window
-as one frame-major row, its T frames of F bins in turn; the rows are a strided
-view of the (N, F) frame matrix. This module owns that layout.
+whose arithmetic mean, a `MeanPrediction`, is the element's confidence value.
+The streamed overlap-add that also inverts the STFT (`stft.OverlapAdd`) sums
+the windows and counts them per frame, and the sums are divided by the counts
+as they come: `repack_mean` pushes the windows all at once, given the stride
+and frame count they were cut at, and separation a fixed-size block at a time,
+carrying only the last width - 1 frames' sums, so the memory it takes does not
+grow with the song's length. Models read a window as one frame-major row, its
+T frames of F bins in turn; the rows are a strided view of the (N, F) frame
+matrix. This module owns that layout.
 """
 
 from __future__ import annotations
@@ -78,16 +79,14 @@ class PatchSet:
 
 @dataclass
 class MeanPrediction:
-    """Per-element mean of all sliding-window predictions covering it."""
+    """Per-element mean of the window predictions covering it; `OverlapAdd` keeps the counts."""
 
     values: np.ndarray   # (F, N) in [0, 1]
-    counts: np.ndarray   # (F, N) contribution counts, >= 1; a read-only view
 
     @classmethod
     def of_sums(cls, sums: np.ndarray, counts: np.ndarray) -> MeanPrediction:
         """The mean of frame-major (N, F) window sums over their (N,) counts."""
-        values = (sums / counts[:, None]).T
-        return cls(values, np.broadcast_to(counts, values.shape))
+        return cls((sums / counts[:, None]).T)
 
 
 def patch_offsets(n_frames: int, width: int, stride: int) -> np.ndarray:

@@ -54,6 +54,7 @@ from .audio_io import (
 from .bss_eval import SOURCES, SeparationMetrics, evaluate_pair
 from .masking import (
     BinaryMask,
+    check_alpha,
     ideal_binary_mask,
     nonvocal_mask_from_confidence,
     vocal_mask_from_confidence,
@@ -109,8 +110,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.alphas:
             raise ValueError("need at least one alpha")
-        if any(not 0.0 < a < 1.0 for a in self.alphas):
-            raise ValueError("alphas must lie strictly inside (0, 1)")
+        for a in self.alphas:
+            check_alpha(a)
         if repeated := [a for a, n in Counter(self.alphas).items() if n > 1]:
             raise ValueError(f"alpha {repeated[0]} is repeated")
         # the models' own checks, made here before any song is read
@@ -295,13 +296,12 @@ def confidence_grid(mix: AudioBuffer | ComplexSpectrogram, model: Model,
     N = spec.n_frames
     frames = lambda a, b: spec.bins[:, a:b]
     # frame-major, like the STFT's bins, so that masked bins keep their layout
-    values, counts = np.empty((N, stft_cfg.n_bins)).T, np.empty(N, dtype=np.int64)
+    values = np.empty((N, stft_cfg.n_bins)).T
     peak = _peak_magnitude(frames, N, what)
     for first, bins, mean in _mean_blocks(frames, N, peak, model, cfg.nmf_infer_iters,
                                           infer_seed):
         values[:, first:first + bins.shape[1]] = mean.values
-        counts[first:first + bins.shape[1]] = mean.counts[0]
-    return MeanPrediction(values, np.broadcast_to(counts, values.shape)), spec
+    return MeanPrediction(values), spec
 
 
 def _confidence_masks(mean: MeanPrediction, alpha: float) -> tuple[BinaryMask, BinaryMask]:

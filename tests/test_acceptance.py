@@ -33,7 +33,7 @@ from maskforge.pipeline import (
     train_dnn,
     train_nmf,
 )
-from maskforge.stft import StftConfig, istft, stft
+from maskforge.stft import OverlapAdd, StftConfig, istft, stft
 from maskforge.synth import SynthConfig, disjoint_support_song, generate_corpus
 
 
@@ -75,8 +75,7 @@ def test_criterion_1_stft_round_trip():
 # ---------------------------------------------------------------------------
 
 def _mean_grid(values):
-    v = np.asarray(values, dtype=np.float64)
-    return MeanPrediction(values=v, counts=np.ones_like(v))
+    return MeanPrediction(values=np.asarray(values, dtype=np.float64))
 
 
 def test_criterion_2_mask_boundaries():
@@ -126,6 +125,8 @@ def test_criterion_3_repack_exact():
                     offsets = patch_offsets(N, T, stride)
                     patches = rng.uniform(0.0, 1.0, size=(len(offsets), F, T))
                     got = repack_mean(PatchSet(patches), stride, N)
+                    _, counts = OverlapAdd(np.ones(T, dtype=np.int64), stride).push(
+                        patches.transpose(0, 2, 1), last=True)
                     # brute force, accumulating in the same offset order
                     padded = int(offsets[-1]) + T
                     acc = np.zeros((F, padded))
@@ -135,7 +136,7 @@ def test_criterion_3_repack_exact():
                         cnt[o:o + T] += 1.0
                     expect = acc[:, :N] / cnt[None, :N]
                     assert np.array_equal(got.values, expect), (N, T, stride)
-                    assert np.array_equal(got.counts[0], cnt[:N]), (N, T, stride)
+                    assert np.array_equal(counts[:N], cnt[:N]), (N, T, stride)
 
 
 # ---------------------------------------------------------------------------

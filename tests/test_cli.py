@@ -161,7 +161,7 @@ def test_parser_defaults():
         synth_cfg.seed, synth_cfg.sample_rate, synth_cfg.duration)
     args = parser.parse_args(["train-dnn", "--manifest", "m", "--out", "o"])
     assert (args.frame, args.hop, args.width) == (512, 128, 10)
-    assert args.hidden == "1024"
+    assert args.hidden == (1024,)
     assert (args.epochs, args.lr, args.loss) == (4, 0.002, "cross_entropy")
     args = parser.parse_args(["train-nmf", "--manifest", "m", "--out", "o"])
     assert (args.rank, args.iterations) == (40, 200)
@@ -582,7 +582,7 @@ def test_mix_refuses_an_empty_manifest_before_making_its_directory(tmp_path, cap
     manifest.write_text('{"songs":[]}')
     code, out, err = _run(capsys, [
         "mix", "--manifest", str(manifest), "--out-dir", str(tmp_path / "newdir" / "sub")])
-    assert (code, out, err) == (1, "", "error: manifest has no songs\n")
+    assert (code, out, err) == (1, "", f"error: {manifest}: manifest has no songs\n")
     assert not (tmp_path / "newdir").exists()
 
 
@@ -829,21 +829,28 @@ def test_a_song_id_that_would_break_a_csv_row_is_refused(tmp_path, capsys):
     assert not any(p.exists() for p in csvs)
 
 
-@pytest.mark.parametrize("labels, flag", [
-    (["--song-id", "two\nlines", "--method", "a,b"], "--song-id 'two\\nlines'"),
-    (["--method", "a,b"], "--method 'a,b'"),
-    (["--method", 'say "ah"'], "--method 'say \"ah\"'"),
-    (["--song-id", "cr\r"], "--song-id 'cr\\r'"),
-], ids=["newline-id-and-comma-method", "comma", "quote", "carriage-return"])
+_BREAKS = "holds a comma, quote or line break"
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["--song-id", "two\nlines", "--method", "a,b"], f"--song-id 'two\\nlines' {_BREAKS}"),
+    (["--method", "a,b"], f"--method 'a,b' {_BREAKS}"),
+    (["--method", 'say "ah"'], f"--method 'say \"ah\"' {_BREAKS}"),
+    (["--song-id", "cr\r"], f"--song-id 'cr\\r' {_BREAKS}"),
+    # a manifest refuses an empty song id, so no sweep row holds an empty label
+    (["--song-id", ""], "--song-id is empty"),
+    (["--method", ""], "--method is empty"),
+], ids=["newline-id-and-comma-method", "comma", "quote", "carriage-return", "empty-song-id",
+        "empty-method"])
 def test_evaluate_refuses_a_label_that_would_break_a_csv_row(tmp_path, capsys, monkeypatch,
-                                                             labels, flag):
+                                                             labels, message):
     monkeypatch.setattr(cli, "read_wav", lambda path: pytest.fail(f"read {path}"))
     wavs = [str(tmp_path / f"{name}.wav") for name in ("ev", "ea", "rv", "ra")]
     eval_csv = tmp_path / "eval.csv"
     code, out, err = _run(capsys, [
         "evaluate", "--est-vocal", wavs[0], "--est-accomp", wavs[1], "--ref-vocal", wavs[2],
         "--ref-accomp", wavs[3], "--csv", str(eval_csv), *labels])
-    assert (code, out, err) == (1, "", f"error: {flag} holds a comma, quote or line break\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
     assert not eval_csv.exists()
 
 
@@ -857,6 +864,52 @@ def test_evaluate_refuses_an_alpha_no_sweep_row_holds(tmp_path, capsys, monkeypa
         "--ref-accomp", wavs[3], "--csv", str(eval_csv), "--alpha", alpha])
     assert (code, out, err) == (1, "", f"error: alpha {float(alpha)} outside (0, 1)\n")
     assert not eval_csv.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "nan"])
+def test_separate_names_the_alpha_it_refuses(tmp_path, capsys, monkeypatch, alpha):
+    # the wording sweep-alpha and evaluate use, before the model is read
+    monkeypatch.setattr(pipeline, "load_any_model", lambda path: pytest.fail(f"read {path}"))
+    argv = _separate_argv(tmp_path, tmp_path / "m.mfg", tmp_path / "x.wav")
+    argv[argv.index("--alpha") + 1] = alpha
+    assert _run(capsys, argv) == (1, "", f"error: alpha {float(alpha)} outside (0, 1)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["mix", "ideal-mask", "train-dnn", "train-nmf",
+                                     "sweep-alpha"])
+def test_every_subcommand_refuses_an_empty_manifest_in_one_line(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    manifest = tmp_path / "empty.json"
+    manifest.write_text('{"songs":[]}')
+    model_path = tmp_path / "m.mfg"
+    _save_dnn(model_path)
+    loads, load = [], pipeline.load_any_model
+    monkeypatch.setattr(pipeline, "load_any_model", lambda path: loads.append(path) or load(path))
+    # every output is in a missing directory, which the output check would refuse first
+    out = str(tmp_path / "missing" / "out")
+    rest = {"mix": ["--out-dir", out],
+            "ideal-mask": ["--out-vocal", out, "--out-accomp", out + "2"],
+            "train-dnn": ["--out", out],
+            "train-nmf": ["--out", out],
+            "sweep-alpha": ["--model", str(model_path), "--csv", out]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = _run(capsys, [command, "--manifest", str(manifest), *rest])
+    assert (code, out, err) == (1, "", f"error: {manifest}: manifest has no songs\n")
+    assert loads == [] and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("hidden", ["x", "8,x"])
+def test_a_bad_hidden_list_is_a_usage_error(tmp_path, capsys, monkeypatch, hidden):
+    # reported as argparse reports --epochs x, before the manifest is read
+    monkeypatch.setattr(cli, "load_manifest", lambda path: pytest.fail(f"read {path}"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train-dnn", "--manifest", str(tmp_path / "m.json"),
+                  "--out", str(tmp_path / "m.mfg"), "--hidden", hidden])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --hidden: invalid int_list value: {hidden!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", ["dnn", "nmf"])
@@ -1463,8 +1516,7 @@ def test_sweep_reports_the_rows_it_wrote(tmp_path, capsys):
 def test_duplicate_model_kind_exits_one(tmp_path, capsys):
     model_path = tmp_path / "m.mlp"
     _save_dnn(model_path)
-    manifest = tmp_path / "m.json"
-    manifest.write_text('{"songs": []}')
+    manifest = _two_stem_manifest(tmp_path, {"s": (8000, 8000)})
     code, out, err = _run(capsys, [
         "sweep-alpha", "--manifest", str(manifest),
         "--model", str(model_path), "--model", str(model_path),

@@ -23,8 +23,7 @@ def _mag(values):
 
 
 def _pred(values):
-    v = np.asarray(values, dtype=np.float64)
-    return MeanPrediction(values=v, counts=np.ones_like(v))
+    return MeanPrediction(values=np.asarray(values, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -474,7 +474,7 @@ def test_repack_soft_mask_against_manual_average(rng):
                 acc[f, o + t] += v[flat, p] / (v[flat, p] + nv[flat, p])
             cnt[o + t] += 1
     assert np.array_equal(mp.values, (acc / cnt[None, :])[:, :N])
-    assert mp.counts[0].tolist() == [1, 2, 3, 2, 1]
+    assert cnt.tolist() == [1, 2, 3, 2, 1]
 
 
 # ---------------------------------------------------------------------------

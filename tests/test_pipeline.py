@@ -102,7 +102,7 @@ def test_config_defaults_and_layer_sizes():
 def test_config_alpha_validation():
     with pytest.raises(ValueError, match="at least one alpha"):
         _small_cfg(alphas=())
-    with pytest.raises(ValueError, match="strictly inside"):
+    with pytest.raises(ValueError, match=r"^alpha 0.0 outside \(0, 1\)$"):
         _small_cfg(alphas=(0.0, 0.5))
     with pytest.raises(ValueError, match="^alpha 0.5 is repeated$"):
         _small_cfg(alphas=(0.5, 0.2, 0.5))
@@ -421,8 +421,6 @@ def test_confidence_grid_dnn(tiny_corpus):
     mean, spec = confidence_grid(full_mix, model, cfg)
     assert mean.values.shape == spec.bins.shape
     assert mean.values.min() >= 0.0 and mean.values.max() <= 1.0
-    # sliding windows cover interior elements width-many times
-    assert mean.counts.max() == cfg.patch.width
 
 
 def test_confidence_grid_nmf(tiny_corpus):
@@ -491,7 +489,6 @@ def test_block_grid_matches_whole_mixture(monkeypatch, method):
     whole = _whole_mixture_grid(mix, model, cfg, seed=4)
     assert mean.values.shape == whole.values.shape
     assert np.allclose(mean.values, whole.values, rtol=0, atol=1e-12)
-    assert np.array_equal(mean.counts, whole.counts)
 
 
 @pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])
@@ -504,7 +501,6 @@ def test_one_block_grid_is_whole_mixture_grid(monkeypatch, method, n_windows):
     mean, _ = confidence_grid(mix, model, cfg, infer_seed=4)
     whole = _whole_mixture_grid(mix, model, cfg, seed=4)
     assert np.array_equal(mean.values, whole.values)
-    assert np.array_equal(mean.counts, whole.counts)
 
 
 @pytest.mark.parametrize("method", [METHOD_DNN, METHOD_NMF])
@@ -556,7 +552,6 @@ def test_separation_ignores_the_grid_in_cfg(method):
     (got, got_spec), (ref, ref_spec) = (confidence_grid(mix, model, cfg, infer_seed=2)
                                         for cfg in (other, model_cfg))
     assert np.array_equal(got.values, ref.values)
-    assert np.array_equal(got.counts, ref.counts) and got.counts.max() == 10
     assert got_spec.config == StftConfig(frame_len=512, hop=128)
     assert np.array_equal(got_spec.bins, ref_spec.bins)
 
@@ -748,7 +743,7 @@ def test_oracle_confidence_reproduces_ideal_masking():
     mag_nv = np.abs(stft(nonvocal_mix, stft_cfg).bins)
     ibm = ideal_binary_mask(mag_v, mag_nv)
     spec = stft(full_mix, stft_cfg)
-    mean = MeanPrediction(values=ibm.values, counts=np.ones_like(ibm.values))
+    mean = MeanPrediction(values=ibm.values)
     est_v, est_nv = pipeline._masked_inversions(spec, pipeline._confidence_masks(mean, 0.5))
     oracle_v, oracle_nv = ideal_mask_separate(stems, stft_cfg)
     assert np.array_equal(est_v.samples, oracle_v.samples)

@@ -12,7 +12,8 @@ import maskforge
 from maskforge import model_file, pipeline
 
 REMOVED = {
-    "masking": ["SoftMask", "soft_mask", "threshold_soft_mask", "vocal_share", "apply_mask"],
+    "masking": ["SoftMask", "soft_mask", "threshold_soft_mask", "vocal_share", "apply_mask",
+                "_check_alpha"],
     "stft": ["PhaseSpectrogram", "combine", "split", "MagnitudeSpectrogram", "magnitude"],
     "patching": ["flatten", "unflatten", "KIND_TARGET", "normalize_unit_scale", "KIND_MIXTURE",
                  "KIND_PREDICTION"],
@@ -122,6 +123,17 @@ def test_a_patch_set_is_its_windows():
     assert [f.name for f in dataclasses.fields(maskforge.PatchSet)] == ["patches", "rows"]
     assert list(inspect.signature(maskforge.repack_mean).parameters) == [
         "predictions", "stride", "n_frames"]
+
+
+def test_a_mean_prediction_is_its_mean():
+    # the window counts it was divided by stay with the OverlapAdd that made them
+    assert [f.name for f in dataclasses.fields(maskforge.patching.MeanPrediction)] == ["values"]
+
+
+def test_alpha_is_checked_in_one_place():
+    found = [path.name for path in sorted(Path(maskforge.__file__).parent.glob("*.py"))
+             if "outside (0, 1)" in path.read_text()]
+    assert found == ["masking.py"]
 
 
 def test_import_leaves_scipy_stats_unloaded():
